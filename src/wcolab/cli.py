@@ -35,7 +35,7 @@ from .opmat import (
     operator_norm_estimate,
     toeplitz,
 )
-from .probes import defect_report, hyponormality_probe
+from .probes import defect_report
 from .scenarios import Overrides, list_scenarios, run_all, run_scenario
 from .series import expr_from_json
 from .space import SpaceSpec
@@ -234,31 +234,17 @@ def cmd_probe(args) -> int:
     print(f"quasinormal defect:            {fmt(rep.quasinormal_defect)}")
     print(f"selfadjoint defect:            {fmt(rep.selfadjoint_defect)}")
     print(f"unitary defect:                {fmt(rep.unitary_defect)}")
-    if rep.tail_bound is not None:
-        print(f"tail bound on G1:              {fmt(rep.tail_bound)}")
+    print(f"tail bound on G1:              {fmt(rep.tail_bound)}")
     for flag in rep.flags:
         print(f"flag: {flag}")
-    ev = hyponormality_probe(op, space, n, m)
     verdictline = (
-        "negative certificate (not hyponormal)" if ev.certificate else "no certificate"
+        "negative certificate (not hyponormal)"
+        if rep.hyponormality.certificate
+        else "no certificate"
     )
     print(f"hyponormality: {verdictline}")
     if args.json:
-        payload = {
-            "op": op.to_json(),
-            "space": space.to_json(),
-            "N": rep.N,
-            "M": rep.M,
-            "min_eig_selfcomm": rep.min_eig_selfcomm,
-            "norm_selfcomm": rep.norm_selfcomm,
-            "quasinormal_defect": rep.quasinormal_defect,
-            "selfadjoint_defect": rep.selfadjoint_defect,
-            "unitary_defect": rep.unitary_defect,
-            "tail_bound": rep.tail_bound,
-            "flags": list(rep.flags),
-            "hyponormality_certificate": bool(ev.certificate),
-        }
-        _write_json(args.json, payload)
+        _write_json(args.json, {"op": op.to_json(), "space": space.to_json(), **rep.to_json()})
     return 0
 
 

@@ -117,7 +117,6 @@ def _check_weight_bounded(weight: AnalyticExpr) -> None:
     zs = WEIGHT_GRID_RADIUS * np.exp(
         2j * np.pi * np.arange(WEIGHT_GRID_POINTS) / WEIGHT_GRID_POINTS
     )
-    worst = 0.0
     for z in zs:
         try:
             v = evaluate(weight, complex(z))
@@ -132,7 +131,6 @@ def _check_weight_bounded(weight: AnalyticExpr) -> None:
             raise UnboundedWeightError(
                 f"weight exceeds {WEIGHT_BOUND_CAP:g} on the sample circle"
             )
-        worst = max(worst, av)
 
 
 def composition(symbol: MoebiusMap) -> OperatorSpec:

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, OrderPolicyError
+from .mobius import MoebiusMap
 from .opmat import (
     OperatorSpec,
     OperatorWord,
@@ -36,9 +37,8 @@ from .opmat import (
 )
 from .series import (
     PowerSeries,
-    PrecomposeMoebius,
-    Product,
     evaluate,
+    rational_series,
     series_norm,
     tail_diagnostics,
     taylor,
@@ -100,12 +100,19 @@ def hyponormality_probe(
     if M is None:
         M = default_internal_order(N, [op])
     h, bound = self_commutator(op, space, N, M)
-    eigs = np.linalg.eigvalsh(h)
-    min_eig = float(eigs[0])
-    slack = ROUNDING_SLACK * max(1.0, _spectral_norm(h))
+    return _selfcomm_evidence(h, bound, N, M)[0]
+
+
+def _selfcomm_evidence(
+    h: np.ndarray, bound: float, N: int, M: int
+) -> tuple[HyponormalityEvidence, float]:
+    """Evidence from a self-commutator block, and the block's spectral norm."""
+    min_eig = float(np.linalg.eigvalsh(h)[0])
+    norm = _spectral_norm(h)
+    slack = ROUNDING_SLACK * max(1.0, norm)
     bound_eff = bound if math.isfinite(bound) else 0.0
     cert = min_eig < -(bound_eff + slack) and math.isfinite(bound)
-    return HyponormalityEvidence(min_eig, bound, cert, N, M)
+    return HyponormalityEvidence(min_eig, bound, cert, N, M), norm
 
 
 def quasinormality_defect(
@@ -155,15 +162,28 @@ def unitary_defect(
 class DefectReport:
     """One-stop summary of the normality-class defects of an operator."""
 
-    min_eig_selfcomm: float
+    hyponormality: HyponormalityEvidence
     norm_selfcomm: float
     quasinormal_defect: float
     selfadjoint_defect: float
     unitary_defect: float
-    N: int
-    M: int
-    tail_bound: float
     flags: tuple[str, ...]
+
+    @property
+    def min_eig_selfcomm(self) -> float:
+        return self.hyponormality.min_eig
+
+    @property
+    def tail_bound(self) -> float:
+        return self.hyponormality.tail_bound
+
+    @property
+    def N(self) -> int:
+        return self.hyponormality.N
+
+    @property
+    def M(self) -> int:
+        return self.hyponormality.M
 
     def to_json(self) -> dict:
         return {
@@ -176,6 +196,7 @@ class DefectReport:
             "M": self.M,
             "tail_bound": self.tail_bound,
             "flags": list(self.flags),
+            "hyponormality_certificate": self.hyponormality.certificate,
         }
 
 
@@ -185,26 +206,23 @@ def defect_report(
     if M is None:
         M = max(default_internal_order(N, [op]), 2 * N + 16)
     pair = gram_blocks(op, space, N, M)
-    h = 0.5 * ((pair.g1 - pair.g2) + (pair.g1 - pair.g2).conj().T)
-    eigs = np.linalg.eigvalsh(h)
-    min_eig = float(eigs[0])
+    h = pair.g1 - pair.g2
+    h = 0.5 * (h + h.conj().T)
+    ev, norm = _selfcomm_evidence(h, pair.tail_bound, N, M)
     eye = np.eye(N + 1)
     flags = []
     if is_boundary_touching(op):
         flags.append("boundary-touching-symbol")
-    if math.isfinite(pair.tail_bound) and abs(min_eig) <= pair.tail_bound:
+    if math.isfinite(pair.tail_bound) and abs(ev.min_eig) <= pair.tail_bound:
         flags.append("min-eig-within-tail-bound")
     if not math.isfinite(pair.tail_bound):
         flags.append("tail-bound-unavailable")
     return DefectReport(
-        min_eig_selfcomm=min_eig,
-        norm_selfcomm=_spectral_norm(h),
+        hyponormality=ev,
+        norm_selfcomm=norm,
         quasinormal_defect=quasinormality_defect(op, space, N, max(M, 2 * N + 16)),
         selfadjoint_defect=selfadjoint_defect(op, space, N),
         unitary_defect=max(_spectral_norm(pair.g1 - eye), _spectral_norm(pair.g2 - eye)),
-        N=N,
-        M=M,
-        tail_bound=pair.tail_bound,
         flags=tuple(flags),
     )
 
@@ -283,32 +301,60 @@ def kernel_condition_probe(
     The first term is a series norm of weight * (K_w o symbol) (truncated,
     hence a slight undercount); the second is exact from the reproducing
     identity A* K_w = conj(weight(w)) K_symbol(w).  chi(w) < 0 beyond
-    tolerance certifies non-hyponormality.  The series order doubles, up to a
-    cap, while the truncation shows slow decay.
+    tolerance certifies non-hyponormality, but only at a point whose series
+    is not slow-decaying at KERNEL_PROBE_MAX_ORDER: there the undercount is
+    unbounded (see `certified_min_chi`).
+
+    The whole grid is expanded at once.  With symbol (a z + b)/(c z + d),
+    K_w o symbol = (N_w / D)^(-gamma) for N_w = (d - conj(w) b) + (c - conj(w) a) z
+    and D = d + c z, so one short recurrence batched over the grid gives every
+    point's series, and the weight's series, computed once per order, is
+    convolved in.  Per point, the order doubles up to the cap while the
+    truncation shows slow decay; only those points are expanded again.
     """
     if w_grid is None:
         w_grid = default_kernel_grid()
-    out = []
-    for w in w_grid:
-        w = complex(w)
-        if abs(w) >= 1.0:
-            raise InputError("kernel grid points must lie in the open unit disk")
-        if op.symbol is None:
-            composed = kernel_expr(space, w)
-            image = w
-        else:
-            composed = PrecomposeMoebius(kernel_expr(space, w), op.symbol)
-            image = op.symbol.apply(w)
-        expr = Product((op.weight, composed))
-        m = int(order)
-        while True:
-            s = taylor(expr, m)
+    ws = np.array([complex(w) for w in w_grid], dtype=np.complex128)
+    if np.any(np.abs(ws) >= 1.0):
+        raise InputError("kernel grid points must lie in the open unit disk")
+    phi = MoebiusMap(1, 0, 0, 1) if op.symbol is None else op.symbol
+    wc = ws.conj()
+    num = np.array([phi.d - wc * phi.b, phi.c - wc * phi.a])
+    den = np.array([phi.d, phi.c], dtype=np.complex128)
+    lhs = np.zeros(len(ws))
+    orders = np.zeros(len(ws), dtype=int)
+    slow = np.zeros(len(ws), dtype=bool)
+    pending = np.arange(len(ws))
+    m = int(order)
+    while pending.size:
+        psi = taylor(op.weight, m).coeffs
+        nonzero = np.flatnonzero(psi)
+        psi = psi[: nonzero[-1] + 1 if nonzero.size else 1]  # exact zeros add nothing
+        kern = rational_series("power", num[:, pending], den, m, -space.gamma).T.copy()
+        retry = []
+        for g, col in zip(pending, kern):
+            s = PowerSeries(np.convolve(psi, col)[: m + 1])
             td = tail_diagnostics(s)
-            if not td.slow_decay or m >= KERNEL_PROBE_MAX_ORDER:
-                break
-            m *= 2
-        lhs = series_norm(s, space) ** 2
-        wval = evaluate(op.weight, w)
-        rhs = abs(wval) ** 2 * kernel_norm_sq(space, image)
-        out.append(KernelProbePoint(w, float(lhs - rhs), m, td.slow_decay))
+            if td.slow_decay and m < KERNEL_PROBE_MAX_ORDER:
+                retry.append(g)
+                continue
+            lhs[g] = series_norm(s, space) ** 2
+            orders[g], slow[g] = m, td.slow_decay
+        pending = np.array(retry, dtype=int)
+        m *= 2
+    out = []
+    for g, w in enumerate(ws):
+        w = complex(w)
+        rhs = abs(evaluate(op.weight, w)) ** 2 * kernel_norm_sq(space, phi.apply(w))
+        out.append(KernelProbePoint(w, float(lhs[g] - rhs), int(orders[g]), bool(slow[g])))
     return out
+
+
+def certified_min_chi(points: list[KernelProbePoint]) -> float:
+    """Least chi over the points that were not slow-decaying at the order cap.
+
+    At a slow point the truncated ||A K_w||^2 may miss an unknown share of
+    the norm, which pushes chi down, so its chi certifies nothing.  The value
+    is +inf when no point qualifies.
+    """
+    return min((p.chi for p in points if not p.slow_decay), default=math.inf)

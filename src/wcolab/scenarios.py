@@ -43,6 +43,7 @@ from .opmat import (
     word_block,
 )
 from .probes import (
+    certified_min_chi,
     defect_report,
     douglas_witness,
     hyponormality_probe,
@@ -498,14 +499,14 @@ def _s9(ov: Overrides) -> tuple[list[CheckResult], dict]:
                 )
             )
             pts = kernel_condition_probe(op, space)
-            minchi = min(p.chi for p in pts)
             checks.append(
                 _le(
                     f"kernel-witness-min-chi.{space.label()}.{label}",
-                    minchi,
+                    certified_min_chi(pts),
                     -1e-8,
                     "analytic",
                     grid_points=len(pts),
+                    slow_at_cap=sum(p.slow_decay for p in pts),
                 )
             )
     return checks, {"N": N, "M": M}
@@ -534,14 +535,14 @@ def _s10(ov: Overrides) -> tuple[list[CheckResult], dict]:
                 )
             )
             pts = kernel_condition_probe(op, space)
-            minchi = min(p.chi for p in pts)
             checks.append(
                 _le(
                     f"kernel-witness-min-chi.{space.label()}.{psi_label}",
-                    minchi,
+                    certified_min_chi(pts),
                     -1e-8,
                     "analytic",
                     grid_points=len(pts),
+                    slow_at_cap=sum(p.slow_decay for p in pts),
                 )
             )
     return checks, {"N": N, "M": M}

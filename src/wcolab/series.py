@@ -3,16 +3,18 @@
 Expressions are built from polynomials, rational functions, principal-branch
 powers, exponentials, sums, products, scalar multiples, and precomposition
 with a linear fractional map.  `taylor` turns an expression into coefficients
-to a requested order using classical recurrences:
+to a requested order.  It first eliminates every precomposition: a linear
+fractional substitution turns polynomial and rational leaves into new
+rational leaves and pushes through every other node, so no numerical
+composition is ever performed.  Then:
 
-  * rational functions by long division,
+  * a rational function N/D, and a Power or Exp whose base or argument is a
+    polynomial or rational function, by a short recurrence whose length
+    depends only on deg(N) and deg(D) (`rational_series`, from D f = N,
+    N D f' = gamma (N'D - N D') f and D^2 f' = (N'D - N D') f),
   * products by Cauchy convolution,
-  * Exp by the derivative recurrence e' = s' e,
-  * Power by the Euler recurrence (b p' = gamma b' p),
-  * precomposition by eliminating the map first: a linear fractional
-    substitution turns polynomial and rational leaves into new rational
-    leaves and pushes through every other node, so no numerical composition
-    is ever performed.
+  * Power and Exp of any other node (say Power(Exp(...))) by the general
+    full-length recurrences, Euler's b p' = gamma b' p and e' = s' e.
 
 All constant-term constraints (nonzero denominators and power bases, branch
 position) are checked at construction time.
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from typing import Union
 
@@ -234,7 +237,7 @@ def taylor(e: AnalyticExpr, order: int) -> PowerSeries:
     """Taylor coefficients of the expression at 0, through z**order."""
     if order < 0:
         raise InputError("taylor order must be nonnegative")
-    return PowerSeries(_taylor(e, int(order)))
+    return PowerSeries(_taylor(eliminate_precompose(e), int(order)))
 
 
 def _taylor(e: AnalyticExpr, M: int) -> np.ndarray:
@@ -244,10 +247,14 @@ def _taylor(e: AnalyticExpr, M: int) -> np.ndarray:
         out[:take] = e.coeffs[:take]
         return out
     if isinstance(e, Rational):
-        return _divide(_taylor(e.num, M), np.asarray(e.den.coeffs, dtype=np.complex128), M)
+        return rational_series("quotient", e.num.coeffs, e.den.coeffs, M)
     if isinstance(e, Power):
+        if isinstance(e.base, (Poly, Rational)):
+            return rational_series("power", *_num_den(e.base), M, e.exponent)
         return _power_series(_taylor(e.base, M), e.exponent, M)
     if isinstance(e, Exp):
+        if isinstance(e.arg, (Poly, Rational)):
+            return rational_series("exp", *_num_den(e.arg), M)
         return _exp_series(_taylor(e.arg, M), M)
     if isinstance(e, Sum):
         out = np.zeros(M + 1, dtype=np.complex128)
@@ -262,26 +269,128 @@ def _taylor(e: AnalyticExpr, M: int) -> np.ndarray:
         return acc
     if isinstance(e, Scale):
         return e.factor * _taylor(e.inner, M)
-    if isinstance(e, PrecomposeMoebius):
-        return _taylor(eliminate_precompose(e), M)
     raise InputError(f"unknown expression node {type(e).__name__}")
 
 
-def _divide(num: np.ndarray, den: np.ndarray, M: int) -> np.ndarray:
-    """Long division num/den to order M; den[0] is known nonzero."""
-    d0 = den[0]
-    k = len(den) - 1
-    out = np.zeros(M + 1, dtype=np.complex128)
-    out[0] = num[0] / d0
-    if k == 0:
-        out[1:] = num[1:] / d0
-        return out
-    drev = den[1:][::-1]  # den[k], ..., den[1]
-    for n in range(1, M + 1):
-        lo = max(0, n - k)
-        acc = num[n] - np.dot(drev[k - (n - lo):], out[lo:n])
-        out[n] = acc / d0
+def _num_den(e: Poly | Rational) -> tuple[tuple[complex, ...], tuple[complex, ...]]:
+    if isinstance(e, Poly):
+        return e.coeffs, (1 + 0j,)
+    return e.num.coeffs, e.den.coeffs
+
+
+def _poly_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product of polynomials stored along axis 0, batched along axis 1.
+
+    The products come from einsum, which rounds each from its real parts
+    whatever the batch length (see `rational_series`).
+    """
+    terms = np.einsum("ig,jg->ijg", a, b)
+    out = np.zeros((len(a) + len(b) - 1, terms.shape[2]), dtype=np.complex128)
+    for i in range(len(a)):
+        out[i : i + len(b)] += terms[i]
     return out
+
+
+def _poly_deriv(a: np.ndarray) -> np.ndarray:
+    return a[1:] * np.arange(1, len(a))[:, None]
+
+
+def rational_series(kind: str, num, den, M: int, exponent: float = 1.0) -> np.ndarray:
+    """Taylor coefficients through z**M of a function of the rational r = N/D.
+
+    kind "quotient" gives r itself, "power" the principal branch of
+    r**exponent, and "exp" gives exp(r).  `num` and `den` hold polynomial
+    coefficients along axis 0, optionally with a trailing batch axis of
+    length G (an axis of length 1 broadcasts); the result has shape (M + 1,)
+    or (M + 1, G) to match.
+
+    Each function satisfies a linear equation with polynomial coefficients,
+    so its coefficients follow a recurrence of fixed length K (Stanley 1980)
+    in place of a full-length convolution:
+
+      quotient  D f = N,  K = deg(D):
+                D_0 f_n = N_n - sum_(k=1..K) D_k f_(n-k)
+      power     A f' = B f with A = N D, B = exponent (N'D - N D')
+      exp       A f' = B f with A = D^2, B = N'D - N D'
+
+    where A f' = B f reads n A_0 f_n = sum_(k=1..K) (B_(k-1) + (k - n) A_k)
+    f_(n-k) with K = max(deg A, deg(N) + deg(D)).  The Python loop runs M
+    times whatever the batch length.
+    """
+    num = np.asarray(num, dtype=np.complex128)
+    den = np.asarray(den, dtype=np.complex128)
+    batched = num.ndim == 2 or den.ndim == 2
+    num = num.reshape(len(num), -1)
+    den = den.reshape(len(den), -1)
+    G = max(num.shape[1], den.shape[1])
+    num = np.broadcast_to(num, (len(num), G))
+    den = np.broadcast_to(den, (len(den), G))
+    if np.any(den[0] == 0.0):
+        raise InputError("rational denominator vanishes at the expansion point 0")
+    r0 = num[0] / den[0]
+    # f_n = (rhs_n + sum_(k=1..K) coef[n - 1, k - 1] f_(n-k)) / lead_n[n - 1]
+    rhs = np.zeros((M + 1, G), dtype=np.complex128)
+    if kind == "quotient":
+        f0 = r0
+        take = min(M + 1, len(num))
+        rhs[:take] = num[:take]
+        coef = np.broadcast_to(-den[1:], (M, len(den) - 1, G))
+        lead_n = np.broadcast_to(den[0], (M, G))
+    else:
+        if kind == "power":
+            f0 = _power_constant(r0, exponent)
+            lead, scale = _poly_mul(num, den), exponent
+        elif kind == "exp":
+            f0 = np.exp(r0)
+            lead, scale = _poly_mul(den, den), 1.0
+        else:
+            raise InputError(f"unknown rational series kind {kind!r}")
+        # B has degree below deg(N) + deg(D); pad A and B to K + 1 rows
+        K = max(len(lead) - 1, len(num) + len(den) - 2)
+        lead = np.concatenate((lead, np.zeros((K + 1 - len(lead), G))))
+        slope = np.zeros((K + 1, G), dtype=np.complex128)
+        if len(num) > 1:
+            part = _poly_mul(_poly_deriv(num), den)
+            slope[: len(part)] += part
+        if len(den) > 1:
+            part = _poly_mul(num, _poly_deriv(den))
+            slope[: len(part)] -= part
+        n = np.arange(1, M + 1, dtype=np.float64)[:, None]
+        k = np.arange(1, K + 1, dtype=np.float64)[:, None]
+        coef = scale * slope[:K] + (k - n[:, None]) * lead[1:]
+        lead_n = n * lead[0]
+    K = coef.shape[1]
+    # buf[K + n] holds f_n; the K leading zeros stand for f_(-K) .. f_(-1)
+    buf = np.zeros((M + 1 + K, G), dtype=np.complex128)
+    buf[K] = f0
+    # rev[n - 1, j] multiplies f_(n - K + j).  Both steps below form each
+    # complex product from rounded real products (numpy's complex multiply on
+    # arrays may fuse them, which would move coefficients by an ulp), so a
+    # batch and its single columns agree bit for bit.
+    rev = coef[:, ::-1]
+    if G == 1:  # numpy scalars cost a fraction of one-element arrays per step
+        c, f, r, d = rev[..., 0], buf[:, 0], rhs[:, 0], lead_n[:, 0]
+        for n in range(1, M + 1):
+            f[K + n] = (r[n] + sum(map(operator.mul, c[n - 1], f[n : n + K]))) / d[n - 1]
+    else:
+        for n in range(1, M + 1):
+            acc = np.einsum("kg,kg->g", rev[n - 1], buf[n : n + K])
+            buf[K + n] = (rhs[n] + acc) / lead_n[n - 1]
+    out = buf[K:]
+    return out if batched else out[:, 0].copy()
+
+
+def _power_constant(b0: np.ndarray, gamma: float) -> np.ndarray:
+    """Principal value b0**gamma, rejecting a zero base and the branch cut."""
+    if np.any(b0 == 0.0):
+        raise InputError("power base vanishes at the expansion point 0")
+    if float(gamma).is_integer():
+        return b0 ** int(gamma)
+    if np.any((b0.real < 0.0) & (np.abs(b0.imag) <= _ZERO_REL * np.abs(b0))):
+        raise BranchError(
+            "non-integer power of a base whose constant term lies on the branch cut"
+        )
+    return np.exp(gamma * np.log(b0))
 
 
 def _exp_series(s: np.ndarray, M: int) -> np.ndarray:
@@ -294,18 +403,9 @@ def _exp_series(s: np.ndarray, M: int) -> np.ndarray:
 
 
 def _power_series(b: np.ndarray, gamma: float, M: int) -> np.ndarray:
-    b0 = b[0]
-    if abs(b0) == 0.0:
-        raise InputError("power base vanishes at the expansion point 0")
     out = np.zeros(M + 1, dtype=np.complex128)
-    if float(gamma).is_integer():
-        out[0] = b0 ** int(gamma)
-    else:
-        if b0.real < 0.0 and abs(b0.imag) <= _ZERO_REL * abs(b0):
-            raise BranchError(
-                "non-integer power of a base whose constant term lies on the branch cut"
-            )
-        out[0] = cmath.exp(gamma * cmath.log(b0))
+    out[0] = _power_constant(np.array([b[0]]), gamma)[0]
+    b0 = b[0]
     g1 = gamma + 1.0
     for n in range(1, M + 1):
         coef = g1 * np.arange(1, n + 1) - n
@@ -411,10 +511,7 @@ def moebius_powers(m: MoebiusMap, count: int, order: int) -> list[PowerSeries]:
         raise InputError("power count and order must be nonnegative")
     if abs(m.d) <= _ZERO_REL * m.coeff_scale():
         raise PoleAtOriginError("linear fractional map has its pole at 0")
-    P, Q = _lf_numden(m)
-    numf = np.zeros(order + 1, dtype=np.complex128)
-    numf[: len(P)] = P[: order + 1]
-    base = _divide(numf, Q, order)
+    base = rational_series("quotient", *_lf_numden(m), order)
     out = [np.zeros(order + 1, dtype=np.complex128)]
     out[0][0] = 1.0
     for _ in range(count):
@@ -460,10 +557,6 @@ def tail_diagnostics(s: PowerSeries) -> TailDiagnostics:
     else:
         bound = math.inf
     return TailDiagnostics(ratio, bound, ratio > SLOW_DECAY_RATIO)
-
-
-def tail_ratio(s: PowerSeries) -> float:
-    return tail_diagnostics(s).ratio
 
 
 # -- serialization ------------------------------------------------------------

@@ -114,6 +114,20 @@ def test_probe_outputs_defects_and_json(tmp_path, capsys):
     assert code == 0
     assert "quasinormal defect" in out
     payload = json.loads(json_path.read_text())
+    assert set(payload) == {
+        "op",
+        "space",
+        "N",
+        "M",
+        "min_eig_selfcomm",
+        "norm_selfcomm",
+        "quasinormal_defect",
+        "selfadjoint_defect",
+        "unitary_defect",
+        "tail_bound",
+        "flags",
+        "hyponormality_certificate",
+    }
     assert payload["N"] == 8 and payload["M"] == 64
     assert payload["quasinormal_defect"] > 0.0
     # emitted operator JSON re-parses

@@ -1,5 +1,7 @@
 """Tests for the normality-class probes."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,9 @@ from wcolab.errors import OrderPolicyError
 from wcolab.mobius import MoebiusMap, rotation
 from wcolab.opmat import composition, plain, toeplitz, weighted
 from wcolab.probes import (
+    KERNEL_PROBE_MAX_ORDER,
+    KERNEL_PROBE_ORDER,
+    certified_min_chi,
     default_kernel_grid,
     defect_report,
     douglas_witness,
@@ -18,11 +23,23 @@ from wcolab.probes import (
     self_commutator,
     unitary_defect,
 )
-from wcolab.series import Poly, Product, Rational, Scale, constant
-from wcolab.space import bergman, hardy, kernel_expr
+from wcolab.series import (
+    Poly,
+    PrecomposeMoebius,
+    Product,
+    Rational,
+    Scale,
+    constant,
+    evaluate,
+    series_norm,
+    tail_diagnostics,
+    taylor,
+)
+from wcolab.space import bergman, hardy, kernel_expr, kernel_norm_sq
 
 HALF_SHIFT = MoebiusMap(1, 0, -1, 2)
 AFFINE_HALF = MoebiusMap(1, 1, 0, 2)
+THREE_POINT = MoebiusMap(2, 1, 1, 3)
 PSI_HALF = Rational(Poly((2,)), Poly((2, -1)))
 
 ALL_SPACES = (hardy(), bergman(0.0), bergman(1.0))
@@ -110,6 +127,15 @@ def test_normality_defect_matches_selfcommutator_norm():
     assert abs(d - np.linalg.norm(h, 2)) < 1e-12
 
 
+def test_defect_report_carries_hyponormality_evidence():
+    for op in (composition(AFFINE_HALF), weighted(PSI_HALF, HALF_SHIFT), toeplitz(Poly((1, 1)))):
+        for sp in (hardy(), bergman(1.0)):
+            rep = defect_report(op, sp, 10, 160)
+            assert rep.hyponormality == hyponormality_probe(op, sp, 10, 160)
+            assert rep.min_eig_selfcomm == rep.hyponormality.min_eig
+            assert (rep.N, rep.M, rep.tail_bound) == (10, 160, rep.hyponormality.tail_bound)
+
+
 def test_defect_report_flags_boundary_touching():
     rep = defect_report(composition(HALF_SHIFT), hardy(), 8, 64)
     assert "boundary-touching-symbol" in rep.flags
@@ -159,3 +185,70 @@ def test_kernel_probe_points_carry_orders():
     pts = kernel_condition_probe(composition(HALF_SHIFT), hardy())
     assert all(p.order >= 512 for p in pts)
     assert all(np.isfinite(p.chi) for p in pts)
+
+
+def _unitary_kernel_operator(a: float):
+    """(1 - a^2)^(1/2) K_a C_{phi_a} with phi_a(z) = (a - z)/(1 - a z): unitary on H^2."""
+    weight = Product((constant((1.0 - a * a) ** 0.5), kernel_expr(hardy(), a)))
+    return weighted(weight, MoebiusMap(-1, a, -a, 1))
+
+
+def test_kernel_probe_slow_points_at_cap_are_not_certificates():
+    # chi vanishes for a unitary operator, but near the boundary the series
+    # of weight * (K_w o phi_a) are still slow at the cap and undercount
+    pts = kernel_condition_probe(_unitary_kernel_operator(0.9), hardy())
+    slow = [p for p in pts if p.slow_decay]
+    assert slow and all(p.order == KERNEL_PROBE_MAX_ORDER for p in slow)
+    assert min(p.chi for p in slow) < -1e-8
+    assert all(p.chi > -1e-8 for p in pts if not p.slow_decay)
+    assert certified_min_chi(pts) > -1e-8
+    assert certified_min_chi([p for p in pts if p.slow_decay]) == math.inf
+
+
+def _per_point_probe(op, space, w, order):
+    """The kernel probe at one point through `taylor`: the reference for the
+    batched probe."""
+    expr = Product((op.weight, PrecomposeMoebius(kernel_expr(space, w), op.symbol)))
+    m = order
+    while True:
+        s = taylor(expr, m)
+        td = tail_diagnostics(s)
+        if not td.slow_decay or m >= KERNEL_PROBE_MAX_ORDER:
+            break
+        m *= 2
+    lhs = series_norm(s, space) ** 2
+    rhs = abs(evaluate(op.weight, w)) ** 2 * kernel_norm_sq(space, op.symbol.apply(w))
+    return lhs - rhs, lhs, m, td.slow_decay
+
+
+def _assert_batched_matches_per_point(op, space, grid, order):
+    pts = kernel_condition_probe(op, space, grid, order=order)
+    ref = [_per_point_probe(op, space, w, order) for w in grid]
+    assert [(p.order, p.slow_decay) for p in pts] == [(m, slow) for _, _, m, slow in ref]
+    chi = np.array([p.chi for p in pts])
+    chi_ref = np.array([c for c, _, _, _ in ref])
+    # relative to the terms chi is the difference of: chi vanishes for a unitary
+    scale = max(np.max(np.abs(chi_ref)), max(lhs for _, lhs, _, _ in ref))
+    assert np.max(np.abs(chi - chi_ref)) <= 1e-12 * scale
+    return pts
+
+
+def test_batched_kernel_probe_matches_per_point_path_s9_s10():
+    grid = default_kernel_grid()[::9]
+    for sp in ALL_SPACES:
+        ops = [composition(AFFINE_HALF), composition(THREE_POINT)]
+        for weight in (constant(1.0), Poly((1, -1)), kernel_expr(sp, 0.0)):
+            ops.append(weighted(weight, AFFINE_HALF))
+        for op in ops:
+            _assert_batched_matches_per_point(op, sp, grid, KERNEL_PROBE_ORDER)
+
+
+def test_batched_kernel_probe_matches_per_point_path_with_doublings():
+    grid = [default_kernel_grid()[i] for i in (0, 40, 68, 120)]
+    pts = _assert_batched_matches_per_point(_unitary_kernel_operator(0.9), hardy(), grid, 32)
+    assert [(p.order, p.slow_decay) for p in pts] == [
+        (32, False),
+        (512, False),
+        (2048, False),
+        (2048, True),
+    ]

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wcolab.errors import BranchError, InputError, PoleAtOriginError
 from wcolab.mobius import MoebiusMap
@@ -25,6 +27,7 @@ from wcolab.series import (
     expr_to_json,
     moebius_powers,
     monomial,
+    rational_series,
     series_from_csv,
     series_norm,
     series_to_csv,
@@ -260,3 +263,99 @@ def test_taylor_determinism():
     a = taylor(e, 40).coeffs
     b = taylor(e, 40).coeffs
     assert np.array_equal(a, b)
+
+
+# -- short recurrences against the Cauchy integral ------------------------------
+
+#: Kernel exponents gamma: Hardy 1, Bergman alpha = 0, 1 give 2, 3, and
+#: Bergman alpha = 0.5 gives the non-integer 2.5.
+KERNEL_GAMMAS = (1.0, 2.0, 3.0, 2.5)
+
+
+@st.composite
+def interior_self_maps(draw):
+    """z -> c0 + r lam (z - p) / (1 - conj(p) z) with |c0| + r <= 0.9, so the
+    image of the closed disk stays inside |z| <= 0.9."""
+    r = draw(st.floats(0.05, 0.6))
+    c0 = cmath.rect(draw(st.floats(0.0, 0.9 - r)), draw(st.floats(0.0, 2 * math.pi)))
+    p = cmath.rect(draw(st.floats(0.0, 0.6)), draw(st.floats(0.0, 2 * math.pi)))
+    lam = cmath.rect(1.0, draw(st.floats(0.0, 2 * math.pi)))
+    pc = p.conjugate()
+    return MoebiusMap(r * lam - c0 * pc, c0 - r * lam * p, -pc, 1.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    m=interior_self_maps(),
+    w=st.complex_numbers(max_magnitude=0.9),
+    gamma=st.sampled_from(KERNEL_GAMMAS),
+)
+def test_rational_recurrences_match_cauchy_integral(m, w, gamma):
+    def phi(z):
+        return (m.a * z + m.b) / (m.c * z + m.d)
+
+    wc = w.conjugate()
+    kernel = Power(Poly((1, -wc)), -gamma)
+    composed = eliminate_precompose(PrecomposeMoebius(kernel, m))
+    assert isinstance(composed, Power) and isinstance(composed.base, Rational)
+    shifted = Exp(Rational(Poly((gamma * m.b, gamma * m.a)), Poly((m.d, m.c))))
+    cases = (
+        (kernel, lambda z: (1 - wc * z) ** -gamma),
+        (composed, lambda z: (1 - wc * phi(z)) ** -gamma),
+        (shifted, lambda z: cmath.exp(gamma * phi(z))),
+    )
+    for expr, fn in cases:
+        assert_series_close(taylor(expr, 40).coeffs, dft_coeffs(fn, 40), 1e-9)
+
+
+def _long_division(num, den, M):
+    """Reference quotient: the plain long division the engine used before it
+    had short recurrences."""
+    num = np.pad(np.asarray(num, dtype=complex), (0, M + 1))[: M + 1]
+    den = np.asarray(den, dtype=complex)
+    k = len(den) - 1
+    out = np.zeros(M + 1, dtype=complex)
+    for n in range(M + 1):
+        acc = num[n]
+        for j in range(1, min(k, n) + 1):
+            acc = acc - den[j] * out[n - j]
+        out[n] = acc / den[0]
+    return out
+
+
+def test_rational_quotient_matches_long_division():
+    for num, den in (
+        ((1, 2j, 0.5), (1, -0.4, 0.3j)),
+        ((2,), (2, -1)),
+        ((0.3 - 1j, 1), (3, 1)),
+        ((1, 1, 1, 1), (2j,)),
+    ):
+        got = rational_series("quotient", num, den, 60)
+        assert_series_close(got, _long_division(num, den, 60), 1e-14)
+    # a degree-one denominator leaves one product per step: no rounding to reorder
+    got = rational_series("quotient", (0.3 - 1j, 1), (3 + 0.2j, 1 - 0.7j), 60)
+    assert np.array_equal(got, _long_division((0.3 - 1j, 1), (3 + 0.2j, 1 - 0.7j), 60))
+
+
+def test_rational_series_batch_agrees_with_its_columns_bit_for_bit():
+    rng = np.random.default_rng(7)
+    num = 0.2 * (rng.standard_normal((3, 9)) + 1j * rng.standard_normal((3, 9)))
+    num[0] += 3.0
+    den = np.array([2.0 + 0.1j, -0.7 + 0.2j, 0.1j])
+    for kind, exponent in (("quotient", 1.0), ("power", -2.5), ("power", 3.0), ("exp", 1.0)):
+        batch = rational_series(kind, num, den, 200, exponent)
+        assert batch.shape == (201, 9)
+        for g in range(9):
+            column = rational_series(kind, num[:, g], den, 200, exponent)
+            assert np.array_equal(batch[:, g], column)
+
+
+def test_rational_series_rejects_bad_input():
+    with pytest.raises(InputError):
+        rational_series("quotient", (1,), (0, 1), 8)
+    with pytest.raises(InputError):
+        rational_series("power", (0, 1), (1,), 8, -1.0)
+    with pytest.raises(BranchError):
+        rational_series("power", (-1, 1), (1,), 8, 0.5)
+    with pytest.raises(InputError):
+        rational_series("log", (1, 1), (1,), 8)

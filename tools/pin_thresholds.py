@@ -117,7 +117,7 @@ def main() -> None:
             }
             pts = pb.kernel_condition_probe(om.composition(m), space)
             data["kernel_witness"][f"S9.{label}.{mlabel}"] = {
-                "observed_min_chi": min(p.chi for p in pts)
+                "observed_min_chi": pb.certified_min_chi(pts)
             }
 
     # the same certificates persist for every sampled bounded weight
@@ -131,7 +131,7 @@ def main() -> None:
             }
             pts = pb.kernel_condition_probe(op, space)
             data["kernel_witness"][f"S10.{label}.{psi_label}"] = {
-                "observed_min_chi": min(p.chi for p in pts)
+                "observed_min_chi": pb.certified_min_chi(pts)
             }
 
     OUT.parent.mkdir(parents=True, exist_ok=True)
