@@ -37,6 +37,9 @@ from .opmat import (
 )
 from .series import (
     PowerSeries,
+    PrecomposeMoebius,
+    _num_den,
+    eliminate_precompose,
     evaluate,
     rational_series,
     series_norm,
@@ -305,22 +308,24 @@ def kernel_condition_probe(
     is not slow-decaying at KERNEL_PROBE_MAX_ORDER: there the undercount is
     unbounded (see `certified_min_chi`).
 
-    The whole grid is expanded at once.  With symbol (a z + b)/(c z + d),
-    K_w o symbol = (N_w / D)^(-gamma) for N_w = (d - conj(w) b) + (c - conj(w) a) z
-    and D = d + c z, so one short recurrence batched over the grid gives every
-    point's series, and the weight's series, computed once per order, is
-    convolved in.  Per point, the order doubles up to the cap while the
-    truncation shows slow decay; only those points are expanded again.
+    The whole grid is expanded at once.  Eliminating the precomposition in
+    K_w o symbol (`kernel_expr`) leaves a power of a rational function,
+    (N_w / D)^(-gamma), for every w; the numerators and denominators are
+    stacked along a batch axis, so one short recurrence gives every point's
+    series, and the weight's series, computed once per order, is convolved
+    in.  Per point, the order doubles up to the cap while the truncation
+    shows slow decay; only those points are expanded again.
     """
     if w_grid is None:
         w_grid = default_kernel_grid()
     ws = np.array([complex(w) for w in w_grid], dtype=np.complex128)
     if np.any(np.abs(ws) >= 1.0):
         raise InputError("kernel grid points must lie in the open unit disk")
+    if not ws.size:
+        return []
     phi = MoebiusMap(1, 0, 0, 1) if op.symbol is None else op.symbol
-    wc = ws.conj()
-    num = np.array([phi.d - wc * phi.b, phi.c - wc * phi.a])
-    den = np.array([phi.d, phi.c], dtype=np.complex128)
+    kernels = [eliminate_precompose(PrecomposeMoebius(kernel_expr(space, w), phi)) for w in ws]
+    num, den = (np.array(part).T for part in zip(*(_num_den(k.base) for k in kernels)))
     lhs = np.zeros(len(ws))
     orders = np.zeros(len(ws), dtype=int)
     slow = np.zeros(len(ws), dtype=bool)
@@ -330,7 +335,9 @@ def kernel_condition_probe(
         psi = taylor(op.weight, m).coeffs
         nonzero = np.flatnonzero(psi)
         psi = psi[: nonzero[-1] + 1 if nonzero.size else 1]  # exact zeros add nothing
-        kern = rational_series("power", num[:, pending], den, m, -space.gamma).T.copy()
+        kern = rational_series(
+            "power", num[:, pending], den[:, pending], m, kernels[0].exponent
+        ).T.copy()
         retry = []
         for g, col in zip(pending, kern):
             s = PowerSeries(np.convolve(psi, col)[: m + 1])
@@ -350,11 +357,11 @@ def kernel_condition_probe(
     return out
 
 
-def certified_min_chi(points: list[KernelProbePoint]) -> float:
+def certified_min_chi(points: list[KernelProbePoint]) -> float | None:
     """Least chi over the points that were not slow-decaying at the order cap.
 
     At a slow point the truncated ||A K_w||^2 may miss an unknown share of
     the norm, which pushes chi down, so its chi certifies nothing.  The value
-    is +inf when no point qualifies.
+    is None when no point qualifies.
     """
-    return min((p.chi for p in points if not p.slow_decay), default=math.inf)
+    return min((p.chi for p in points if not p.slow_decay), default=None)

@@ -163,6 +163,16 @@ def _info(name, value, description, **details) -> CheckResult:
     return CheckResult(name, value, description, None, "exact", details)
 
 
+def _kernel_witness(name, pts) -> CheckResult:
+    """chi <= -1e-8 at some kernel point not slow at the order cap; with no
+    such point the check fails and its value is None."""
+    chi = certified_min_chi(pts)
+    details = {"grid_points": len(pts), "slow_at_cap": sum(p.slow_decay for p in pts)}
+    if chi is None:
+        return CheckResult(name, None, f"<= {-1e-8:.12g}", False, "analytic", details)
+    return _le(name, chi, -1e-8, "analytic", **details)
+
+
 @functools.lru_cache(maxsize=1)
 def load_thresholds() -> dict:
     """Committed oracle thresholds; regenerate with tools/pin_thresholds.py."""
@@ -498,15 +508,10 @@ def _s9(ov: Overrides) -> tuple[list[CheckResult], dict]:
                     certificate=ev.certificate,
                 )
             )
-            pts = kernel_condition_probe(op, space)
             checks.append(
-                _le(
+                _kernel_witness(
                     f"kernel-witness-min-chi.{space.label()}.{label}",
-                    certified_min_chi(pts),
-                    -1e-8,
-                    "analytic",
-                    grid_points=len(pts),
-                    slow_at_cap=sum(p.slow_decay for p in pts),
+                    kernel_condition_probe(op, space),
                 )
             )
     return checks, {"N": N, "M": M}
@@ -534,15 +539,10 @@ def _s10(ov: Overrides) -> tuple[list[CheckResult], dict]:
                     certificate=ev.certificate,
                 )
             )
-            pts = kernel_condition_probe(op, space)
             checks.append(
-                _le(
+                _kernel_witness(
                     f"kernel-witness-min-chi.{space.label()}.{psi_label}",
-                    certified_min_chi(pts),
-                    -1e-8,
-                    "analytic",
-                    grid_points=len(pts),
-                    slow_at_cap=sum(p.slow_decay for p in pts),
+                    kernel_condition_probe(op, space),
                 )
             )
     return checks, {"N": N, "M": M}

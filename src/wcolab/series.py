@@ -10,8 +10,10 @@ composition is ever performed.  Then:
 
   * a rational function N/D, and a Power or Exp whose base or argument is a
     polynomial or rational function, by a short recurrence whose length
-    depends only on deg(N) and deg(D) (`rational_series`, from D f = N,
-    N D f' = gamma (N'D - N D') f and D^2 f' = (N'D - N D') f),
+    depends only on deg(N), deg(D) and, for an integer power, the exponent
+    (`rational_series`: D f = N, also for (N/D)^k = N^k / D^k;
+    N D f' = gamma (N'D - N D') f for a non-integer gamma;
+    D^2 f' = (N'D - N D') f for the exponential),
   * products by Cauchy convolution,
   * Power and Exp of any other node (say Power(Exp(...))) by the general
     full-length recurrences, Euler's b p' = gamma b' p and e' = s' e.
@@ -24,7 +26,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 from dataclasses import dataclass
 from typing import Union
 
@@ -291,6 +292,14 @@ def _poly_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _poly_pow(a: np.ndarray, k: int, M: int) -> np.ndarray:
+    """a**k for polynomials along axis 0, truncated after z**M."""
+    out = np.ones((1, a.shape[1]), dtype=np.complex128)
+    for _ in range(k):
+        out = _poly_mul(out, a)[: M + 1]
+    return out
+
+
 def _poly_deriv(a: np.ndarray) -> np.ndarray:
     return a[1:] * np.arange(1, len(a))[:, None]
 
@@ -310,12 +319,20 @@ def rational_series(kind: str, num, den, M: int, exponent: float = 1.0) -> np.nd
 
       quotient  D f = N,  K = deg(D):
                 D_0 f_n = N_n - sum_(k=1..K) D_k f_(n-k)
-      power     A f' = B f with A = N D, B = exponent (N'D - N D')
+      power     integer k: the quotient N^k / D^k (D^|k| / N^|k| for k < 0)
+                otherwise A f' = B f with A = N D, B = exponent (N'D - N D')
       exp       A f' = B f with A = D^2, B = N'D - N D'
 
     where A f' = B f reads n A_0 f_n = sum_(k=1..K) (B_(k-1) + (k - n) A_k)
-    f_(n-k) with K = max(deg A, deg(N) + deg(D)).  The Python loop runs M
-    times whatever the batch length.
+    f_(n-k) with K = max(deg A, deg(N) + deg(D)).  The power recurrence also
+    has solutions growing like z0^(-n) at each root z0 of N.  Where the true
+    series decays faster, as at a zero of r**k inside the disk for an integer
+    k > 0, rounding errors along them swamp it; the quotient's recurrence
+    grows only along the roots of its denominator, which are poles of the
+    function, so every integer power goes through the quotient.  For a
+    non-integer exponent a root of N is a branch point, which bounds the
+    true series' decay as well.  The Python loop runs M times whatever the
+    batch length.
     """
     num = np.asarray(num, dtype=np.complex128)
     den = np.asarray(den, dtype=np.complex128)
@@ -327,21 +344,26 @@ def rational_series(kind: str, num, den, M: int, exponent: float = 1.0) -> np.nd
     den = np.broadcast_to(den, (len(den), G))
     if np.any(den[0] == 0.0):
         raise InputError("rational denominator vanishes at the expansion point 0")
-    r0 = num[0] / den[0]
+    if kind == "power":
+        f0 = _power_constant(num[0] / den[0], exponent)  # rejects a bad base
+        if float(exponent).is_integer():
+            k = int(exponent)
+            top, bottom = (num, den) if k >= 0 else (den, num)
+            num, den = _poly_pow(top, abs(k), M), _poly_pow(bottom, abs(k), M)
+            kind = "quotient"
     # f_n = (rhs_n + sum_(k=1..K) coef[n - 1, k - 1] f_(n-k)) / lead_n[n - 1]
     rhs = np.zeros((M + 1, G), dtype=np.complex128)
     if kind == "quotient":
-        f0 = r0
+        f0 = num[0] / den[0]
         take = min(M + 1, len(num))
         rhs[:take] = num[:take]
         coef = np.broadcast_to(-den[1:], (M, len(den) - 1, G))
         lead_n = np.broadcast_to(den[0], (M, G))
     else:
         if kind == "power":
-            f0 = _power_constant(r0, exponent)
             lead, scale = _poly_mul(num, den), exponent
         elif kind == "exp":
-            f0 = np.exp(r0)
+            f0 = np.exp(num[0] / den[0])
             lead, scale = _poly_mul(den, den), 1.0
         else:
             raise InputError(f"unknown rational series kind {kind!r}")
@@ -363,19 +385,14 @@ def rational_series(kind: str, num, den, M: int, exponent: float = 1.0) -> np.nd
     # buf[K + n] holds f_n; the K leading zeros stand for f_(-K) .. f_(-1)
     buf = np.zeros((M + 1 + K, G), dtype=np.complex128)
     buf[K] = f0
-    # rev[n - 1, j] multiplies f_(n - K + j).  Both steps below form each
-    # complex product from rounded real products (numpy's complex multiply on
-    # arrays may fuse them, which would move coefficients by an ulp), so a
-    # batch and its single columns agree bit for bit.
+    # rev[n - 1, j] multiplies f_(n - K + j).  einsum forms each complex
+    # product from rounded real products (numpy's complex multiply on arrays
+    # may fuse them, which would move coefficients by an ulp), so a batch and
+    # its single columns agree bit for bit.
     rev = coef[:, ::-1]
-    if G == 1:  # numpy scalars cost a fraction of one-element arrays per step
-        c, f, r, d = rev[..., 0], buf[:, 0], rhs[:, 0], lead_n[:, 0]
-        for n in range(1, M + 1):
-            f[K + n] = (r[n] + sum(map(operator.mul, c[n - 1], f[n : n + K]))) / d[n - 1]
-    else:
-        for n in range(1, M + 1):
-            acc = np.einsum("kg,kg->g", rev[n - 1], buf[n : n + K])
-            buf[K + n] = (rhs[n] + acc) / lead_n[n - 1]
+    for n in range(1, M + 1):
+        acc = np.einsum("kg,kg->g", rev[n - 1], buf[n : n + K])
+        buf[K + n] = (rhs[n] + acc) / lead_n[n - 1]
     out = buf[K:]
     return out if batched else out[:, 0].copy()
 

@@ -5,10 +5,12 @@ import json
 import pytest
 
 from wcolab.errors import UnknownScenarioError
+from wcolab.probes import KERNEL_PROBE_MAX_ORDER, KernelProbePoint
 from wcolab.scenarios import (
     ALIASES,
     Overrides,
     REGISTRY,
+    _kernel_witness,
     list_scenarios,
     load_thresholds,
     run_scenario,
@@ -95,6 +97,18 @@ def test_report_json_shape():
     assert isinstance(rep["checks"], list)
     for c in rep["checks"]:
         assert set(c) == {"name", "value", "threshold", "passed", "source", "details"}
+
+
+def test_kernel_witness_counts_only_points_not_slow_at_the_cap():
+    slow = KernelProbePoint(0.9 + 0j, -1.0, KERNEL_PROBE_MAX_ORDER, True)
+    fast = KernelProbePoint(0.1 + 0j, -1e-3, 512, False)
+    check = _kernel_witness("kernel-witness-min-chi.x", [slow, fast])
+    assert check.passed is True and check.value == -1e-3
+    assert check.details == {"grid_points": 2, "slow_at_cap": 1}
+    # nothing certified: the check fails and the report stays strict JSON
+    check = _kernel_witness("kernel-witness-min-chi.x", [slow, slow])
+    assert check.passed is False and check.value is None
+    json.dumps(check.to_json(), allow_nan=False)
 
 
 def test_thresholds_file_is_coherent():

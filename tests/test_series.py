@@ -337,6 +337,24 @@ def test_rational_quotient_matches_long_division():
     assert np.array_equal(got, _long_division((0.3 - 1j, 1), (3 + 0.2j, 1 - 0.7j), 60))
 
 
+def test_integer_power_with_a_zero_inside_the_disk_stays_accurate():
+    # ((1 - 2.1 z) / (1 - 0.3 z))^2 has a double zero at z = 1/2.1; its
+    # coefficients decay like 0.3^n (9e-29 at z^60), while rounding along the
+    # zero grows like 2.1^n in the power recurrence
+    q = rational_series("quotient", (1, -2.1), (1, -0.3), 200)
+    square = np.convolve(q, q)[:201]
+    for e in (
+        Power(Rational(Poly((1, -2.1)), Poly((1, -0.3))), 2),
+        Power(Rational(Poly((1, -0.3)), Poly((1, -2.1))), -2),
+    ):
+        got = taylor(e, 200).coeffs
+        assert np.max(np.abs(got - square)) <= 1e-14
+        assert abs(got[60] - square[60]) <= 1e-40
+    cube = taylor(Power(Poly((1, -2.1)), 3), 200).coeffs
+    assert_series_close(cube[:4], [1, -6.3, 13.23, -9.261], 1e-15)
+    assert not np.any(cube[4:])
+
+
 def test_rational_series_batch_agrees_with_its_columns_bit_for_bit():
     rng = np.random.default_rng(7)
     num = 0.2 * (rng.standard_normal((3, 9)) + 1j * rng.standard_normal((3, 9)))
