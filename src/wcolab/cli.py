@@ -123,7 +123,7 @@ def _resolve_space(args) -> SpaceSpec:
     return SpaceSpec.parse(args.space if args.space is not None else "hardy")
 
 
-def _resolve_orders(args, ops=None) -> tuple[int, int]:
+def _resolve_orders(args, ops) -> tuple[int, int]:
     n = int(args.order) if args.order is not None else 16
     if n < MIN_ORDER:
         raise InputError(f"--order must be at least {MIN_ORDER}, got {n}")
@@ -131,10 +131,8 @@ def _resolve_orders(args, ops=None) -> tuple[int, int]:
         m = int(args.tail)
         if m < 2 * n:
             raise InputError(f"--tail must be at least 2*order = {2 * n}, got {m}")
-    elif ops is not None:
-        m = default_internal_order(n, ops)
     else:
-        m = max(8 * n, 160)
+        m = default_internal_order(n, ops)
     return n, m
 
 
@@ -197,8 +195,7 @@ def cmd_block(args) -> int:
     print(f"operator: {op.describe()}  space: {space.label()}")
     print(f"orders: N={n} M={m}")
     print(f"norm estimate: {fmt(operator_norm_estimate(blk))}")
-    if blk.tail_estimate is not None:
-        print(f"tail estimate: {fmt(blk.tail_estimate)}")
+    print(f"tail estimate: {fmt(blk.tail_estimate)}")
     if blk.tail_flag:
         print(
             "warning: boundary-touching symbol or slow coefficient decay; "
@@ -207,19 +204,7 @@ def cmd_block(args) -> int:
     if args.csv:
         _write_csv(args.csv, block_to_csv(blk))
     if args.json:
-        entries = [
-            [[float(v.real), float(v.imag)] for v in row] for row in blk.entries
-        ]
-        payload = {
-            "op": op.to_json(),
-            "space": space.to_json(),
-            "row_order": blk.row_order,
-            "col_order": blk.col_order,
-            "entries": entries,
-            "tail_flag": bool(blk.tail_flag),
-            "tail_estimate": blk.tail_estimate,
-        }
-        _write_json(args.json, payload)
+        _write_json(args.json, {"op": op.to_json(), **blk.to_json()})
     return 0
 
 
@@ -303,9 +288,8 @@ def cmd_spectrum(args) -> int:
             lam = sym.a / sym.d
             exact = rotation_spectrum(lam)
             print(f"rotation symbol detected: spectrum kind {exact.kind}")
-            if exact.points is not None:
-                for p in exact.points:
-                    print(f"  {fmt_c(p)}")
+            for p in exact.points:
+                print(f"  {fmt_c(p)}")
     if args.csv:
         lines = ["re,im"]
         for lam in eigs:
@@ -320,12 +304,7 @@ def cmd_spectrum(args) -> int:
             "eigenvalues": [[v.real, v.imag] for v in eigs],
         }
         if exact is not None:
-            payload["rotation_spectrum"] = {
-                "kind": exact.kind,
-                "points": None
-                if exact.points is None
-                else [[p.real, p.imag] for p in exact.points],
-            }
+            payload["rotation_spectrum"] = exact.to_json()
         _write_json(args.json, payload)
     return 0
 

@@ -411,10 +411,6 @@ def projective_distance(m1: MoebiusMap, m2: MoebiusMap) -> float:
     return min(1.0, math.sqrt(wedge) / (n1 * n2))
 
 
-def projectively_equal(m1: MoebiusMap, m2: MoebiusMap, tol: float = DEFAULT_TOL) -> bool:
-    return projective_distance(m1, m2) <= tol
-
-
 def parabolic_from(zeta: complex, t: complex) -> MoebiusMap:
     """Parabolic self-map with boundary fixed point zeta and translation number t.
 

@@ -13,7 +13,8 @@ entries are exact up to rounding: truncation only ever discards rows.
 Operator words (products of operators and adjoints) are evaluated on a larger
 square block of order M and compressed to order N at the end; the policy
 M >= 2N is enforced, and the default working order is max(8N, 160), doubled
-when any symbol's image circle touches the unit circle.
+when any symbol's image circle touches the unit circle.  A word block keeps
+the tail flags of its letters but carries no tail estimate (nan).
 """
 
 from __future__ import annotations
@@ -30,11 +31,11 @@ from .errors import (
 )
 from .mobius import MoebiusMap
 from .series import (
+    SLOW_DECAY_RATIO,
     AnalyticExpr,
     Exp,
     Poly,
     Power,
-    PowerSeries,
     PrecomposeMoebius,
     Product,
     Rational,
@@ -44,8 +45,7 @@ from .series import (
     evaluate,
     expr_from_json,
     expr_to_json,
-    moebius_powers,
-    tail_diagnostics,
+    rational_series,
     taylor,
 )
 from .space import SpaceSpec
@@ -189,19 +189,66 @@ class TruncatedBlock:
         k = min(self.row_order, self.col_order) + 1
         return self.entries[:k, :k]
 
+    def to_json(self) -> dict:
+        """Orders, entries as [re, im] pairs, and flags; a nan estimate is null."""
+        return {
+            "space": self.space.to_json(),
+            "row_order": self.row_order,
+            "col_order": self.col_order,
+            "entries": [[[float(v.real), float(v.imag)] for v in row] for row in self.entries],
+            "tail_flag": bool(self.tail_flag),
+            "tail_estimate": None if np.isnan(self.tail_estimate) else self.tail_estimate,
+        }
 
-def _column_tails(entries: np.ndarray) -> tuple[bool, float]:
-    """Slow-decay flag and max crude tail bound over the columns."""
+
+def _columns(op: OperatorSpec, space: SpaceSpec, rows: int, cols: int) -> np.ndarray:
+    """Entries <A e_j, e_i> for i <= rows, j <= cols.
+
+    Column j holds the Taylor coefficients of weight * symbol^j, the powers
+    streamed one at a time at coefficient order `rows`, rescaled by the
+    basis norms.
+    """
+    b = np.sqrt(space.basis_norms_sq(max(rows, cols)))
+    psi = taylor(op.weight, rows).coeffs
+    entries = np.zeros((rows + 1, cols + 1), dtype=np.complex128)
+    if op.symbol is None:
+        for j in range(min(rows, cols) + 1):
+            entries[j:, j] = psi[: rows + 1 - j]
+    else:
+        sym = op.symbol
+        base = rational_series("quotient", (sym.b, sym.a), (sym.d, sym.c), rows)
+        cur = np.zeros(rows + 1, dtype=np.complex128)
+        cur[0] = 1.0
+        for j in range(cols + 1):
+            entries[:, j] = np.convolve(psi, cur)[: rows + 1]
+            cur = np.convolve(cur, base)[: rows + 1]
+    entries *= b[: rows + 1][:, None]
+    entries /= b[: cols + 1][None, :]
+    return entries
+
+
+def _column_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each column; einsum on the real and imaginary views
+    makes no temporary the size of x."""
+    return np.sqrt(np.einsum("ij,ij->j", x.real, x.real) + np.einsum("ij,ij->j", x.imag, x.imag))
+
+
+def _column_tails(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Crude tail bounds and slow-decay flags of every column at once.
+
+    Column by column this is `series.tail_diagnostics`: the decay ratio from
+    the norms of the two halves, then a geometric bound from the largest of
+    the last eight coefficients.  Needs at least 17 rows.
+    """
     rows = entries.shape[0]
-    if rows < 17:
-        return False, float("nan")
-    slow = False
-    worst = 0.0
-    for j in range(entries.shape[1]):
-        td = tail_diagnostics(PowerSeries(entries[:, j]))
-        slow = slow or td.slow_decay
-        worst = max(worst, td.bound)
-    return slow, worst
+    h = rows // 2
+    front, tail = _column_norms(entries[:h]), _column_norms(entries[h:])
+    last = np.max(np.abs(entries[-8:]), axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(front == 0.0, 1.0, (tail / front) ** (1.0 / (rows - h)))
+        ratio = np.where(tail == 0.0, 0.0, ratio)
+        bound = np.where(ratio < 1.0, last * ratio / np.sqrt(1.0 - ratio * ratio), np.inf)
+    return bound, ratio > SLOW_DECAY_RATIO
 
 
 def build_block(
@@ -218,22 +265,12 @@ def build_block(
         M = N
     if M < N:
         raise OrderPolicyError("row order must be at least the column order")
-    bsq = space.basis_norms_sq(max(M, N))
-    b = np.sqrt(bsq)
-    psi = taylor(op.weight, M).coeffs
-    entries = np.zeros((M + 1, N + 1), dtype=np.complex128)
-    if op.symbol is None:
-        for j in range(N + 1):
-            entries[j:, j] = psi[: M + 1 - j]
-    else:
-        pows = moebius_powers(op.symbol, N, M)
-        for j in range(N + 1):
-            entries[:, j] = np.convolve(psi, pows[j].coeffs)[: M + 1]
-    entries *= b[: M + 1][:, None]
-    entries /= b[: N + 1][None, :]
-    slow, worst = _column_tails(entries)
-    flag = is_boundary_touching(op) or slow
-    return TruncatedBlock(entries, space, M, N, flag, worst)
+    entries = _columns(op, space, M, N)
+    slow, worst = False, float("nan")
+    if M >= 16:
+        bounds, slows = _column_tails(entries)
+        slow, worst = bool(slows.any()), float(bounds.max())
+    return TruncatedBlock(entries, space, M, N, is_boundary_touching(op) or slow, worst)
 
 
 def adjoint_block(block: TruncatedBlock) -> TruncatedBlock:
@@ -255,25 +292,7 @@ def wide_block(
     work by powering the symbol at coefficient order N only."""
     if N < 0 or M < 0:
         raise InputError("orders must be nonnegative")
-    bsq = space.basis_norms_sq(max(M, N))
-    b = np.sqrt(bsq)
-    psi = taylor(op.weight, N).coeffs
-    entries = np.zeros((N + 1, M + 1), dtype=np.complex128)
-    if op.symbol is None:
-        for j in range(min(N, M) + 1):
-            entries[j:, j] = psi[: N + 1 - j]
-    else:
-        base = taylor(
-            Rational(Poly((op.symbol.b, op.symbol.a)), Poly((op.symbol.d, op.symbol.c))),
-            N,
-        ).coeffs
-        cur = np.zeros(N + 1, dtype=np.complex128)
-        cur[0] = 1.0
-        for j in range(M + 1):
-            entries[:, j] = np.convolve(psi, cur)[: N + 1]
-            cur = np.convolve(cur, base)[: N + 1]
-    entries *= b[: N + 1][:, None]
-    entries /= b[: M + 1][None, :]
+    entries = _columns(op, space, N, M)
     return TruncatedBlock(entries, space, N, M, is_boundary_touching(op), float("nan"))
 
 
@@ -300,8 +319,9 @@ def word_block(
     """Compression to order N of a product of operator letters.
 
     Every letter is realized as a square block of order M (left to right in
-    operator order: word[0] applied last), multiplied out at order M, and
-    compressed at the very end.  Requires M >= 2N.
+    operator order: word[0] applied last) and multiplied into the product at
+    order M from the last letter on, so only one letter block is held at a
+    time; the product is compressed at the very end.  Requires M >= 2N.
     """
     word = tuple(word)
     if not word:
@@ -312,34 +332,15 @@ def word_block(
         M = default_internal_order(N, [w.op for w in word])
     if M < 2 * N:
         raise OrderPolicyError(f"word working order M={M} violates M >= 2N with N={N}")
-    letters = []
-    flags = []
-    tails = []
-    norms = []
-    for w in word:
+    prod = None
+    flag = False
+    for w in reversed(word):
         blk = build_block(w.op, space, M, M)
         mat = blk.entries.conj().T if w.adjoint else blk.entries
-        letters.append(mat)
-        flags.append(blk.tail_flag)
-        tails.append(0.0 if np.isnan(blk.tail_estimate) else blk.tail_estimate)
-        norms.append(float(np.linalg.norm(mat, 2)))
-    prod = letters[-1]
-    for mat in reversed(letters[:-1]):
-        prod = mat @ prod
-    est = 0.0
-    for k in range(len(letters)):
-        other = 1.0
-        for l, nl in enumerate(norms):
-            if l != k:
-                other *= nl
-        est += tails[k] * other
+        prod = mat if prod is None else mat @ prod
+        flag = flag or blk.tail_flag
     return TruncatedBlock(
-        np.ascontiguousarray(prod[: N + 1, : N + 1]),
-        space,
-        N,
-        N,
-        any(flags),
-        est,
+        np.ascontiguousarray(prod[: N + 1, : N + 1]), space, N, N, flag, float("nan")
     )
 
 
@@ -362,18 +363,10 @@ def gram_blocks(
         M = default_internal_order(N, [op])
     if M < 2 * N:
         raise OrderPolicyError(f"gram working order M={M} violates M >= 2N with N={N}")
-    tall = build_block(op, space, N, M)
-    g1 = tall.entries.conj().T @ tall.entries
+    tall = _columns(op, space, M, N)
+    g1 = tall.conj().T @ tall
     g1 = 0.5 * (g1 + g1.conj().T)
-    bound1 = 0.0
-    if not np.isnan(tall.tail_estimate):
-        for j in range(N + 1):
-            td = tail_diagnostics(PowerSeries(tall.entries[:, j]))
-            if np.isfinite(td.bound):
-                bound1 += td.bound ** 2
-            else:
-                bound1 = float("inf")
-                break
+    bound1 = float(np.sum(_column_tails(tall)[0] ** 2)) if M >= 16 else 0.0
     wide = wide_block(op, space, N, M)
     g2 = wide.entries @ wide.entries.conj().T
     g2 = 0.5 * (g2 + g2.conj().T)
@@ -455,15 +448,3 @@ def block_to_csv(block: TruncatedBlock) -> str:
             row.append("%.17g" % v.imag)
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
-
-
-def block_header(block: TruncatedBlock) -> dict:
-    return {
-        "space": block.space.to_json(),
-        "row_order": block.row_order,
-        "col_order": block.col_order,
-        "tail_flag": block.tail_flag,
-        "tail_estimate": None
-        if np.isnan(block.tail_estimate)
-        else block.tail_estimate,
-    }

@@ -68,6 +68,28 @@ PSI_HALF = Rational(Poly((2,)), Poly((2, -1)))  # 2/(2-z)
 
 THREE_SPACES = (hardy(), bergman(0.0), bergman(1.0))
 
+#: S8's hyponormal weights f (the operator is W_(f * PSI_HALF, HALF_SHIFT)),
+#: each with g, where g o AFFINE_HALF = f, and 1/f.
+S8_CASES = (
+    ("f-linear", Poly((2, 1)), Poly((1, 2)), Rational(Poly((1,)), Poly((2, 1)))),
+    ("f-exp", Exp(Poly((0, 1))), Exp(Poly((-1, 2))), Exp(Poly((0, -1)))),
+)
+
+#: S9's symbols: composition operators with a negative self-commutator.
+S9_SYMBOLS = (("affine-half", AFFINE_HALF), ("three-point", THREE_POINT))
+
+
+def s4_weights(space) -> tuple:
+    """S4's weights on AFFINE_HALF: 1 and the kernel at sigma(0) = 0, which
+    degenerates to the constant 1 but is kept as its own case."""
+    return (("psi-one", constant(1.0)), ("psi-kernel", kernel_expr(space, 0.0)))
+
+
+def s10_weights(space) -> tuple:
+    """S10's bounded weights on AFFINE_HALF."""
+    one, kernel = s4_weights(space)
+    return (one, ("psi-one-minus-z", Poly((1, -1))), kernel)
+
 #: Grids shared with the spectra-facing checks.
 T_GRID = (1.0 + 0j, 2.0 + 0j, 1.0 + 0.5j, 0.3 + 2.0j)
 ZETA_GRID = (1.0 + 0j, 1j, np.exp(1j * np.pi / 3.0))
@@ -305,10 +327,7 @@ def _s4(ov: Overrides) -> tuple[list[CheckResult], dict]:
     N, M = ov.order(16), ov.work(320)
     checks = []
     for space in THREE_SPACES:
-        for psi_label, weight in (
-            ("psi-one", constant(1.0)),
-            ("psi-kernel", kernel_expr(space, 0.0)),
-        ):
+        for psi_label, weight in s4_weights(space):
             op = weighted(weight, AFFINE_HALF)
             v = quasinormality_defect(op, space, N, M)
             key = f"S4.{space.label()}.{psi_label}"
@@ -435,13 +454,9 @@ def _s8(ov: Overrides) -> tuple[list[CheckResult], dict]:
     sigma_inv = sigma.inverse()              # 2z - 1
     tau = MoebiusMap(2, 2, 1, 3)
     eta = Rational(Poly((2,)), Poly((3, 1)))
-    cases = (
-        ("f-linear", Poly((2, 1)), Poly((1, 2)), Rational(Poly((1,)), Poly((2, 1)))),
-        ("f-exp", Exp(Poly((0, 1))), Exp(Poly((-1, 2))), Exp(Poly((0, -1)))),
-    )
     checks = []
     grid = 0.999 * np.exp(2j * np.pi * np.arange(512) / 512)
-    for label, f, g, inv_f in cases:
+    for label, f, g, inv_f in S8_CASES:
         comp = taylor(PrecomposeMoebius(g, sigma), 64).coeffs
         ref = taylor(f, 64).coeffs
         checks.append(
@@ -494,7 +509,7 @@ def _s9(ov: Overrides) -> tuple[list[CheckResult], dict]:
     N, M = ov.order(16), ov.work(320)
     checks = []
     for space in THREE_SPACES:
-        for label, m in (("affine-half", AFFINE_HALF), ("three-point", THREE_POINT)):
+        for label, m in S9_SYMBOLS:
             op = composition(m)
             ev = hyponormality_probe(op, space, N, M)
             key = f"S9.{space.label()}.{label}"
@@ -521,11 +536,7 @@ def _s10(ov: Overrides) -> tuple[list[CheckResult], dict]:
     N, M = ov.order(16), ov.work(320)
     checks = []
     for space in THREE_SPACES:
-        for psi_label, weight in (
-            ("psi-one", constant(1.0)),
-            ("psi-one-minus-z", Poly((1, -1))),
-            ("psi-kernel", kernel_expr(space, 0.0)),
-        ):
+        for psi_label, weight in s10_weights(space):
             op = weighted(weight, AFFINE_HALF)
             ev = hyponormality_probe(op, space, N, M)
             key = f"S10.{space.label()}.{psi_label}"

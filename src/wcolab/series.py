@@ -515,27 +515,6 @@ def _push_moebius(e: AnalyticExpr, m: MoebiusMap) -> AnalyticExpr:
     raise InputError(f"unknown expression node {type(e).__name__}")
 
 
-# -- symbol powers -----------------------------------------------------------
-
-
-def moebius_powers(m: MoebiusMap, count: int, order: int) -> list[PowerSeries]:
-    """Taylor coefficients of m(z)**j for j = 0..count, each to `order`.
-
-    Successive powers come from one long division followed by repeated
-    truncated convolution.
-    """
-    if count < 0 or order < 0:
-        raise InputError("power count and order must be nonnegative")
-    if abs(m.d) <= _ZERO_REL * m.coeff_scale():
-        raise PoleAtOriginError("linear fractional map has its pole at 0")
-    base = rational_series("quotient", *_lf_numden(m), order)
-    out = [np.zeros(order + 1, dtype=np.complex128)]
-    out[0][0] = 1.0
-    for _ in range(count):
-        out.append(np.convolve(out[-1], base)[: order + 1])
-    return [PowerSeries(c) for c in out]
-
-
 # -- norms and tail diagnostics ----------------------------------------------
 
 
@@ -639,24 +618,3 @@ def expr_from_json(obj: dict) -> AnalyticExpr:
         raise InputError(f"expression JSON missing key {exc}")
     raise InputError(f"unknown expression type {kind!r}")
 
-
-def series_to_csv(s: PowerSeries) -> str:
-    lines = ["index,re,im"]
-    for n, c in enumerate(s.coeffs):
-        lines.append("%d,%.17g,%.17g" % (n, c.real, c.imag))
-    return "\n".join(lines) + "\n"
-
-
-def series_from_csv(text: str) -> PowerSeries:
-    rows = [ln for ln in text.strip().splitlines() if ln]
-    if not rows or rows[0].split(",")[0] != "index":
-        raise InputError("series CSV must start with an index,re,im header")
-    vals = []
-    for ln in rows[1:]:
-        parts = ln.split(",")
-        if len(parts) != 3:
-            raise InputError(f"bad series CSV row: {ln!r}")
-        vals.append(complex(float(parts[1]), float(parts[2])))
-    if not vals:
-        raise InputError("series CSV has no data rows")
-    return PowerSeries(np.array(vals, dtype=np.complex128))

@@ -174,23 +174,3 @@ def spectral_radius_estimate(
             x = s @ x
     return vals
 
-
-def eigenvector_max_cosine(
-    block: TruncatedBlock, distinct_tol: float = 1e-8
-) -> float:
-    """Largest |cos angle| between eigenvectors of the leading square part
-    belonging to eigenvalues more than distinct_tol apart.
-
-    Normal truncations give ~0; triangular compressions of hyperbolic-type
-    symbols are expected to give values far from 0.  Diagnostic only.
-    """
-    sq = block.square()
-    eigvals, vecs = np.linalg.eig(sq)
-    n = len(eigvals)
-    vecs = vecs / np.linalg.norm(vecs, axis=0, keepdims=True)
-    worst = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(eigvals[i] - eigvals[j]) > distinct_tol:
-                worst = max(worst, float(abs(np.vdot(vecs[:, i], vecs[:, j]))))
-    return worst

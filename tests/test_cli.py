@@ -88,6 +88,34 @@ def test_block_csv_and_json(tmp_path, capsys):
     assert abs(entries[1, 1] - 0.5) < 1e-12  # first coefficient of z/(2-z)
 
 
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_block_json_is_strict_json_without_a_tail_estimate(capsys):
+    # 13 rows are too few for a tail estimate: it is written as null, not NaN
+    code = run_cli(
+        ["block", "--map", HALF_SHIFT_JSON, "--order", "4", "--tail", "12", "--json", "-"]
+    )
+    out = capsys.readouterr().out
+    assert code == 0
+    payload = _strict_json(out[out.index("{") :])
+    assert payload["tail_estimate"] is None
+    assert set(payload) == {
+        "op",
+        "space",
+        "row_order",
+        "col_order",
+        "entries",
+        "tail_flag",
+        "tail_estimate",
+    }
+    assert (payload["row_order"], payload["col_order"]) == (12, 4)
+
+
 def test_block_requires_exactly_one_operator(capsys):
     code = run_cli(["block", "--map", HALF_SHIFT_JSON, "--weight", PSI_JSON])
     assert code == 2
@@ -170,14 +198,17 @@ def test_spectrum_parabolic_spiral(tmp_path, capsys):
     assert abs(first[1] - 1.0) < 1e-12  # beta = 0 sample is 1
 
 
-def test_spectrum_rotation_detection(capsys):
+def test_spectrum_rotation_detection(tmp_path, capsys):
+    json_path = tmp_path / "rot.json"
     code = run_cli(
-        ["spectrum", "--map", ROTATION_JSON, "--order", "6", "--tail", "48"]
+        ["spectrum", "--map", ROTATION_JSON, "--order", "6", "--tail", "48", "--json", str(json_path)]
     )
     out = capsys.readouterr().out
     assert code == 0
     assert "rotation symbol detected" in out
     assert "finite-cyclic" in out
+    rot = _strict_json(json_path.read_text())["rotation_spectrum"]
+    assert (rot["kind"], rot["lam"], len(rot["points"])) == ("finite-cyclic", [0.0, 1.0], 4)
 
 
 def test_spectrum_json_payload(tmp_path, capsys):

@@ -12,9 +12,9 @@ from wcolab.errors import (
 from wcolab.mobius import MoebiusMap, rotation
 from wcolab.opmat import (
     OperatorSpec,
+    _column_tails,
     adjoint_block,
     adjoint_letter,
-    block_header,
     block_to_csv,
     build_block,
     composition,
@@ -29,7 +29,16 @@ from wcolab.opmat import (
     wide_block,
     word_block,
 )
-from wcolab.series import Exp, Poly, PrecomposeMoebius, Product, Rational, taylor
+from wcolab.series import (
+    Exp,
+    Poly,
+    PowerSeries,
+    PrecomposeMoebius,
+    Product,
+    Rational,
+    tail_diagnostics,
+    taylor,
+)
 from wcolab.space import bergman, hardy
 
 HALF_SHIFT = MoebiusMap(1, 0, -1, 2)   # z/(2-z)
@@ -143,6 +152,74 @@ def test_word_toeplitz_times_composition_is_weighted_op():
         assert np.max(np.abs(w.entries - direct.entries)) < 1e-11
 
 
+def _reference_entries(op, space, rows, cols):
+    """<A e_j, e_i> from explicit convolutions psi * phi**j (phi = z for None)."""
+    b = np.sqrt(space.basis_norms_sq(max(rows, cols)))
+    psi = taylor(op.weight, rows).coeffs
+    phi = Poly((0, 1))
+    if op.symbol is not None:
+        s = op.symbol
+        phi = Rational(Poly((s.b, s.a)), Poly((s.d, s.c)))
+    base = taylor(phi, rows).coeffs
+    power = np.zeros(rows + 1, dtype=complex)
+    power[0] = 1.0
+    out = np.zeros((rows + 1, cols + 1), dtype=complex)
+    for j in range(cols + 1):
+        out[:, j] = np.convolve(psi, power)[: rows + 1] * b[: rows + 1] / b[j]
+        power = np.convolve(power, base)[: rows + 1]
+    return out
+
+
+def test_blocks_equal_explicit_power_convolutions():
+    ops = (
+        composition(HALF_SHIFT),
+        weighted(PSI_HALF, AFFINE_HALF),
+        weighted(Exp(Poly((0, 0.5j))), MoebiusMap(0.3 + 0.1j, 0.2j, 0.25, 1.1)),
+        toeplitz(Poly((1, 0.5j, -0.25))),
+    )
+    for sp in ALL_SPACES:
+        for op in ops:
+            for N, M in ((0, 0), (5, 5), (6, 40)):
+                tall = build_block(op, sp, N, M).entries
+                assert np.array_equal(tall, _reference_entries(op, sp, M, N))
+                wide = wide_block(op, sp, N, M).entries
+                assert np.array_equal(wide, _reference_entries(op, sp, N, M))
+        N, M = 8, 40
+        word = cowen_adjoint_word(HALF_SHIFT, sp)
+        letters = [_reference_entries(w.op, sp, M, M) for w in word]
+        letters = [m.conj().T if w.adjoint else m for w, m in zip(word, letters)]
+        expected = letters[0] @ (letters[1] @ letters[2])
+        blk = word_block(word, sp, N, M)
+        assert np.array_equal(blk.entries, expected[: N + 1, : N + 1])
+        assert np.isnan(blk.tail_estimate)
+
+
+def test_column_tails_match_tail_diagnostics_per_column():
+    cols = [
+        build_block(weighted(PSI_HALF, HALF_SHIFT), bergman(1.0), 12, 63).entries,
+        build_block(composition(INTERIOR_MAP), hardy(), 12, 40).entries,
+        build_block(toeplitz(Poly((1, 2, 3))), hardy(), 4, 32).entries,
+        np.stack(
+            [
+                0.99 ** np.arange(40) + 0j,  # slow decay
+                np.r_[np.zeros(30), np.ones(10)] + 0j,  # nothing in front
+                np.r_[np.ones(3), np.zeros(37)] + 0j,  # nothing behind
+                np.zeros(40, dtype=complex),
+            ],
+            axis=1,
+        ),
+    ]
+    for entries in cols:
+        bounds, slow = _column_tails(entries)
+        for j in range(entries.shape[1]):
+            td = tail_diagnostics(PowerSeries(entries[:, j]))
+            assert bool(slow[j]) == td.slow_decay
+            if np.isfinite(td.bound):
+                assert abs(bounds[j] - td.bound) <= 1e-12 * td.bound
+            else:
+                assert bounds[j] == td.bound
+
+
 def test_word_block_enforces_order_policy():
     with pytest.raises(OrderPolicyError):
         word_block((plain(composition(HALF_SHIFT)),), hardy(), 16, 24)
@@ -247,10 +324,15 @@ def test_block_csv_and_header():
     )
     rebuilt = parsed[:, 0::2] + 1j * parsed[:, 1::2]
     assert np.max(np.abs(rebuilt - blk.entries)) < 1e-15
-    hdr = block_header(blk)
+    hdr = blk.to_json()
     assert hdr["row_order"] == 40
     assert hdr["col_order"] == 4
     assert hdr["space"] == hardy().to_json()
+    assert hdr["entries"][1][1] == [0.5, 0.0]
+    assert hdr["tail_estimate"] == blk.tail_estimate
+    short = build_block(composition(HALF_SHIFT), hardy(), 4, 12)
+    assert np.isnan(short.tail_estimate)
+    assert short.to_json()["tail_estimate"] is None
 
 
 def test_adjoint_letter_flag():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from wcolab.errors import BranchError, InputError, PoleAtOriginError
 from wcolab.mobius import MoebiusMap
+from wcolab.opmat import build_block, composition
 from wcolab.series import (
     Exp,
     Poly,
@@ -25,12 +26,9 @@ from wcolab.series import (
     evaluate,
     expr_from_json,
     expr_to_json,
-    moebius_powers,
     monomial,
     rational_series,
-    series_from_csv,
     series_norm,
-    series_to_csv,
     tail_diagnostics,
     taylor,
 )
@@ -186,12 +184,16 @@ def test_power_zero_base_rejected():
 
 
 def test_moebius_powers_match_pointwise():
+    # column k of a composition block is phi**k scaled by ||z^i|| / ||z^k||
     count, order = 6, 30
-    powers = moebius_powers(HALF_SHIFT, count, order)
-    assert len(powers) == count + 1
+    space = hardy()
+    blk = build_block(composition(HALF_SHIFT), space, count, order)
+    b = np.sqrt(space.basis_norms_sq(order))
+    powers = blk.entries / b[:, None] * b[: count + 1]
+    assert powers.shape == (order + 1, count + 1)
     for k in (0, 1, 3, 6):
         oracle = dft_coeffs(lambda z, k=k: (z / (2 - z)) ** k, order)
-        assert_series_close(powers[k].coeffs, oracle, 1e-10)
+        assert_series_close(powers[:, k], oracle, 1e-10)
 
 
 def test_series_norm_hardy_and_bergman():
@@ -241,14 +243,6 @@ def test_expr_json_roundtrip():
 def test_expr_from_json_rejects_unknown_type():
     with pytest.raises(InputError):
         expr_from_json({"type": "sine", "coeffs": []})
-
-
-def test_series_csv_roundtrip():
-    s = PowerSeries(np.array([1.0, -2.5j, 0.125 + 3j]))
-    text = series_to_csv(s)
-    assert text.splitlines()[0] == "index,re,im"
-    again = series_from_csv(text)
-    assert_series_close(again.coeffs, s.coeffs, 0)
 
 
 def test_constant_and_monomial_helpers():

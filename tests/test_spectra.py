@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from wcolab.errors import InputError
-from wcolab.mobius import parabolic_from, rotation
+from wcolab.mobius import rotation
 from wcolab.opmat import build_block, composition
 from wcolab.series import taylor
 from wcolab.space import bergman, hardy
 from wcolab.spectra import (
     DEFAULT_BETA_GRID,
     eigen_residual,
-    eigenvector_max_cosine,
     parabolic_eigenpair,
     rotation_spectrum,
     spectral_radius_estimate,
@@ -110,8 +109,3 @@ def test_spectral_radius_estimate_validates_orders():
     with pytest.raises(InputError):
         spectral_radius_estimate(composition(rotation(1j)), hardy(), 8, 0)
 
-
-def test_eigenvector_max_cosine_diagnostic_range():
-    blk = build_block(composition(parabolic_from(1.0, 1.0)), hardy(), 10, 80)
-    val = eigenvector_max_cosine(blk)
-    assert 0.0 <= val <= 1.0 + 1e-12

@@ -22,38 +22,23 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 from wcolab import opmat as om
 from wcolab import probes as pb
 from wcolab import series as se
-from wcolab import space as sp
-from wcolab.mobius import MoebiusMap
+from wcolab.scenarios import (
+    AFFINE_HALF,
+    HALF_SHIFT,
+    PSI_HALF,
+    S8_CASES,
+    S9_SYMBOLS,
+    THREE_SPACES,
+    s4_weights,
+    s10_weights,
+)
 
 OUT = pathlib.Path(__file__).resolve().parents[1] / "src" / "wcolab" / "data" / "thresholds.json"
 
-SPACES = {
-    "hardy": sp.hardy(),
-    "bergman:0": sp.bergman(0.0),
-    "bergman:1": sp.bergman(1.0),
-}
-
-AFFINE_HALF = MoebiusMap(1, 1, 0, 2)        # (z+1)/2
-HALF_SHIFT = MoebiusMap(1, 0, -1, 2)        # z/(2-z)
-THREE_POINT = MoebiusMap(2, 1, 1, 3)        # (2z+1)/(z+3)
-
-PSI_HALF = se.Rational(se.Poly((2,)), se.Poly((2, -1)))  # 2/(2-z)
+SPACES = {space.label(): space for space in THREE_SPACES}
 
 N_PIN = 16
 M_PIN = 320
-
-
-def s4_operators(space):
-    # weights for the hyperbolic-type symbol (z+1)/2; the kernel weight is at
-    # sigma(0) = 0, which degenerates to the constant 1 (kept as its own case)
-    yield "psi-one", om.weighted(se.constant(1.0), AFFINE_HALF)
-    yield "psi-kernel", om.weighted(sp.kernel_expr(space, 0.0), AFFINE_HALF)
-
-
-def s10_weights(space):
-    yield "psi-one", se.constant(1.0)
-    yield "psi-one-minus-z", se.Poly((1, -1))
-    yield "psi-kernel", sp.kernel_expr(space, 0.0)
 
 
 def _certified_min_chi(pts) -> float:
@@ -80,8 +65,8 @@ def main() -> None:
     }
 
     for label, space in SPACES.items():
-        for psi_label, op in s4_operators(space):
-            v = pb.quasinormality_defect(op, space, N_PIN, M_PIN)
+        for psi_label, psi in s4_weights(space):
+            v = pb.quasinormality_defect(om.weighted(psi, AFFINE_HALF), space, N_PIN, M_PIN)
             data["quasinormal_floors"][f"S4.{label}.{psi_label}"] = {
                 "observed": v,
                 "floor": v / 2.0,
@@ -95,8 +80,10 @@ def main() -> None:
     # Hardy-only factorization scenario: both hyponormal weights have strictly
     # positive quasinormality defect
     hardy = SPACES["hardy"]
-    for flabel, f in (("f-linear", se.Poly((2, 1))), ("f-exp", se.Exp(se.Poly((0, 1))))):
-        op = om.weighted(se.Product((f, PSI_HALF)), HALF_SHIFT)
+    s8_ops = {
+        flabel: om.weighted(se.Product((f, PSI_HALF)), HALF_SHIFT) for flabel, f, *_ in S8_CASES
+    }
+    for flabel, op in s8_ops.items():
         v = pb.quasinormality_defect(op, hardy, N_PIN, M_PIN)
         data["quasinormal_floors"][f"S8.hardy.{flabel}"] = {
             "observed": v,
@@ -105,18 +92,15 @@ def main() -> None:
 
     # stability of the exponential-weight defect across compression orders,
     # used by the acceptance gate: committed delta = 0.9 * min over N
-    op_exp = om.weighted(
-        se.Product((se.Exp(se.Poly((0, 1))), PSI_HALF)), HALF_SHIFT
-    )
     observed = {}
     for n in (12, 16, 20, 24):
-        observed[str(n)] = pb.quasinormality_defect(op_exp, hardy, n, M_PIN)
+        observed[str(n)] = pb.quasinormality_defect(s8_ops["f-exp"], hardy, n, M_PIN)
     delta = 0.9 * min(observed.values())
     data["stability"]["S8.hardy.f-exp"] = {"observed": observed, "delta": delta}
 
     # negative self-commutator certificates for symbols not fixing the origin
     for label, space in SPACES.items():
-        for mlabel, m in (("affine-half", AFFINE_HALF), ("three-point", THREE_POINT)):
+        for mlabel, m in S9_SYMBOLS:
             ev = pb.hyponormality_probe(om.composition(m), space, N_PIN, M_PIN)
             data["mineig_ceilings"][f"S9.{label}.{mlabel}"] = {
                 "observed": ev.min_eig,
