@@ -345,14 +345,18 @@ def cmd_scenario(args) -> int:
 # -- parser -------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser, orders: bool = True) -> None:
-    p.add_argument("--space", help="hardy or bergman:<alpha>")
+def _add_common(p: argparse.ArgumentParser, space=True, orders=True, tol=False, csv=False):
+    """Register --json, --config and the shared options the subcommand reads."""
+    if space:
+        p.add_argument("--space", help="hardy or bergman:<alpha>")
     if orders:
         p.add_argument("--order", help="matrix truncation order N")
         p.add_argument("--tail", help="internal coefficient order M (default policy-chosen)")
-    p.add_argument("--tol", help="tolerance override")
+    if tol:
+        p.add_argument("--tol", help="tolerance override")
     p.add_argument("--json", help="write a JSON report to this path ('-' for stdout)")
-    p.add_argument("--csv", help="write a CSV artifact to this path ('-' for stdout)")
+    if csv:
+        p.add_argument("--csv", help="write a CSV artifact to this path ('-' for stdout)")
     p.add_argument("--config", help="JSON config file with default option values")
 
 
@@ -372,12 +376,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="classify a linear fractional self-map")
     p.add_argument("--map", required=True, help="map JSON, inline or @file")
-    _add_common(p, orders=False)
+    _add_common(p, space=False, orders=False, tol=True)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("block", help="build a truncated matrix block")
     _add_operator_args(p)
-    _add_common(p)
+    _add_common(p, csv=True)
     p.set_defaults(func=cmd_block)
 
     p = sub.add_parser("probe", help="normality-class defect probes")
@@ -390,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", help="translation number for a parabolic symbol")
     p.add_argument("--zeta", help="boundary fixed point (default 1)")
     p.add_argument("--samples", help="spiral sample count (default 64)")
-    _add_common(p)
+    _add_common(p, csv=True)
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("scenario", help="list or run verification scenarios")
@@ -398,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--id", help="scenario id to run")
     p.add_argument("--all", action="store_true", help="run every scenario")
     p.add_argument("--order-scale", help="scale factor applied to default orders")
-    _add_common(p)
+    _add_common(p, space=False)
     p.set_defaults(func=cmd_scenario)
 
     return parser

@@ -18,7 +18,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     DegenerateMapError,
@@ -311,22 +311,6 @@ class MapClass(enum.Enum):
     HYPERBOLIC_TYPE = "hyperbolic-type-non-automorphism"
     INTERIOR_NO_BOUNDARY_FIXED = "interior-dw-no-boundary-fixed-point"
     INTERIOR_WITH_BOUNDARY_FIXED = "interior-dw-with-boundary-fixed-point"
-
-
-#: Classes whose Denjoy-Wolff point lies on the unit circle.
-BOUNDARY_CLASSES = frozenset(
-    {
-        MapClass.HYPERBOLIC_AUTOMORPHISM,
-        MapClass.PARABOLIC_AUTOMORPHISM,
-        MapClass.PARABOLIC_NON_AUTOMORPHISM,
-        MapClass.HYPERBOLIC_TYPE,
-    }
-)
-
-#: Classes on which a translation number is defined.
-PARABOLIC_CLASSES = frozenset(
-    {MapClass.PARABOLIC_AUTOMORPHISM, MapClass.PARABOLIC_NON_AUTOMORPHISM}
-)
 
 
 @dataclass(frozen=True)

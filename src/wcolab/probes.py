@@ -325,12 +325,12 @@ def kernel_condition_probe(
         return []
     phi = MoebiusMap(1, 0, 0, 1) if op.symbol is None else op.symbol
     kernels = [eliminate_precompose(PrecomposeMoebius(kernel_expr(space, w), phi)) for w in ws]
-    num, den = (np.array(part).T for part in zip(*(_num_den(k.base) for k in kernels)))
+    m = int(order)
+    num, den = (np.array(part).T for part in zip(*(_num_den(k.base, m) for k in kernels)))
     lhs = np.zeros(len(ws))
     orders = np.zeros(len(ws), dtype=int)
     slow = np.zeros(len(ws), dtype=bool)
     pending = np.arange(len(ws))
-    m = int(order)
     while pending.size:
         psi = taylor(op.weight, m).coeffs
         nonzero = np.flatnonzero(psi)

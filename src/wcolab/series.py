@@ -8,15 +8,15 @@ fractional substitution turns polynomial and rational leaves into new
 rational leaves and pushes through every other node, so no numerical
 composition is ever performed.  Then:
 
-  * a rational function N/D, and a Power or Exp whose base or argument is a
-    polynomial or rational function, by a short recurrence whose length
-    depends only on deg(N), deg(D) and, for an integer power, the exponent
-    (`rational_series`: D f = N, also for (N/D)^k = N^k / D^k;
+  * a rational function N/D, and every Power or Exp, by a short recurrence
+    whose length depends only on deg(N), deg(D) and, for an integer power,
+    the exponent (`rational_series`: D f = N, also for (N/D)^k = N^k / D^k;
     N D f' = gamma (N'D - N D') f for a non-integer gamma;
-    D^2 f' = (N'D - N D') f for the exponential),
-  * products by Cauchy convolution,
-  * Power and Exp of any other node (say Power(Exp(...))) by the general
-    full-length recurrences, Euler's b p' = gamma b' p and e' = s' e.
+    D^2 f' = (N'D - N D') f for the exponential).  A base or argument that
+    is not a polynomial or rational function, say the Exp in Power(Exp(...)),
+    is its own series through the requested order over D = 1, so there the
+    recurrence has full length (K = M),
+  * products by Cauchy convolution.
 
 All constant-term constraints (nonzero denominators and power bases, branch
 position) are checked at construction time.
@@ -250,13 +250,9 @@ def _taylor(e: AnalyticExpr, M: int) -> np.ndarray:
     if isinstance(e, Rational):
         return rational_series("quotient", e.num.coeffs, e.den.coeffs, M)
     if isinstance(e, Power):
-        if isinstance(e.base, (Poly, Rational)):
-            return rational_series("power", *_num_den(e.base), M, e.exponent)
-        return _power_series(_taylor(e.base, M), e.exponent, M)
+        return rational_series("power", *_num_den(e.base, M), M, e.exponent)
     if isinstance(e, Exp):
-        if isinstance(e.arg, (Poly, Rational)):
-            return rational_series("exp", *_num_den(e.arg), M)
-        return _exp_series(_taylor(e.arg, M), M)
+        return rational_series("exp", *_num_den(e.arg, M), M)
     if isinstance(e, Sum):
         out = np.zeros(M + 1, dtype=np.complex128)
         for t in e.terms:
@@ -273,22 +269,26 @@ def _taylor(e: AnalyticExpr, M: int) -> np.ndarray:
     raise InputError(f"unknown expression node {type(e).__name__}")
 
 
-def _num_den(e: Poly | Rational) -> tuple[tuple[complex, ...], tuple[complex, ...]]:
+def _num_den(e: AnalyticExpr, M: int) -> tuple:
+    """Numerator and denominator of a rational node; any other node is its
+    own series through z**M over 1."""
     if isinstance(e, Poly):
         return e.coeffs, (1 + 0j,)
-    return e.num.coeffs, e.den.coeffs
+    if isinstance(e, Rational):
+        return e.num.coeffs, e.den.coeffs
+    return _taylor(e, M), (1 + 0j,)
 
 
 def _poly_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Product of polynomials stored along axis 0, batched along axis 1.
 
     The products come from einsum, which rounds each from its real parts
-    whatever the batch length (see `rational_series`).
+    whatever the batch length (see `rational_series`); one row of a is
+    multiplied in at a time, so a long factor costs no len(a) x len(b) array.
     """
-    terms = np.einsum("ig,jg->ijg", a, b)
-    out = np.zeros((len(a) + len(b) - 1, terms.shape[2]), dtype=np.complex128)
+    out = np.zeros((len(a) + len(b) - 1, b.shape[1]), dtype=np.complex128)
     for i in range(len(a)):
-        out[i : i + len(b)] += terms[i]
+        out[i : i + len(b)] += np.einsum("g,jg->jg", a[i], b)
     return out
 
 
@@ -304,6 +304,11 @@ def _poly_deriv(a: np.ndarray) -> np.ndarray:
     return a[1:] * np.arange(1, len(a))[:, None]
 
 
+#: Recurrence coefficients formed at a time, in rows of K x G; bounds the
+#: memory of a recurrence whose length K grows with M.
+_BLOCK_ENTRIES = 1 << 14
+
+
 def rational_series(kind: str, num, den, M: int, exponent: float = 1.0) -> np.ndarray:
     """Taylor coefficients through z**M of a function of the rational r = N/D.
 
@@ -311,7 +316,8 @@ def rational_series(kind: str, num, den, M: int, exponent: float = 1.0) -> np.nd
     r**exponent, and "exp" gives exp(r).  `num` and `den` hold polynomial
     coefficients along axis 0, optionally with a trailing batch axis of
     length G (an axis of length 1 broadcasts); the result has shape (M + 1,)
-    or (M + 1, G) to match.
+    or (M + 1, G) to match.  Any other base or argument enters as its own
+    series through z**M over D = 1, so N has length M + 1.
 
     Each function satisfies a linear equation with polynomial coefficients,
     so its coefficients follow a recurrence of fixed length K (Stanley 1980)
@@ -324,7 +330,9 @@ def rational_series(kind: str, num, den, M: int, exponent: float = 1.0) -> np.nd
       exp       A f' = B f with A = D^2, B = N'D - N D'
 
     where A f' = B f reads n A_0 f_n = sum_(k=1..K) (B_(k-1) + (k - n) A_k)
-    f_(n-k) with K = max(deg A, deg(N) + deg(D)).  The power recurrence also
+    f_(n-k) with K = max(deg A, deg(N) + deg(D)).  Over D = 1 these are
+    Euler's recurrences n b_0 f_n = sum ((exponent + 1) k - n) b_k f_(n-k)
+    and n f_n = sum k s_k f_(n-k), with K = M.  The power recurrence also
     has solutions growing like z0^(-n) at each root z0 of N.  Where the true
     series decays faster, as at a zero of r**k inside the disk for an integer
     k > 0, rounding errors along them swamp it; the quotient's recurrence
@@ -351,13 +359,15 @@ def rational_series(kind: str, num, den, M: int, exponent: float = 1.0) -> np.nd
             top, bottom = (num, den) if k >= 0 else (den, num)
             num, den = _poly_pow(top, abs(k), M), _poly_pow(bottom, abs(k), M)
             kind = "quotient"
-    # f_n = (rhs_n + sum_(k=1..K) coef[n - 1, k - 1] f_(n-k)) / lead_n[n - 1]
+    # f_n = (rhs_n + sum_(k=1..K) c_(n,k) f_(n-k)) / l_n, with the rows c_n
+    # reversed in rev and l_n in lead_n; the quotient's do not depend on n
     rhs = np.zeros((M + 1, G), dtype=np.complex128)
     if kind == "quotient":
         f0 = num[0] / den[0]
         take = min(M + 1, len(num))
         rhs[:take] = num[:take]
-        coef = np.broadcast_to(-den[1:], (M, len(den) - 1, G))
+        K = len(den) - 1
+        rev = np.broadcast_to(-den[1:], (M, K, G))[:, ::-1]
         lead_n = np.broadcast_to(den[0], (M, G))
     else:
         if kind == "power":
@@ -377,22 +387,24 @@ def rational_series(kind: str, num, den, M: int, exponent: float = 1.0) -> np.nd
         if len(den) > 1:
             part = _poly_mul(num, _poly_deriv(den))
             slope[: len(part)] -= part
-        n = np.arange(1, M + 1, dtype=np.float64)[:, None]
         k = np.arange(1, K + 1, dtype=np.float64)[:, None]
-        coef = scale * slope[:K] + (k - n[:, None]) * lead[1:]
-        lead_n = n * lead[0]
-    K = coef.shape[1]
+        slope = scale * slope[:K]
     # buf[K + n] holds f_n; the K leading zeros stand for f_(-K) .. f_(-1)
     buf = np.zeros((M + 1 + K, G), dtype=np.complex128)
     buf[K] = f0
-    # rev[n - 1, j] multiplies f_(n - K + j).  einsum forms each complex
-    # product from rounded real products (numpy's complex multiply on arrays
-    # may fuse them, which would move coefficients by an ulp), so a batch and
-    # its single columns agree bit for bit.
-    rev = coef[:, ::-1]
-    for n in range(1, M + 1):
-        acc = np.einsum("kg,kg->g", rev[n - 1], buf[n : n + K])
-        buf[K + n] = (rhs[n] + acc) / lead_n[n - 1]
+    # rev[i, j] multiplies f_(n - K + j) for the step n = start + i.  einsum
+    # forms each complex product from rounded real products (numpy's complex
+    # multiply on arrays may fuse them, which would move coefficients by an
+    # ulp), so a batch and its single columns agree bit for bit.
+    rows = max(1, _BLOCK_ENTRIES // max(1, K * G))
+    for start in range(1, M + 1, rows):
+        stop = min(start + rows, M + 1)
+        if kind != "quotient":
+            n = np.arange(start, stop, dtype=np.float64)[:, None]
+            rev, lead_n = (slope + (k - n[:, None]) * lead[1:])[:, ::-1], n * lead[0]
+        for i, step in enumerate(range(start, stop)):
+            acc = np.einsum("kg,kg->g", rev[i], buf[step : step + K])
+            buf[K + step] = (rhs[step] + acc) / lead_n[i]
     out = buf[K:]
     return out if batched else out[:, 0].copy()
 
@@ -408,26 +420,6 @@ def _power_constant(b0: np.ndarray, gamma: float) -> np.ndarray:
             "non-integer power of a base whose constant term lies on the branch cut"
         )
     return np.exp(gamma * np.log(b0))
-
-
-def _exp_series(s: np.ndarray, M: int) -> np.ndarray:
-    out = np.zeros(M + 1, dtype=np.complex128)
-    out[0] = cmath.exp(s[0])
-    w = np.arange(M + 1) * s  # w[k] = k * s_k
-    for n in range(1, M + 1):
-        out[n] = np.dot(w[1 : n + 1], out[n - 1 :: -1][:n]) / n
-    return out
-
-
-def _power_series(b: np.ndarray, gamma: float, M: int) -> np.ndarray:
-    out = np.zeros(M + 1, dtype=np.complex128)
-    out[0] = _power_constant(np.array([b[0]]), gamma)[0]
-    b0 = b[0]
-    g1 = gamma + 1.0
-    for n in range(1, M + 1):
-        coef = g1 * np.arange(1, n + 1) - n
-        out[n] = np.dot(coef * b[1 : n + 1], out[n - 1 :: -1][:n]) / (n * b0)
-    return out
 
 
 # -- precomposition elimination ---------------------------------------------

@@ -25,10 +25,8 @@ from .series import (
     AnalyticExpr,
     Exp,
     Poly,
-    PowerSeries,
     PrecomposeMoebius,
     Rational,
-    Scale,
     taylor,
 )
 from .space import SpaceSpec
@@ -84,8 +82,8 @@ def parabolic_eigenpair(
     beta = float(beta)
     if beta < 0.0:
         raise InputError("beta must be nonnegative")
-    halfplane = Rational(Poly((1.0, zeta.conjugate())), Poly((1.0, -zeta.conjugate())))
-    f = Exp(Scale(-beta, halfplane))
+    zc = zeta.conjugate()
+    f = Exp(Rational(Poly((-beta, -beta * zc)), Poly((1.0, -zc))))
     return f, cmath.exp(-beta * complex(t))
 
 

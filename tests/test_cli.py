@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from wcolab import cli
 from wcolab.mobius import MoebiusMap
@@ -279,12 +280,36 @@ def test_scenario_failure_exit_code(monkeypatch, capsys):
 
 def test_config_file_supplies_defaults(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"order": 6, "tail": 48, "space": "bergman:1"}))
+    csv_path = tmp_path / "ignored.csv"  # probe has no --csv, so the key is ignored
+    cfg.write_text(
+        json.dumps(
+            {"order": 6, "tail": 48, "space": "bergman:1", "tol": 1e-3, "csv": str(csv_path)}
+        )
+    )
     code = run_cli(["probe", "--map", HALF_SHIFT_JSON, "--config", str(cfg)])
     out = capsys.readouterr().out
     assert code == 0
     assert "N=6 M=48" in out
     assert "bergman:1" in out
+    assert not csv_path.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["probe", "--tol", "1e-3", "--map", HALF_SHIFT_JSON],
+        ["block", "--tol", "1e-3", "--map", HALF_SHIFT_JSON],
+        ["probe", "--csv", "-", "--map", HALF_SHIFT_JSON],
+        ["classify", "--space", "hardy", "--map", HALF_SHIFT_JSON],
+        ["classify", "--order", "8", "--map", HALF_SHIFT_JSON],
+        ["scenario", "list", "--space", "hardy"],
+    ],
+)
+def test_options_a_subcommand_ignores_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_cli_flag_overrides_config(tmp_path, capsys):

@@ -84,6 +84,10 @@ def test_exp_series_matches_dft():
     s2 = taylor(nested, 30)
     oracle2 = dft_coeffs(lambda z: cmath.exp(z / (2 - z)), 30)
     assert_series_close(s2.coeffs, oracle2, 1e-10)
+    # an argument that is no rational function enters as its own series
+    tower = Exp(Exp(Poly((0, 0.5))))
+    oracle3 = dft_coeffs(lambda z: cmath.exp(cmath.exp(0.5 * z)), 30)
+    assert_series_close(taylor(tower, 30).coeffs, oracle3, 1e-10)
 
 
 def test_power_series_matches_dft():
@@ -91,6 +95,9 @@ def test_power_series_matches_dft():
     s = taylor(p, 30)
     oracle = dft_coeffs(lambda z: (1 - 0.5 * z) ** -1.5, 30)
     assert_series_close(s.coeffs, oracle, 1e-10)
+    root = Power(Sum((Poly((2, 0.3)), Exp(Poly((0, 0.2))))), 0.5)
+    oracle2 = dft_coeffs(lambda z: cmath.sqrt(2 + 0.3 * z + cmath.exp(0.2 * z)), 30)
+    assert_series_close(taylor(root, 30).coeffs, oracle2, 1e-10)
 
 
 def test_power_integer_exponent_matches_poly_product():
@@ -344,6 +351,14 @@ def test_integer_power_with_a_zero_inside_the_disk_stays_accurate():
         got = taylor(e, 200).coeffs
         assert np.max(np.abs(got - square)) <= 1e-14
         assert abs(got[60] - square[60]) <= 1e-40
+    # the same zero in a base that is no rational function: the z^60
+    # coefficient of (1 - 2.1 z)^2 exp(0.2 z) is 5.4e-119
+    base = Product((Poly((1, -2.1)), Exp(Poly((0, 0.1)))))
+    b = taylor(base, 200).coeffs
+    square = np.convolve(b, b)[:201]
+    got = taylor(Power(base, 2), 200).coeffs
+    assert np.max(np.abs(got - square)) <= 1e-14
+    assert abs(got[60] - square[60]) <= 1e-130
     cube = taylor(Power(Poly((1, -2.1)), 3), 200).coeffs
     assert_series_close(cube[:4], [1, -6.3, 13.23, -9.261], 1e-15)
     assert not np.any(cube[4:])
