@@ -33,6 +33,7 @@ from .opmat import (
     gram_blocks,
     is_boundary_touching,
     operator_norm_estimate,
+    plain,
     word_block,
 )
 from .series import (
@@ -258,8 +259,6 @@ def douglas_witness(
     M: int | None = None,
 ) -> DouglasWitness:
     """Check ||C|| <= 1 and A* = C A at order N for a candidate word C."""
-    from .opmat import plain  # local to avoid polluting the module surface
-
     word = tuple(contraction)
     if M is None:
         M = default_internal_order(N, [w.op for w in word] + [op])

@@ -10,8 +10,9 @@ Threshold provenance is tagged per check:
 
   exact    the quantity is an identity that holds to rounding,
   analytic the threshold follows from a closed form or structural argument,
-  oracle   the threshold was pinned from a committed reference run
-           (see data/thresholds.json and tools/pin_thresholds.py).
+  oracle   the threshold is half the value these scenarios measured in a
+           reference run (data/thresholds.json, which tools/pin_thresholds.py
+           writes from their reports); an unpinned key gives NaN and fails.
 
 Reports are deterministic: two runs produce identical JSON apart from the
 runtime field.
@@ -207,12 +208,22 @@ def load_thresholds() -> dict:
         )
 
 
-def _floor(key: str) -> float:
-    return float(load_thresholds()["quasinormal_floors"][key]["floor"])
+def _pinned(section: str, entry: str, key: str) -> float:
+    """The committed threshold under key, or NaN while key is not pinned."""
+    rec = load_thresholds()[section].get(key)
+    return float("nan") if rec is None else float(rec[entry])
 
 
-def _ceiling(key: str) -> float:
-    return float(load_thresholds()["mineig_ceilings"][key]["ceiling"])
+def _above_floor(name, value, key, **details) -> CheckResult:
+    """Oracle check: value >= the floor pinned under key."""
+    floor = _pinned("quasinormal_floors", "floor", key)
+    return _ge(name, value, floor, "oracle", key=key, **details)
+
+
+def _below_ceiling(name, value, key, **details) -> CheckResult:
+    """Oracle check: value <= the ceiling pinned under key."""
+    ceiling = _pinned("mineig_ceilings", "ceiling", key)
+    return _le(name, value, ceiling, "oracle", key=key, **details)
 
 
 # -- scenario bodies ----------------------------------------------------------
@@ -329,15 +340,11 @@ def _s4(ov: Overrides) -> tuple[list[CheckResult], dict]:
     for space in THREE_SPACES:
         for psi_label, weight in s4_weights(space):
             op = weighted(weight, AFFINE_HALF)
-            v = quasinormality_defect(op, space, N, M)
-            key = f"S4.{space.label()}.{psi_label}"
             checks.append(
-                _ge(
+                _above_floor(
                     f"quasinormal-defect.{space.label()}.{psi_label}",
-                    v,
-                    _floor(key),
-                    "oracle",
-                    key=key,
+                    quasinormality_defect(op, space, N, M),
+                    f"S4.{space.label()}.{psi_label}",
                 )
             )
     return checks, {"N": N, "M": M}
@@ -358,15 +365,11 @@ def _s5(ov: Overrides) -> tuple[list[CheckResult], dict]:
             checks.append(
                 _le(f"selfcommutator-norm.{tag}", rep.norm_selfcomm, 1e-12, "analytic")
             )
-        key = f"S5.{space.label()}.half-shift"
-        v = quasinormality_defect(composition(HALF_SHIFT), space, Nq, Mq)
         checks.append(
-            _ge(
+            _above_floor(
                 f"quasinormal-defect.{space.label()}.half-shift",
-                v,
-                _floor(key),
-                "oracle",
-                key=key,
+                quasinormality_defect(composition(HALF_SHIFT), space, Nq, Mq),
+                f"S5.{space.label()}.half-shift",
             )
         )
     return checks, {"N": N, "M": M, "N_halfshift": Nq, "M_halfshift": Mq}
@@ -485,11 +488,8 @@ def _s8(ov: Overrides) -> tuple[list[CheckResult], dict]:
                 tail_bound=ev.tail_bound,
             )
         )
-        key = f"S8.hardy.{label}"
         v = quasinormality_defect(op, sp, N, Mq)
-        checks.append(
-            _ge(f"quasinormal-defect.{label}", v, _floor(key), "oracle", key=key)
-        )
+        checks.append(_above_floor(f"quasinormal-defect.{label}", v, f"S8.hardy.{label}"))
 
         contraction = (
             plain(toeplitz(eta)),
@@ -512,14 +512,11 @@ def _s9(ov: Overrides) -> tuple[list[CheckResult], dict]:
         for label, m in S9_SYMBOLS:
             op = composition(m)
             ev = hyponormality_probe(op, space, N, M)
-            key = f"S9.{space.label()}.{label}"
             checks.append(
-                _le(
+                _below_ceiling(
                     f"selfcommutator-min-eig.{space.label()}.{label}",
                     ev.min_eig,
-                    _ceiling(key),
-                    "oracle",
-                    key=key,
+                    f"S9.{space.label()}.{label}",
                     certificate=ev.certificate,
                 )
             )
@@ -539,14 +536,11 @@ def _s10(ov: Overrides) -> tuple[list[CheckResult], dict]:
         for psi_label, weight in s10_weights(space):
             op = weighted(weight, AFFINE_HALF)
             ev = hyponormality_probe(op, space, N, M)
-            key = f"S10.{space.label()}.{psi_label}"
             checks.append(
-                _le(
+                _below_ceiling(
                     f"selfcommutator-min-eig.{space.label()}.{psi_label}",
                     ev.min_eig,
-                    _ceiling(key),
-                    "oracle",
-                    key=key,
+                    f"S10.{space.label()}.{psi_label}",
                     certificate=ev.certificate,
                 )
             )

@@ -44,12 +44,6 @@ class SpaceSpec:
         """Kernel exponent: K_w(z) = (1 - conj(w) z)^(-gamma)."""
         return 1.0 if self.kind == HARDY else self.alpha + 2.0
 
-    def basis_norm_sq(self, n: int) -> float:
-        """Squared norm of the monomial z^n."""
-        if n < 0:
-            raise InputError("monomial degree must be nonnegative")
-        return float(self.basis_norms_sq(n)[n])
-
     def basis_norms_sq(self, order: int) -> np.ndarray:
         """Read-only array of ||z^n||^2 for n = 0..order."""
         if order < 0:

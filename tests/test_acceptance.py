@@ -22,24 +22,27 @@ from wcolab.opmat import (
     word_block,
 )
 from wcolab.probes import (
+    certified_min_chi,
     hyponormality_probe,
     kernel_condition_probe,
     normality_defect,
     quasinormality_defect,
     unitary_defect,
 )
-from wcolab.scenarios import load_thresholds, run_scenario
+from wcolab.scenarios import (
+    AFFINE_HALF,
+    HALF_SHIFT,
+    PSI_HALF,
+    QUARTER_SHRINK,
+    THREE_SPACES,
+    load_thresholds,
+    run_all,
+)
 from wcolab.series import Exp, Poly, Product, Rational, constant
 from wcolab.space import bergman, hardy, kernel_expr
 from wcolab.spectra import DEFAULT_BETA_GRID, eigen_residual, spectral_radius_estimate
 
-HALF_SHIFT = MoebiusMap(1, 0, -1, 2)          # z/(2-z)
-QUARTER_SHRINK = MoebiusMap(0.25, 0, -0.75, 1)
-AFFINE_HALF = MoebiusMap(1, 1, 0, 2)          # (z+1)/2
 PARABOLIC_ONE = parabolic_from(1.0, 1.0)
-PSI_HALF = Rational(Poly((2,)), Poly((2, -1)))  # 2/(2-z)
-
-THREE_SPACES = (hardy(), bergman(0.0), bergman(1.0))
 
 
 def report(num, ok, detail):
@@ -213,11 +216,12 @@ def test_criterion_8_affine_half_negative_certificates():
         ceiling = ceilings[f"S9.{sp.label()}.affine-half"]["ceiling"]
         ev = hyponormality_probe(composition(AFFINE_HALF), sp, 16, 320)
         pts = kernel_condition_probe(composition(AFFINE_HALF), sp)
-        minchi = min(p.chi for p in pts)
-        ok = ok and ev.min_eig <= ceiling and ev.certificate and minchi < -1e-8
+        minchi = certified_min_chi(pts)
+        certified = minchi is not None and minchi < -1e-8
+        ok = ok and ev.min_eig <= ceiling and ev.certificate and certified
         details.append(
             f"{sp.label()}: min_eig {ev.min_eig:.3f} <= {ceiling:.3f}, "
-            f"min chi {minchi:.3e}"
+            f"certified min chi {minchi if minchi is None else f'{minchi:.3e}'}"
         )
     report(8, ok, "; ".join(details))
 
@@ -242,24 +246,10 @@ def test_criterion_9_parabolic_iterates_converge_uniformly():
 def test_criterion_10_scenario_suite():
     budget = 180.0
     start = time.perf_counter()
-    verdicts = {}
-    for k in range(1, 11):
-        sid = [s for s in (
-            "S1-cowen-adjoint",
-            "S2-parabolic-eigen",
-            "S3-uniform-iteration",
-            "S4-nonparabolic-defect",
-            "S5-rotation-quasinormal",
-            "S6-unitary-weight",
-            "S7-sadraoui",
-            "S8-thm38",
-            "S9-zorboska",
-            "S10-hyperbolic-nonauto",
-        ) if s.startswith(f"S{k}-")][0]
-        verdicts[sid] = run_scenario(sid).verdict
-    exploratory = run_scenario("S11-parabolic-kernel-weight").verdict
+    verdicts = {rep.scenario_id: rep.verdict for rep in run_all()}
+    exploratory = verdicts.pop("S11-parabolic-kernel-weight")
     elapsed = time.perf_counter() - start
-    all_pass = all(v == "PASS" for v in verdicts.values())
+    all_pass = len(verdicts) == 10 and all(v == "PASS" for v in verdicts.values())
     ok = all_pass and exploratory == "REPORT" and elapsed <= budget
     report(
         10,

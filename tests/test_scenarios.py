@@ -10,6 +10,8 @@ from wcolab.scenarios import (
     ALIASES,
     Overrides,
     REGISTRY,
+    _above_floor,
+    _below_ceiling,
     _kernel_witness,
     list_scenarios,
     load_thresholds,
@@ -109,6 +111,19 @@ def test_kernel_witness_counts_only_points_not_slow_at_the_cap():
     check = _kernel_witness("kernel-witness-min-chi.x", [slow, slow])
     assert check.passed is False and check.value is None
     json.dumps(check.to_json(), allow_nan=False)
+
+
+def test_an_unpinned_oracle_key_fails_and_keeps_its_value():
+    floor = _above_floor("quasinormal-defect.x", 1.5, "S4.unpinned.x")
+    assert (floor.passed, floor.value, floor.threshold) == (False, 1.5, ">= nan")
+    assert floor.source == "oracle" and floor.details == {"key": "S4.unpinned.x"}
+    ceiling = _below_ceiling("selfcommutator-min-eig.x", -0.5, "S9.unpinned.x", certificate=True)
+    assert (ceiling.passed, ceiling.value, ceiling.threshold) == (False, -0.5, "<= nan")
+    assert ceiling.details == {"key": "S9.unpinned.x", "certificate": True}
+    json.dumps(ceiling.to_json(), allow_nan=False)
+    # a pinned key reads its committed floor
+    pinned = load_thresholds()["quasinormal_floors"]["S4.hardy.psi-one"]["floor"]
+    assert _above_floor("q", 1e9, "S4.hardy.psi-one").threshold == f">= {pinned:.12g}"
 
 
 def test_thresholds_file_is_coherent():

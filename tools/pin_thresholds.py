@@ -3,10 +3,11 @@
 
 Strictly-positive defect floors and strictly-negative eigenvalue ceilings
 used by the scenario suite are not universal constants: they are finite-order
-measurements.  This script measures them once, at the orders the scenarios
-use, and commits half the observed magnitude (50% headroom) so the checks
+measurements.  This script runs the scenarios that own them, at their own
+orders, and commits half of each observed value (50% headroom) so the checks
 stay robust against platform-level rounding differences while still failing
-loudly if the underlying computation ever degrades.
+loudly if the underlying computation ever degrades.  Every check a scenario
+tags "oracle" is pinned here without an edit to this script.
 
 Run from the repository root:  python3 tools/pin_thresholds.py
 """
@@ -19,42 +20,32 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from wcolab import opmat as om
-from wcolab import probes as pb
-from wcolab import series as se
-from wcolab.scenarios import (
-    AFFINE_HALF,
-    HALF_SHIFT,
-    PSI_HALF,
-    S8_CASES,
-    S9_SYMBOLS,
-    THREE_SPACES,
-    s4_weights,
-    s10_weights,
-)
+from wcolab.scenarios import Overrides, run_scenario
 
 OUT = pathlib.Path(__file__).resolve().parents[1] / "src" / "wcolab" / "data" / "thresholds.json"
 
-SPACES = {space.label(): space for space in THREE_SPACES}
+#: The scenarios with oracle checks or kernel witnesses; meta.orders are the first's.
+PINNED = (
+    "S4-nonparabolic-defect",
+    "S5-rotation-quasinormal",
+    "S8-thm38",
+    "S9-zorboska",
+    "S10-hyperbolic-nonauto",
+)
 
-N_PIN = 16
-M_PIN = 320
+#: Where an oracle check's comparison puts its pinned value: section and entry.
+BOUNDS = {">=": ("quasinormal_floors", "floor"), "<=": ("mineig_ceilings", "ceiling")}
+
+WITNESS = "kernel-witness-min-chi."
 
 
-def _certified_min_chi(pts) -> float:
-    chi = pb.certified_min_chi(pts)
-    if chi is None:
-        raise SystemExit("every kernel point is slow-decaying at the order cap; nothing to pin")
-    return chi
-
-
-def main() -> None:
+def pin() -> dict:
+    """Run the pinned scenarios and return the contents of thresholds.json."""
     data: dict = {
         "meta": {
             "script": "tools/pin_thresholds.py",
             "rule": "floor = observed/2 for positive defects; "
             "ceiling = observed/2 for negative eigenvalues",
-            "orders": {"N": N_PIN, "M": M_PIN},
             "note": "pinned from a reference run; regenerate with the script "
             "after any change to block or probe computations",
         },
@@ -63,68 +54,37 @@ def main() -> None:
         "kernel_witness": {},
         "stability": {},
     }
-
-    for label, space in SPACES.items():
-        for psi_label, psi in s4_weights(space):
-            v = pb.quasinormality_defect(om.weighted(psi, AFFINE_HALF), space, N_PIN, M_PIN)
-            data["quasinormal_floors"][f"S4.{label}.{psi_label}"] = {
-                "observed": v,
-                "floor": v / 2.0,
-            }
-        v = pb.quasinormality_defect(om.composition(HALF_SHIFT), space, N_PIN, M_PIN)
-        data["quasinormal_floors"][f"S5.{label}.half-shift"] = {
-            "observed": v,
-            "floor": v / 2.0,
-        }
-
-    # Hardy-only factorization scenario: both hyponormal weights have strictly
-    # positive quasinormality defect
-    hardy = SPACES["hardy"]
-    s8_ops = {
-        flabel: om.weighted(se.Product((f, PSI_HALF)), HALF_SHIFT) for flabel, f, *_ in S8_CASES
-    }
-    for flabel, op in s8_ops.items():
-        v = pb.quasinormality_defect(op, hardy, N_PIN, M_PIN)
-        data["quasinormal_floors"][f"S8.hardy.{flabel}"] = {
-            "observed": v,
-            "floor": v / 2.0,
-        }
+    for sid in PINNED:
+        report = run_scenario(sid)
+        data["meta"].setdefault("orders", report.orders)
+        for c in report.checks:
+            if c.source == "oracle":
+                section, entry = BOUNDS[c.threshold[:2]]
+                data[section][c.details["key"]] = {"observed": c.value, entry: c.value / 2.0}
+            elif c.name.startswith(WITNESS):
+                if c.value is None:
+                    raise SystemExit(
+                        f"{c.name}: every kernel point is slow-decaying at the order cap; "
+                        "nothing to pin"
+                    )
+                key = f"{sid.split('-')[0]}.{c.name[len(WITNESS):]}"
+                data["kernel_witness"][key] = {"observed_min_chi": c.value}
 
     # stability of the exponential-weight defect across compression orders,
     # used by the acceptance gate: committed delta = 0.9 * min over N
     observed = {}
     for n in (12, 16, 20, 24):
-        observed[str(n)] = pb.quasinormality_defect(s8_ops["f-exp"], hardy, n, M_PIN)
+        report = run_scenario("S8-thm38", Overrides(N=n, M=320))
+        observed[str(n)] = next(
+            c.value for c in report.checks if c.name == "quasinormal-defect.f-exp"
+        )
     delta = 0.9 * min(observed.values())
     data["stability"]["S8.hardy.f-exp"] = {"observed": observed, "delta": delta}
+    return data
 
-    # negative self-commutator certificates for symbols not fixing the origin
-    for label, space in SPACES.items():
-        for mlabel, m in S9_SYMBOLS:
-            ev = pb.hyponormality_probe(om.composition(m), space, N_PIN, M_PIN)
-            data["mineig_ceilings"][f"S9.{label}.{mlabel}"] = {
-                "observed": ev.min_eig,
-                "ceiling": ev.min_eig / 2.0,
-            }
-            pts = pb.kernel_condition_probe(om.composition(m), space)
-            data["kernel_witness"][f"S9.{label}.{mlabel}"] = {
-                "observed_min_chi": _certified_min_chi(pts)
-            }
 
-    # the same certificates persist for every sampled bounded weight
-    for label, space in SPACES.items():
-        for psi_label, psi in s10_weights(space):
-            op = om.weighted(psi, AFFINE_HALF)
-            ev = pb.hyponormality_probe(op, space, N_PIN, M_PIN)
-            data["mineig_ceilings"][f"S10.{label}.{psi_label}"] = {
-                "observed": ev.min_eig,
-                "ceiling": ev.min_eig / 2.0,
-            }
-            pts = pb.kernel_condition_probe(op, space)
-            data["kernel_witness"][f"S10.{label}.{psi_label}"] = {
-                "observed_min_chi": _certified_min_chi(pts)
-            }
-
+def main() -> None:
+    data = pin()
     OUT.parent.mkdir(parents=True, exist_ok=True)
     OUT.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
     print(f"wrote {OUT}")
