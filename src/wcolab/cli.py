@@ -31,9 +31,9 @@ from .opmat import (
     block_to_csv,
     build_block,
     composition,
-    default_internal_order,
     operator_norm_estimate,
     toeplitz,
+    working_order,
 )
 from .probes import defect_report
 from .scenarios import Overrides, list_scenarios, run_all, run_scenario
@@ -127,12 +127,9 @@ def _resolve_orders(args, ops) -> tuple[int, int]:
     n = int(args.order) if args.order is not None else 16
     if n < MIN_ORDER:
         raise InputError(f"--order must be at least {MIN_ORDER}, got {n}")
-    if args.tail is not None:
-        m = int(args.tail)
-        if m < 2 * n:
-            raise InputError(f"--tail must be at least 2*order = {2 * n}, got {m}")
-    else:
-        m = default_internal_order(n, ops)
+    m = working_order(n, ops) if args.tail is None else int(args.tail)
+    if m < 2 * n:
+        raise InputError(f"--tail must be at least 2*order = {2 * n}, got {m}")
     return n, m
 
 

@@ -11,10 +11,12 @@ the i-th Taylor coefficient of the analytic image of e_j, rescaled.  These
 entries are exact up to rounding: truncation only ever discards rows.
 
 Operator words (products of operators and adjoints) are evaluated on a larger
-square block of order M and compressed to order N at the end; the policy
-M >= 2N is enforced, and the default working order is max(8N, 160), doubled
-when any symbol's image circle touches the unit circle.  A word block keeps
-the tail flags of its letters but carries no tail estimate (nan).
+square block of order M and compressed to order N at the end.  One
+function, `working_order`, sets M for every consumer: by default
+max(8N, 160), doubled when any symbol's image circle touches the unit
+circle, and an M below the consumer's least (2N for words and Gram pairs)
+is rejected.  A word block keeps the tail flags of its letters but carries
+no tail estimate (nan).
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .errors import (
 )
 from .mobius import MoebiusMap
 from .series import (
-    SLOW_DECAY_RATIO,
     AnalyticExpr,
     Exp,
     Poly,
@@ -46,6 +47,7 @@ from .series import (
     expr_from_json,
     expr_to_json,
     rational_series,
+    tail_diagnostics,
     taylor,
 )
 from .space import SpaceSpec
@@ -60,7 +62,7 @@ WEIGHT_BOUND_CAP = 1e12
 #: Distance from the unit circle below which a symbol counts as touching it.
 BOUNDARY_TOUCH_TOL = 1e-8
 
-#: Baseline internal working order for operator words: max(8N, this floor).
+#: Floor of the default working order max(8N, this floor).
 MIN_INTERNAL_ORDER = 160
 
 _SELF_MAP_TOL = 1e-9
@@ -156,11 +158,24 @@ def is_boundary_touching(op: OperatorSpec, tol: float = BOUNDARY_TOUCH_TOL) -> b
     return abs(center) + radius >= 1.0 - tol
 
 
-def default_internal_order(N: int, ops: tuple[OperatorSpec, ...] | list) -> int:
-    """Working order max(8N, 160), doubled for boundary-touching symbols."""
-    M = max(8 * N, MIN_INTERNAL_ORDER)
-    if any(is_boundary_touching(op) for op in ops):
-        M *= 2
+def working_order(
+    N: int, ops: tuple[OperatorSpec, ...] | list, M: int | None = None, least: int | None = None
+) -> int:
+    """Working order for an order-N result computed from order-M blocks.
+
+    The default is max(8N, 160), doubled when any symbol's image touches the
+    unit circle; it is never below 2N + 16.  `least` (default 2N) is the
+    smallest M the caller's algorithm accepts; an M below it raises
+    OrderPolicyError.
+    """
+    if least is None:
+        least = 2 * N
+    if M is None:
+        M = max(8 * N, MIN_INTERNAL_ORDER)
+        if any(is_boundary_touching(op) for op in ops):
+            M *= 2
+    if M < least:
+        raise OrderPolicyError(f"working order M={M} violates M >= {least} with N={N}")
     return M
 
 
@@ -227,30 +242,6 @@ def _columns(op: OperatorSpec, space: SpaceSpec, rows: int, cols: int) -> np.nda
     return entries
 
 
-def _column_norms(x: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each column; einsum on the real and imaginary views
-    makes no temporary the size of x."""
-    return np.sqrt(np.einsum("ij,ij->j", x.real, x.real) + np.einsum("ij,ij->j", x.imag, x.imag))
-
-
-def _column_tails(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Crude tail bounds and slow-decay flags of every column at once.
-
-    Column by column this is `series.tail_diagnostics`: the decay ratio from
-    the norms of the two halves, then a geometric bound from the largest of
-    the last eight coefficients.  Needs at least 17 rows.
-    """
-    rows = entries.shape[0]
-    h = rows // 2
-    front, tail = _column_norms(entries[:h]), _column_norms(entries[h:])
-    last = np.max(np.abs(entries[-8:]), axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(front == 0.0, 1.0, (tail / front) ** (1.0 / (rows - h)))
-        ratio = np.where(tail == 0.0, 0.0, ratio)
-        bound = np.where(ratio < 1.0, last * ratio / np.sqrt(1.0 - ratio * ratio), np.inf)
-    return bound, ratio > SLOW_DECAY_RATIO
-
-
 def build_block(
     op: OperatorSpec, space: SpaceSpec, N: int, M: int | None = None
 ) -> TruncatedBlock:
@@ -268,8 +259,8 @@ def build_block(
     entries = _columns(op, space, M, N)
     slow, worst = False, float("nan")
     if M >= 16:
-        bounds, slows = _column_tails(entries)
-        slow, worst = bool(slows.any()), float(bounds.max())
+        td = tail_diagnostics(entries)
+        slow, worst = bool(td.slow_decay.any()), float(td.bound.max())
     return TruncatedBlock(entries, space, M, N, is_boundary_touching(op) or slow, worst)
 
 
@@ -328,10 +319,7 @@ def word_block(
         raise InputError("operator word must have at least one letter")
     if N < 0:
         raise InputError("compression order must be nonnegative")
-    if M is None:
-        M = default_internal_order(N, [w.op for w in word])
-    if M < 2 * N:
-        raise OrderPolicyError(f"word working order M={M} violates M >= 2N with N={N}")
+    M = working_order(N, [w.op for w in word], M)
     prod = None
     flag = False
     for w in reversed(word):
@@ -359,14 +347,12 @@ def gram_blocks(
 ) -> GramPair:
     """Order-N compressions of A*A (via a tall block) and AA* (via a wide
     block powered at coefficient order N).  Requires M >= 2N."""
-    if M is None:
-        M = default_internal_order(N, [op])
-    if M < 2 * N:
-        raise OrderPolicyError(f"gram working order M={M} violates M >= 2N with N={N}")
+    M = working_order(N, [op], M)
     tall = _columns(op, space, M, N)
     g1 = tall.conj().T @ tall
     g1 = 0.5 * (g1 + g1.conj().T)
-    bound1 = float(np.sum(_column_tails(tall)[0] ** 2)) if M >= 16 else 0.0
+    # the tall block's tail is unknown below the diagnostics' order 16
+    bound1 = float(np.sum(tail_diagnostics(tall).bound ** 2)) if M >= 16 else np.inf
     wide = wide_block(op, space, N, M)
     g2 = wide.entries @ wide.entries.conj().T
     g2 = 0.5 * (g2 + g2.conj().T)

@@ -21,29 +21,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, OrderPolicyError
+from .errors import InputError
 from .mobius import MoebiusMap
 from .opmat import (
+    GramPair,
     OperatorSpec,
     OperatorWord,
     TruncatedBlock,
     adjoint_block,
     build_block,
-    default_internal_order,
     gram_blocks,
     is_boundary_touching,
     operator_norm_estimate,
     plain,
     word_block,
+    working_order,
 )
 from .series import (
-    PowerSeries,
     PrecomposeMoebius,
     _num_den,
+    _poly_mul,
     eliminate_precompose,
     evaluate,
     rational_series,
-    series_norm,
     tail_diagnostics,
     taylor,
 )
@@ -65,14 +65,30 @@ def _spectral_norm(x: np.ndarray) -> float:
     return float(np.linalg.norm(x, 2))
 
 
+def _selfcomm_block(pair: GramPair) -> np.ndarray:
+    """Hermitian part of G1 - G2, the self-commutator block."""
+    h = pair.g1 - pair.g2
+    return 0.5 * (h + h.conj().T)
+
+
+def _unitary_gap(pair: GramPair) -> float:
+    """max(||G1 - I||, ||G2 - I||)."""
+    eye = np.eye(len(pair.g1))
+    return max(_spectral_norm(pair.g1 - eye), _spectral_norm(pair.g2 - eye))
+
+
+def _quasinormal_least(N: int) -> int:
+    """Least working order of the quasinormality commutator: 16 rows beyond
+    2N, so it sees the operator past the reported window."""
+    return 2 * N + 16
+
+
 def self_commutator(
     op: OperatorSpec, space: SpaceSpec, N: int, M: int | None = None
 ) -> tuple[np.ndarray, float]:
     """Hermitian block of A*A - AA* at order N, plus a crude tail bound."""
     pair = gram_blocks(op, space, N, M)
-    h = pair.g1 - pair.g2
-    h = 0.5 * (h + h.conj().T)
-    return h, pair.tail_bound
+    return _selfcomm_block(pair), pair.tail_bound
 
 
 @dataclass(frozen=True)
@@ -101,8 +117,7 @@ def hyponormality_probe(
     A value below -(tail_bound + slack) certifies non-hyponormality; a
     nonnegative value is consistent with hyponormality but proves nothing.
     """
-    if M is None:
-        M = default_internal_order(N, [op])
+    M = working_order(N, [op], M)
     h, bound = self_commutator(op, space, N, M)
     return _selfcomm_evidence(h, bound, N, M)[0]
 
@@ -127,12 +142,7 @@ def quasinormality_defect(
     Computed on a square block of order M >= 2N + 16 before compressing, so
     the commutator sees the operator well beyond the reported window.
     """
-    if M is None:
-        M = max(default_internal_order(N, [op]), 2 * N + 16)
-    if M < 2 * N + 16:
-        raise OrderPolicyError(
-            f"quasinormality working order M={M} violates M >= 2N + 16 with N={N}"
-        )
+    M = working_order(N, [op], M, least=_quasinormal_least(N))
     s = build_block(op, space, M, M).entries
     g = s.conj().T @ s
     d = s @ g - g @ s
@@ -157,9 +167,7 @@ def unitary_defect(
     op: OperatorSpec, space: SpaceSpec, N: int, M: int | None = None
 ) -> float:
     """max(||A*A - I||, ||AA* - I||) on order-N compressions."""
-    pair = gram_blocks(op, space, N, M)
-    eye = np.eye(N + 1)
-    return max(_spectral_norm(pair.g1 - eye), _spectral_norm(pair.g2 - eye))
+    return _unitary_gap(gram_blocks(op, space, N, M))
 
 
 @dataclass(frozen=True)
@@ -198,7 +206,7 @@ class DefectReport:
             "unitary_defect": self.unitary_defect,
             "N": self.N,
             "M": self.M,
-            "tail_bound": self.tail_bound,
+            "tail_bound": self.tail_bound if math.isfinite(self.tail_bound) else None,
             "flags": list(self.flags),
             "hyponormality_certificate": self.hyponormality.certificate,
         }
@@ -207,13 +215,9 @@ class DefectReport:
 def defect_report(
     op: OperatorSpec, space: SpaceSpec, N: int, M: int | None = None
 ) -> DefectReport:
-    if M is None:
-        M = max(default_internal_order(N, [op]), 2 * N + 16)
+    M = working_order(N, [op], M)
     pair = gram_blocks(op, space, N, M)
-    h = pair.g1 - pair.g2
-    h = 0.5 * (h + h.conj().T)
-    ev, norm = _selfcomm_evidence(h, pair.tail_bound, N, M)
-    eye = np.eye(N + 1)
+    ev, norm = _selfcomm_evidence(_selfcomm_block(pair), pair.tail_bound, N, M)
     flags = []
     if is_boundary_touching(op):
         flags.append("boundary-touching-symbol")
@@ -224,9 +228,9 @@ def defect_report(
     return DefectReport(
         hyponormality=ev,
         norm_selfcomm=norm,
-        quasinormal_defect=quasinormality_defect(op, space, N, max(M, 2 * N + 16)),
+        quasinormal_defect=quasinormality_defect(op, space, N, max(M, _quasinormal_least(N))),
         selfadjoint_defect=selfadjoint_defect(op, space, N),
-        unitary_defect=max(_spectral_norm(pair.g1 - eye), _spectral_norm(pair.g2 - eye)),
+        unitary_defect=_unitary_gap(pair),
         flags=tuple(flags),
     )
 
@@ -260,8 +264,7 @@ def douglas_witness(
 ) -> DouglasWitness:
     """Check ||C|| <= 1 and A* = C A at order N for a candidate word C."""
     word = tuple(contraction)
-    if M is None:
-        M = default_internal_order(N, [w.op for w in word] + [op])
+    M = working_order(N, [w.op for w in word] + [op], M)
     cblk = word_block(word, space, N, M)
     ca = word_block(word + (plain(op),), space, N, M)
     target = adjoint_block(build_block(op, space, N, N))
@@ -312,7 +315,8 @@ def kernel_condition_probe(
     (N_w / D)^(-gamma), for every w; the numerators and denominators are
     stacked along a batch axis, so one short recurrence gives every point's
     series, and the weight's series, computed once per order, is convolved
-    in.  Per point, the order doubles up to the cap while the truncation
+    into the whole batch, which `tail_diagnostics` then judges column by
+    column.  Per point, the order doubles up to the cap while the truncation
     shows slow decay; only those points are expanded again.
     """
     if w_grid is None:
@@ -334,19 +338,14 @@ def kernel_condition_probe(
         psi = taylor(op.weight, m).coeffs
         nonzero = np.flatnonzero(psi)
         psi = psi[: nonzero[-1] + 1 if nonzero.size else 1]  # exact zeros add nothing
-        kern = rational_series(
-            "power", num[:, pending], den[:, pending], m, kernels[0].exponent
-        ).T.copy()
-        retry = []
-        for g, col in zip(pending, kern):
-            s = PowerSeries(np.convolve(psi, col)[: m + 1])
-            td = tail_diagnostics(s)
-            if td.slow_decay and m < KERNEL_PROBE_MAX_ORDER:
-                retry.append(g)
-                continue
-            lhs[g] = series_norm(s, space) ** 2
-            orders[g], slow[g] = m, td.slow_decay
-        pending = np.array(retry, dtype=int)
+        kern = rational_series("power", num[:, pending], den[:, pending], m, kernels[0].exponent)
+        series = _poly_mul(psi[:, None], kern, m)
+        td = tail_diagnostics(series)
+        done = ~td.slow_decay | (m >= KERNEL_PROBE_MAX_ORDER)
+        g = pending[done]
+        lhs[g] = (np.abs(series[:, done]) ** 2 * space.basis_norms_sq(m)[:, None]).sum(axis=0)
+        orders[g], slow[g] = m, td.slow_decay[done]
+        pending = pending[~done]
         m *= 2
     out = []
     for g, w in enumerate(ws):

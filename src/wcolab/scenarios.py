@@ -505,52 +505,48 @@ def _s8(ov: Overrides) -> tuple[list[CheckResult], dict]:
     return checks, {"N": N, "M": M, "M_quasinormal": Mq}
 
 
-def _s9(ov: Overrides) -> tuple[list[CheckResult], dict]:
+def _hyponormality_cases(ov: Overrides, scenario: str, cases) -> tuple[list[CheckResult], dict]:
+    """Pinned self-commutator ceiling and kernel witness for each
+    (space, label, operator) case; S9 and S10 differ only in their cases."""
     N, M = ov.order(16), ov.work(320)
     checks = []
-    for space in THREE_SPACES:
-        for label, m in S9_SYMBOLS:
-            op = composition(m)
-            ev = hyponormality_probe(op, space, N, M)
-            checks.append(
-                _below_ceiling(
-                    f"selfcommutator-min-eig.{space.label()}.{label}",
-                    ev.min_eig,
-                    f"S9.{space.label()}.{label}",
-                    certificate=ev.certificate,
-                )
+    for space, label, op in cases:
+        ev = hyponormality_probe(op, space, N, M)
+        checks.append(
+            _below_ceiling(
+                f"selfcommutator-min-eig.{space.label()}.{label}",
+                ev.min_eig,
+                f"{scenario}.{space.label()}.{label}",
+                certificate=ev.certificate,
             )
-            checks.append(
-                _kernel_witness(
-                    f"kernel-witness-min-chi.{space.label()}.{label}",
-                    kernel_condition_probe(op, space),
-                )
+        )
+        checks.append(
+            _kernel_witness(
+                f"kernel-witness-min-chi.{space.label()}.{label}",
+                kernel_condition_probe(op, space),
             )
+        )
     return checks, {"N": N, "M": M}
+
+
+def _s9(ov: Overrides) -> tuple[list[CheckResult], dict]:
+    return _hyponormality_cases(
+        ov,
+        "S9",
+        [(sp, label, composition(m)) for sp in THREE_SPACES for label, m in S9_SYMBOLS],
+    )
 
 
 def _s10(ov: Overrides) -> tuple[list[CheckResult], dict]:
-    N, M = ov.order(16), ov.work(320)
-    checks = []
-    for space in THREE_SPACES:
-        for psi_label, weight in s10_weights(space):
-            op = weighted(weight, AFFINE_HALF)
-            ev = hyponormality_probe(op, space, N, M)
-            checks.append(
-                _below_ceiling(
-                    f"selfcommutator-min-eig.{space.label()}.{psi_label}",
-                    ev.min_eig,
-                    f"S10.{space.label()}.{psi_label}",
-                    certificate=ev.certificate,
-                )
-            )
-            checks.append(
-                _kernel_witness(
-                    f"kernel-witness-min-chi.{space.label()}.{psi_label}",
-                    kernel_condition_probe(op, space),
-                )
-            )
-    return checks, {"N": N, "M": M}
+    return _hyponormality_cases(
+        ov,
+        "S10",
+        [
+            (sp, label, weighted(weight, AFFINE_HALF))
+            for sp in THREE_SPACES
+            for label, weight in s10_weights(sp)
+        ],
+    )
 
 
 def _s11(ov: Overrides) -> tuple[list[CheckResult], dict]:

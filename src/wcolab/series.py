@@ -25,7 +25,6 @@ position) are checked at construction time.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -279,16 +278,18 @@ def _num_den(e: AnalyticExpr, M: int) -> tuple:
     return _taylor(e, M), (1 + 0j,)
 
 
-def _poly_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product of polynomials stored along axis 0, batched along axis 1.
+def _poly_mul(a: np.ndarray, b: np.ndarray, M: int | None = None) -> np.ndarray:
+    """Product of polynomials stored along axis 0, batched along axis 1,
+    through z**M when M is given (no row past it is formed).
 
     The products come from einsum, which rounds each from its real parts
     whatever the batch length (see `rational_series`); one row of a is
     multiplied in at a time, so a long factor costs no len(a) x len(b) array.
     """
-    out = np.zeros((len(a) + len(b) - 1, b.shape[1]), dtype=np.complex128)
-    for i in range(len(a)):
-        out[i : i + len(b)] += np.einsum("g,jg->jg", a[i], b)
+    rows = len(a) + len(b) - 1 if M is None else min(len(a) + len(b) - 1, M + 1)
+    out = np.zeros((rows, max(a.shape[1], b.shape[1])), dtype=np.complex128)
+    for i in range(min(len(a), rows)):
+        out[i : i + len(b)] += np.einsum("g,jg->jg", a[i], b[: rows - i])
     return out
 
 
@@ -296,7 +297,7 @@ def _poly_pow(a: np.ndarray, k: int, M: int) -> np.ndarray:
     """a**k for polynomials along axis 0, truncated after z**M."""
     out = np.ones((1, a.shape[1]), dtype=np.complex128)
     for _ in range(k):
-        out = _poly_mul(out, a)[: M + 1]
+        out = _poly_mul(out, a, M)
     return out
 
 
@@ -433,20 +434,28 @@ def eliminate_precompose(e: AnalyticExpr) -> AnalyticExpr:
     a rational function to a quotient of two such sums; all other nodes
     commute with substitution.
     """
+    return _eliminate(e, ())
+
+
+def _eliminate(e: AnalyticExpr, maps: tuple[MoebiusMap, ...]) -> AnalyticExpr:
+    """One walk down the tree carrying the substitutions pending on e,
+    innermost first; they are made at the polynomial and rational leaves."""
     if isinstance(e, PrecomposeMoebius):
-        return _push_moebius(eliminate_precompose(e.inner), e.map)
+        return _eliminate(e.inner, (e.map,) + maps)
     if isinstance(e, (Poly, Rational)):
+        for m in maps:
+            e = _substitute(e, m)
         return e
     if isinstance(e, Power):
-        return Power(eliminate_precompose(e.base), e.exponent)
+        return Power(_eliminate(e.base, maps), e.exponent)
     if isinstance(e, Exp):
-        return Exp(eliminate_precompose(e.arg))
+        return Exp(_eliminate(e.arg, maps))
     if isinstance(e, Sum):
-        return Sum(tuple(eliminate_precompose(t) for t in e.terms))
+        return Sum(tuple(_eliminate(t, maps) for t in e.terms))
     if isinstance(e, Product):
-        return Product(tuple(eliminate_precompose(f) for f in e.factors))
+        return Product(tuple(_eliminate(f, maps) for f in e.factors))
     if isinstance(e, Scale):
-        return Scale(e.factor, eliminate_precompose(e.inner))
+        return Scale(e.factor, _eliminate(e.inner, maps))
     raise InputError(f"unknown expression node {type(e).__name__}")
 
 
@@ -474,77 +483,67 @@ def _substitute_poly(coeffs: tuple[complex, ...], m: MoebiusMap, D: int) -> np.n
     return out
 
 
-def _push_moebius(e: AnalyticExpr, m: MoebiusMap) -> AnalyticExpr:
-    if abs(m.d) <= _ZERO_REL * m.coeff_scale():
-        raise PoleAtOriginError("linear fractional map has its pole at 0")
+def _substitute(e: Poly | Rational, m: MoebiusMap) -> Poly | Rational:
+    """The leaf e(m(z)) as a rational function; a constant stays as it is."""
     if isinstance(e, Poly):
         D = e.degree
         if D == 0:
             return e
-        P, Q = _lf_numden(m)
         num = _substitute_poly(e.coeffs, m, D)
-        den = Q
+        den = Q = _lf_numden(m)[1]
         for _ in range(D - 1):
             den = np.convolve(den, Q)
         return Rational(Poly(tuple(num)), Poly(tuple(den)))
-    if isinstance(e, Rational):
-        D = max(e.num.degree, e.den.degree)
-        if D == 0:
-            return e
-        num = _substitute_poly(e.num.coeffs, m, D)
-        den = _substitute_poly(e.den.coeffs, m, D)
-        return Rational(Poly(tuple(num)), Poly(tuple(den)))
-    if isinstance(e, Power):
-        return Power(_push_moebius(e.base, m), e.exponent)
-    if isinstance(e, Exp):
-        return Exp(_push_moebius(e.arg, m))
-    if isinstance(e, Sum):
-        return Sum(tuple(_push_moebius(t, m) for t in e.terms))
-    if isinstance(e, Product):
-        return Product(tuple(_push_moebius(f, m) for f in e.factors))
-    if isinstance(e, Scale):
-        return Scale(e.factor, _push_moebius(e.inner, m))
-    raise InputError(f"unknown expression node {type(e).__name__}")
+    D = max(e.num.degree, e.den.degree)
+    if D == 0:
+        return e
+    num = _substitute_poly(e.num.coeffs, m, D)
+    den = _substitute_poly(e.den.coeffs, m, D)
+    return Rational(Poly(tuple(num)), Poly(tuple(den)))
 
 
-# -- norms and tail diagnostics ----------------------------------------------
-
-
-def series_norm(s: PowerSeries, space) -> float:
-    """Norm sqrt(sum |c_n|^2 ||z^n||^2) of the truncation in the given space."""
-    weights = space.basis_norms_sq(s.order)
-    return float(math.sqrt(float(np.sum(np.abs(s.coeffs) ** 2 * weights))))
+# -- tail diagnostics ---------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class TailDiagnostics:
-    ratio: float  # per-coefficient geometric decay estimate from the two halves
-    bound: float  # crude bound on the l2 mass beyond the truncation
-    slow_decay: bool
+    """Floats for one series, arrays over the batch axis for several."""
+
+    ratio: float | np.ndarray  # per-coefficient geometric decay from the two halves
+    bound: float | np.ndarray  # crude bound on the l2 mass beyond the truncation
+    slow_decay: bool | np.ndarray
 
 
-def tail_diagnostics(s: PowerSeries) -> TailDiagnostics:
-    c = s.coeffs
-    M = len(c) - 1
-    if M < 16:
+def tail_diagnostics(coeffs: np.ndarray) -> TailDiagnostics:
+    """Decay ratio, tail bound and slow-decay flag of truncated series.
+
+    `coeffs` holds Taylor coefficients c_0 .. c_M along axis 0, optionally
+    with a trailing batch axis (the convention of `rational_series`), and
+    needs M >= 16.  The ratio is the per-coefficient decay of the norms of
+    the two halves; the bound is geometric from the largest of the last
+    eight coefficients, infinite when the ratio is not below one.
+    """
+    c = np.asarray(coeffs, dtype=np.complex128)
+    rows = len(c)
+    if rows < 17:
         raise InputError("tail diagnostics need order at least 16")
-    h = (M + 1) // 2
-    front = float(np.linalg.norm(c[:h]))
-    tail = float(np.linalg.norm(c[h:]))
-    if tail == 0.0:
-        ratio = 0.0
-    elif front == 0.0:
-        ratio = 1.0
-    else:
-        ratio = (tail / front) ** (1.0 / (M + 1 - h))
-    a = float(np.max(np.abs(c[-8:])))
-    if 0.0 < ratio < 1.0:
-        bound = a * ratio / math.sqrt(1.0 - ratio * ratio)
-    elif ratio == 0.0:
-        bound = 0.0
-    else:
-        bound = math.inf
-    return TailDiagnostics(ratio, bound, ratio > SLOW_DECAY_RATIO)
+    x = c.reshape(rows, -1)
+    h = rows // 2
+    # column norms of the two halves; einsum on the real and imaginary views
+    # makes no temporary the size of x
+    front, tail = (
+        np.sqrt(np.einsum("ij,ij->j", y.real, y.real) + np.einsum("ij,ij->j", y.imag, y.imag))
+        for y in (x[:h], x[h:])
+    )
+    last = np.max(np.abs(x[-8:]), axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(front == 0.0, 1.0, (tail / front) ** (1.0 / (rows - h)))
+        ratio = np.where(tail == 0.0, 0.0, ratio)
+        bound = np.where(ratio < 1.0, last * ratio / np.sqrt(1.0 - ratio * ratio), np.inf)
+    slow = ratio > SLOW_DECAY_RATIO
+    if c.ndim == 1:
+        return TailDiagnostics(float(ratio[0]), float(bound[0]), bool(slow[0]))
+    return TailDiagnostics(ratio, bound, slow)
 
 
 # -- serialization ------------------------------------------------------------

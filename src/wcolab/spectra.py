@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InputError
 from .mobius import parabolic_from
-from .opmat import OperatorSpec, TruncatedBlock, build_block, default_internal_order
+from .opmat import OperatorSpec, TruncatedBlock, build_block, working_order
 from .series import (
     AnalyticExpr,
     Exp,
@@ -159,10 +159,7 @@ def spectral_radius_estimate(
     """
     if N < 0 or k_max < 1:
         raise InputError("need N >= 0 and k_max >= 1")
-    if M is None:
-        M = default_internal_order(N, [op])
-    if M < N:
-        raise InputError("working order must be at least N")
+    M = working_order(N, [op], M, least=N)
     s = build_block(op, space, M, M).entries
     x = np.ascontiguousarray(s[:, : N + 1])
     vals = []

@@ -117,6 +117,16 @@ def test_block_json_is_strict_json_without_a_tail_estimate(capsys):
     assert (payload["row_order"], payload["col_order"]) == (12, 4)
 
 
+def test_probe_json_is_strict_json_without_a_tail_bound(capsys):
+    # below 17 rows the Gram pair's tail bound is infinite: written as null
+    code = run_cli(["probe", "--map", AFFINE_JSON, "--order", "4", "--tail", "12", "--json", "-"])
+    out = capsys.readouterr().out
+    assert code == 0
+    payload = _strict_json(out[out.index("{") :])
+    assert payload["tail_bound"] is None
+    assert "tail-bound-unavailable" in payload["flags"]
+
+
 def test_block_requires_exactly_one_operator(capsys):
     code = run_cli(["block", "--map", HALF_SHIFT_JSON, "--weight", PSI_JSON])
     assert code == 2

@@ -12,14 +12,12 @@ from wcolab.errors import (
 from wcolab.mobius import MoebiusMap, rotation
 from wcolab.opmat import (
     OperatorSpec,
-    _column_tails,
     adjoint_block,
     adjoint_letter,
     block_to_csv,
     build_block,
     composition,
     cowen_adjoint_word,
-    default_internal_order,
     gram_blocks,
     is_boundary_touching,
     operator_norm_estimate,
@@ -28,11 +26,12 @@ from wcolab.opmat import (
     weighted,
     wide_block,
     word_block,
+    working_order,
 )
+from wcolab.probes import quasinormality_defect
 from wcolab.series import (
     Exp,
     Poly,
-    PowerSeries,
     PrecomposeMoebius,
     Product,
     Rational,
@@ -40,6 +39,7 @@ from wcolab.series import (
     taylor,
 )
 from wcolab.space import bergman, hardy
+from wcolab.spectra import spectral_radius_estimate
 
 HALF_SHIFT = MoebiusMap(1, 0, -1, 2)   # z/(2-z)
 AFFINE_HALF = MoebiusMap(1, 1, 0, 2)   # (z+1)/2
@@ -194,7 +194,7 @@ def test_blocks_equal_explicit_power_convolutions():
         assert np.isnan(blk.tail_estimate)
 
 
-def test_column_tails_match_tail_diagnostics_per_column():
+def test_batched_tail_diagnostics_match_each_column():
     cols = [
         build_block(weighted(PSI_HALF, HALF_SHIFT), bergman(1.0), 12, 63).entries,
         build_block(composition(INTERIOR_MAP), hardy(), 12, 40).entries,
@@ -210,14 +210,12 @@ def test_column_tails_match_tail_diagnostics_per_column():
         ),
     ]
     for entries in cols:
-        bounds, slow = _column_tails(entries)
+        batch = tail_diagnostics(entries)
         for j in range(entries.shape[1]):
-            td = tail_diagnostics(PowerSeries(entries[:, j]))
-            assert bool(slow[j]) == td.slow_decay
-            if np.isfinite(td.bound):
-                assert abs(bounds[j] - td.bound) <= 1e-12 * td.bound
-            else:
-                assert bounds[j] == td.bound
+            td = tail_diagnostics(entries[:, j])
+            assert bool(batch.slow_decay[j]) == td.slow_decay
+            assert batch.ratio[j] == td.ratio
+            assert batch.bound[j] == td.bound
 
 
 def test_word_block_enforces_order_policy():
@@ -284,10 +282,32 @@ def test_boundary_touching_and_order_policy():
     assert is_boundary_touching(composition(AFFINE_HALF))
     assert not is_boundary_touching(composition(INTERIOR_MAP))
     n = 16
-    inner = default_internal_order(n, (composition(INTERIOR_MAP),))
-    touching = default_internal_order(n, (composition(HALF_SHIFT),))
+    inner = working_order(n, (composition(INTERIOR_MAP),))
+    touching = working_order(n, (composition(HALF_SHIFT),))
     assert inner >= 2 * n
     assert touching == 2 * inner
+
+
+def test_working_order_default_and_least():
+    inner, touching = (composition(INTERIOR_MAP),), (composition(HALF_SHIFT),)
+    for n in range(201):
+        M = working_order(n, inner)
+        assert M >= 2 * n + 16
+        assert working_order(n, touching) == 2 * M
+        # the default passes every consumer's least
+        assert working_order(n, inner, least=2 * n + 16) == M
+        assert working_order(n, inner, 2 * n) == 2 * n
+    with pytest.raises(OrderPolicyError):
+        working_order(8, inner, 15)
+    with pytest.raises(OrderPolicyError):
+        working_order(8, inner, 31, least=32)
+    with pytest.raises(OrderPolicyError):
+        gram_blocks(composition(INTERIOR_MAP), hardy(), 8, 15)
+    with pytest.raises(OrderPolicyError):
+        quasinormality_defect(composition(INTERIOR_MAP), hardy(), 8, 31)
+    with pytest.raises(OrderPolicyError):
+        spectral_radius_estimate(composition(INTERIOR_MAP), hardy(), 8, 3, M=7)
+    assert len(spectral_radius_estimate(composition(INTERIOR_MAP), hardy(), 8, 3, M=8)) == 3
 
 
 def test_operator_spec_validation():

@@ -5,7 +5,7 @@ import pytest
 
 from wcolab.errors import OrderPolicyError
 from wcolab.mobius import MoebiusMap, rotation
-from wcolab.opmat import composition, plain, toeplitz, weighted
+from wcolab.opmat import composition, gram_blocks, plain, toeplitz, weighted
 from wcolab.probes import (
     KERNEL_PROBE_MAX_ORDER,
     KERNEL_PROBE_ORDER,
@@ -22,6 +22,7 @@ from wcolab.probes import (
     unitary_defect,
 )
 from wcolab.series import (
+    Exp,
     Poly,
     PrecomposeMoebius,
     Product,
@@ -29,7 +30,6 @@ from wcolab.series import (
     Scale,
     constant,
     evaluate,
-    series_norm,
     tail_diagnostics,
     taylor,
 )
@@ -111,6 +111,18 @@ def test_hyponormality_probe_reports_tail_bound():
     ev = hyponormality_probe(composition(HALF_SHIFT), hardy(), 8, 160)
     assert ev.tail_bound is not None and ev.tail_bound >= 0.0
     assert ev.N == 8 and ev.M == 160
+
+
+def test_tail_below_order_16_is_unknown_not_zero():
+    # below 17 rows the tall block's tail cannot be judged, so the pair's
+    # bound is infinite and a negative eigenvalue certifies nothing
+    op = composition(AFFINE_HALF)
+    for M in (8, 12, 15):
+        assert gram_blocks(op, hardy(), 4, M).tail_bound == np.inf
+        ev = hyponormality_probe(op, hardy(), 4, M)
+        assert ev.min_eig < -0.4 and not ev.certificate
+        assert "tail-bound-unavailable" in defect_report(op, hardy(), 4, M).flags
+    assert hyponormality_probe(op, hardy(), 4, 16).certificate
 
 
 def test_quasinormality_defect_order_policy():
@@ -209,12 +221,12 @@ def _per_point_probe(op, space, w, order):
     expr = Product((op.weight, PrecomposeMoebius(kernel_expr(space, w), op.symbol)))
     m = order
     while True:
-        s = taylor(expr, m)
+        s = taylor(expr, m).coeffs
         td = tail_diagnostics(s)
         if not td.slow_decay or m >= KERNEL_PROBE_MAX_ORDER:
             break
         m *= 2
-    lhs = series_norm(s, space) ** 2
+    lhs = float(np.sum(np.abs(s) ** 2 * space.basis_norms_sq(m)))
     rhs = abs(evaluate(op.weight, w)) ** 2 * kernel_norm_sq(space, op.symbol.apply(w))
     return lhs - rhs, lhs, m, td.slow_decay
 
@@ -237,6 +249,8 @@ def test_batched_kernel_probe_matches_per_point_path_s9_s10():
         ops = [composition(AFFINE_HALF), composition(THREE_POINT)]
         for weight in (constant(1.0), Poly((1, -1)), kernel_expr(sp, 0.0)):
             ops.append(weighted(weight, AFFINE_HALF))
+        # a weight whose series has full length
+        ops.append(weighted(Product((Exp(Poly((0, 1))), PSI_HALF)), HALF_SHIFT))
         for op in ops:
             _assert_batched_matches_per_point(op, sp, grid, KERNEL_PROBE_ORDER)
 

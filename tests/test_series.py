@@ -14,7 +14,6 @@ from wcolab.opmat import build_block, composition
 from wcolab.series import (
     Exp,
     Poly,
-    PowerSeries,
     PrecomposeMoebius,
     Power,
     Product,
@@ -28,7 +27,6 @@ from wcolab.series import (
     expr_to_json,
     monomial,
     rational_series,
-    series_norm,
     tail_diagnostics,
     taylor,
 )
@@ -139,12 +137,23 @@ def test_precompose_evaluates_as_composition():
 
 
 def test_eliminate_precompose_poly():
-    e = PrecomposeMoebius(Poly((1, 2, 3)), HALF_SHIFT)
-    flat = eliminate_precompose(e)
-    s = taylor(flat, 25)
-    oracle = dft_coeffs(lambda z: 1 + 2 * (z / (2 - z)) + 3 * (z / (2 - z)) ** 2, 25)
-    assert_series_close(s.coeffs, oracle, 1e-10)
-    assert "Precompose" not in type(flat).__name__
+    def p(w):
+        return 1 + 2 * w + 3 * w * w
+
+    def half(z):
+        return z / (2 - z)
+
+    inner = PrecomposeMoebius(Poly((1, 2, 3)), MoebiusMap(1, 1, 0, 3))
+    cases = (
+        (PrecomposeMoebius(Poly((1, 2, 3)), HALF_SHIFT), lambda z: p(half(z))),
+        # two nested maps: the inner one is substituted first
+        (PrecomposeMoebius(inner, HALF_SHIFT), lambda z: p((half(z) + 1) / 3)),
+    )
+    for e, direct in cases:
+        flat = eliminate_precompose(e)
+        s = taylor(flat, 25)
+        assert_series_close(s.coeffs, dft_coeffs(direct, 25), 1e-10)
+        assert "Precompose" not in type(flat).__name__
 
 
 def test_eliminate_precompose_nested():
@@ -203,32 +212,31 @@ def test_moebius_powers_match_pointwise():
         assert_series_close(powers[:, k], oracle, 1e-10)
 
 
-def test_series_norm_hardy_and_bergman():
-    s = PowerSeries(np.array([3.0, 4.0], dtype=complex))
-    assert abs(series_norm(s, hardy()) - 5.0) < 1e-14
+def test_space_norm_of_a_series_hardy_and_bergman():
+    c = np.array([3.0, 4.0], dtype=complex)
+    # the kernel probe's ||f||^2 = sum |c_n|^2 ||z^n||^2
+    assert abs(np.sum(np.abs(c) ** 2 * hardy().basis_norms_sq(1)) - 25.0) < 1e-14
     # bergman alpha=0: ||1||=1, ||z||^2=1/2
-    assert abs(series_norm(s, bergman(0.0)) - np.sqrt(9 + 16 / 2)) < 1e-14
+    assert abs(np.sum(np.abs(c) ** 2 * bergman(0.0).basis_norms_sq(1)) - (9 + 16 / 2)) < 1e-14
 
 
 def test_tail_diagnostics_geometric_decay():
     n = 64
     r = 0.5
-    s = PowerSeries(r ** np.arange(n + 1, dtype=float) + 0j)
-    d = tail_diagnostics(s)
+    d = tail_diagnostics(r ** np.arange(n + 1, dtype=float) + 0j)
     assert abs(d.ratio - r) < 0.05
     assert not d.slow_decay
     assert d.bound < 1e-8
 
 
 def test_tail_diagnostics_flags_slow_decay():
-    s = PowerSeries(0.99 ** np.arange(65, dtype=float) + 0j)
-    d = tail_diagnostics(s)
+    d = tail_diagnostics(0.99 ** np.arange(65, dtype=float) + 0j)
     assert d.slow_decay
 
 
 def test_tail_diagnostics_needs_enough_coefficients():
     with pytest.raises(InputError):
-        tail_diagnostics(PowerSeries(np.ones(8, dtype=complex)))
+        tail_diagnostics(np.ones(8, dtype=complex))
 
 
 def test_expr_json_roundtrip():
