@@ -20,6 +20,8 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import (
     DegenerateMapError,
     InputError,
@@ -73,20 +75,22 @@ class MoebiusMap:
     def determinant(self) -> complex:
         return self.a * self.d - self.b * self.c
 
-    def __call__(self, z: complex) -> complex:
-        return self.apply(z)
+    def apply(self, z):
+        """Evaluate on the extended plane at a point z, or elementwise at an
+        array z: poles go to INFINITY, INFINITY to a/c.
 
-    def apply(self, z: complex) -> complex:
-        """Evaluate on the extended plane: poles go to INFINITY, INFINITY to a/c."""
-        if is_infinity(z):
-            if self._c_is_zero():
-                return INFINITY
-            return self.a / self.c
-        z = _as_complex(z)
-        den = self.c * z + self.d
-        if abs(den) <= _ZERO_REL * self.coeff_scale() * max(1.0, abs(z)):
-            return INFINITY
-        return (self.a * z + self.b) / den
+        A scalar gives a complex and an array an array of its shape; a
+        scalar is evaluated as a one-point array.
+        """
+        zs = np.asarray(z, dtype=np.complex128)
+        x = np.atleast_1d(zs)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            den = self.c * x + self.d
+            pole = np.abs(den) <= _ZERO_REL * self.coeff_scale() * np.maximum(1.0, np.abs(x))
+            out = np.where(pole, INFINITY, (self.a * x + self.b) / den)
+        at_infinity = INFINITY if self._c_is_zero() else self.a / self.c
+        out = np.where(np.isfinite(x), out, at_infinity)
+        return complex(out[0]) if zs.ndim == 0 else out
 
     def compose(self, other: "MoebiusMap") -> "MoebiusMap":
         """Return self o other (apply `other` first)."""

@@ -54,9 +54,10 @@ from .space import SpaceSpec
 
 _EXPR_TYPES = (Poly, Rational, Power, Exp, Sum, Product, Scale, PrecomposeMoebius)
 
-#: Number of sample points and radius for the weight boundedness spot check.
-WEIGHT_GRID_POINTS = 512
-WEIGHT_GRID_RADIUS = 0.999
+#: The circle |z| = 0.999, 512 points, on which every weight is spot-checked
+#: for boundedness, and the cap on |weight| there.
+WEIGHT_GRID = 0.999 * np.exp(2j * np.pi * np.arange(512) / 512)
+WEIGHT_GRID.flags.writeable = False
 WEIGHT_BOUND_CAP = 1e12
 
 #: Distance from the unit circle below which a symbol counts as touching it.
@@ -73,9 +74,10 @@ class OperatorSpec:
     """Weighted composition operator f -> weight * (f o symbol).
 
     symbol None means no composition (analytic Toeplitz operator).  The
-    weight is spot-checked for boundedness on a circle of radius just under
-    one; a sample above the cap (or a pole on the grid) is rejected, which
-    catches honest mistakes but is not a boundedness proof.
+    weight is evaluated once over WEIGHT_GRID, a circle of radius just
+    under one; a pole on the grid, or a value above the cap or not finite
+    (an overflow), is rejected, which catches honest mistakes but is not a
+    boundedness proof.
     """
 
     weight: AnalyticExpr
@@ -116,23 +118,12 @@ class OperatorSpec:
 
 
 def _check_weight_bounded(weight: AnalyticExpr) -> None:
-    zs = WEIGHT_GRID_RADIUS * np.exp(
-        2j * np.pi * np.arange(WEIGHT_GRID_POINTS) / WEIGHT_GRID_POINTS
-    )
-    for z in zs:
-        try:
-            v = evaluate(weight, complex(z))
-        except InputError as exc:
-            raise UnboundedWeightError(f"weight has a pole near the unit circle: {exc}")
-        except OverflowError:
-            raise UnboundedWeightError(
-                f"weight overflows near the unit circle (cap {WEIGHT_BOUND_CAP:g})"
-            )
-        av = abs(v)
-        if not np.isfinite(av) or av > WEIGHT_BOUND_CAP:
-            raise UnboundedWeightError(
-                f"weight exceeds {WEIGHT_BOUND_CAP:g} on the sample circle"
-            )
+    try:
+        v = np.abs(evaluate(weight, WEIGHT_GRID))
+    except InputError as exc:
+        raise UnboundedWeightError(f"weight has a pole near the unit circle: {exc}")
+    if not np.all(v <= WEIGHT_BOUND_CAP):  # an overflow gives inf or nan
+        raise UnboundedWeightError(f"weight exceeds {WEIGHT_BOUND_CAP:g} on the sample circle")
 
 
 def composition(symbol: MoebiusMap) -> OperatorSpec:
@@ -185,19 +176,20 @@ class TruncatedBlock:
 
     entries: np.ndarray
     space: SpaceSpec
-    row_order: int
-    col_order: int
     tail_flag: bool
     tail_estimate: float
 
     def __post_init__(self) -> None:
         arr = np.ascontiguousarray(np.asarray(self.entries, dtype=np.complex128))
-        if arr.shape != (self.row_order + 1, self.col_order + 1):
-            raise InputError("block shape does not match the declared orders")
         object.__setattr__(self, "entries", arr)
 
-    def entry(self, i: int, j: int) -> complex:
-        return complex(self.entries[i, j])
+    @property
+    def row_order(self) -> int:
+        return self.entries.shape[0] - 1
+
+    @property
+    def col_order(self) -> int:
+        return self.entries.shape[1] - 1
 
     def square(self) -> np.ndarray:
         """Leading square part, order min(row_order, col_order)."""
@@ -261,18 +253,13 @@ def build_block(
     if M >= 16:
         td = tail_diagnostics(entries)
         slow, worst = bool(td.slow_decay.any()), float(td.bound.max())
-    return TruncatedBlock(entries, space, M, N, is_boundary_touching(op) or slow, worst)
+    return TruncatedBlock(entries, space, is_boundary_touching(op) or slow, worst)
 
 
 def adjoint_block(block: TruncatedBlock) -> TruncatedBlock:
     """Conjugate transpose; exact because P A* P = (P A P)* for compressions."""
     return TruncatedBlock(
-        block.entries.conj().T,
-        block.space,
-        block.col_order,
-        block.row_order,
-        block.tail_flag,
-        block.tail_estimate,
+        block.entries.conj().T, block.space, block.tail_flag, block.tail_estimate
     )
 
 
@@ -284,7 +271,7 @@ def wide_block(
     if N < 0 or M < 0:
         raise InputError("orders must be nonnegative")
     entries = _columns(op, space, N, M)
-    return TruncatedBlock(entries, space, N, M, is_boundary_touching(op), float("nan"))
+    return TruncatedBlock(entries, space, is_boundary_touching(op), float("nan"))
 
 
 @dataclass(frozen=True)
@@ -327,9 +314,7 @@ def word_block(
         mat = blk.entries.conj().T if w.adjoint else blk.entries
         prod = mat if prod is None else mat @ prod
         flag = flag or blk.tail_flag
-    return TruncatedBlock(
-        np.ascontiguousarray(prod[: N + 1, : N + 1]), space, N, N, flag, float("nan")
-    )
+    return TruncatedBlock(prod[: N + 1, : N + 1], space, flag, float("nan"))
 
 
 @dataclass(frozen=True, eq=False)

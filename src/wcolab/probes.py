@@ -27,7 +27,6 @@ from .opmat import (
     GramPair,
     OperatorSpec,
     OperatorWord,
-    TruncatedBlock,
     adjoint_block,
     build_block,
     gram_blocks,
@@ -38,10 +37,8 @@ from .opmat import (
     working_order,
 )
 from .series import (
-    PrecomposeMoebius,
-    _num_den,
     _poly_mul,
-    eliminate_precompose,
+    _substitute_poly,
     evaluate,
     rational_series,
     tail_diagnostics,
@@ -310,14 +307,15 @@ def kernel_condition_probe(
     is not slow-decaying at KERNEL_PROBE_MAX_ORDER: there the undercount is
     unbounded (see `certified_min_chi`).
 
-    The whole grid is expanded at once.  Eliminating the precomposition in
-    K_w o symbol (`kernel_expr`) leaves a power of a rational function,
-    (N_w / D)^(-gamma), for every w; the numerators and denominators are
-    stacked along a batch axis, so one short recurrence gives every point's
+    The whole grid is expanded at once.  K_w o symbol is (N_w / D)^(-gamma)
+    with D = d + cz the same for every w: the bases of the kernels
+    (`kernel_expr`) are stacked along a batch axis and substituted in one
+    `_substitute_poly` call, so one short recurrence gives every point's
     series, and the weight's series, computed once per order, is convolved
     into the whole batch, which `tail_diagnostics` then judges column by
     column.  Per point, the order doubles up to the cap while the truncation
-    shows slow decay; only those points are expanded again.
+    shows slow decay; only those points are expanded again.  The second
+    term is one array evaluation over the grid.
     """
     if w_grid is None:
         w_grid = default_kernel_grid()
@@ -327,9 +325,10 @@ def kernel_condition_probe(
     if not ws.size:
         return []
     phi = MoebiusMap(1, 0, 0, 1) if op.symbol is None else op.symbol
-    kernels = [eliminate_precompose(PrecomposeMoebius(kernel_expr(space, w), phi)) for w in ws]
+    kernels = [kernel_expr(space, w) for w in ws]
+    num = _substitute_poly(np.array([k.base.coeffs for k in kernels]).T, phi, 1)
+    den = np.array([phi.d, phi.c])
     m = int(order)
-    num, den = (np.array(part).T for part in zip(*(_num_den(k.base, m) for k in kernels)))
     lhs = np.zeros(len(ws))
     orders = np.zeros(len(ws), dtype=int)
     slow = np.zeros(len(ws), dtype=bool)
@@ -338,7 +337,7 @@ def kernel_condition_probe(
         psi = taylor(op.weight, m).coeffs
         nonzero = np.flatnonzero(psi)
         psi = psi[: nonzero[-1] + 1 if nonzero.size else 1]  # exact zeros add nothing
-        kern = rational_series("power", num[:, pending], den[:, pending], m, kernels[0].exponent)
+        kern = rational_series("power", num[:, pending], den, m, kernels[0].exponent)
         series = _poly_mul(psi[:, None], kern, m)
         td = tail_diagnostics(series)
         done = ~td.slow_decay | (m >= KERNEL_PROBE_MAX_ORDER)
@@ -347,12 +346,11 @@ def kernel_condition_probe(
         orders[g], slow[g] = m, td.slow_decay[done]
         pending = pending[~done]
         m *= 2
-    out = []
-    for g, w in enumerate(ws):
-        w = complex(w)
-        rhs = abs(evaluate(op.weight, w)) ** 2 * kernel_norm_sq(space, phi.apply(w))
-        out.append(KernelProbePoint(w, float(lhs[g] - rhs), int(orders[g]), bool(slow[g])))
-    return out
+    chi = lhs - np.abs(evaluate(op.weight, ws)) ** 2 * kernel_norm_sq(space, phi.apply(ws))
+    return [
+        KernelProbePoint(complex(w), float(c), int(o), bool(s))
+        for w, c, o, s in zip(ws, chi, orders, slow)
+    ]
 
 
 def certified_min_chi(points: list[KernelProbePoint]) -> float | None:

@@ -19,12 +19,12 @@ composition is ever performed.  Then:
   * products by Cauchy convolution.
 
 All constant-term constraints (nonzero denominators and power bases, branch
-position) are checked at construction time.
+position) are checked at construction time.  `evaluate` takes one point or
+an array of points.
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from typing import Union
 
@@ -94,14 +94,7 @@ class Power:
                 raise InputError("power exponent must be real")
             exp = exp.real
         object.__setattr__(self, "exponent", float(exp))
-        b0 = evaluate(self.base, 0.0)
-        if abs(b0) == 0.0:
-            raise InputError("power base vanishes at the expansion point 0")
-        if not float(self.exponent).is_integer():
-            if b0.real < 0.0 and abs(b0.imag) <= _ZERO_REL * abs(b0):
-                raise BranchError(
-                    "non-integer power of a base whose constant term lies on the branch cut"
-                )
+        _power_constant(np.asarray(evaluate(self.base, 0.0)), self.exponent)
 
 
 @dataclass(frozen=True)
@@ -159,57 +152,60 @@ def constant(value: complex) -> Poly:
     return Poly((complex(value),))
 
 
-def monomial(n: int, coeff: complex = 1.0) -> Poly:
-    if n < 0:
-        raise InputError("monomial degree must be nonnegative")
-    return Poly((0j,) * n + (complex(coeff),))
-
-
 # -- numeric evaluation ----------------------------------------------------
 
 
-def evaluate(e: AnalyticExpr, z: complex) -> complex:
-    """Evaluate the expression at a single finite point.
+def evaluate(e: AnalyticExpr, z):
+    """Value of the expression at a point z, or elementwise at an array z.
 
-    Powers with non-integer exponent use the principal branch pointwise, so
-    away from the expansion point this may differ from the analytic
-    continuation of the series by a branch jump; series work never relies on
-    pointwise values except at 0.
+    A scalar gives a complex and an array an array of its shape; a scalar
+    is evaluated as a one-point array, by the same array operations.  A
+    pole raises InputError; an overflow gives a non-finite value.  Powers
+    with non-integer exponent use the principal branch pointwise, so away
+    from the expansion point this may differ from the analytic continuation
+    of the series by a branch jump; series work never relies on pointwise
+    values except at 0.
     """
-    z = complex(z)
+    zs = np.asarray(z, dtype=np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _evaluate(e, np.atleast_1d(zs))
+    return complex(out[0]) if zs.ndim == 0 else out
+
+
+def _evaluate(e: AnalyticExpr, z: np.ndarray) -> np.ndarray:
     if isinstance(e, Poly):
-        acc = 0j
+        acc = np.zeros_like(z)
         for c in reversed(e.coeffs):
             acc = acc * z + c
         return acc
     if isinstance(e, Rational):
-        den = evaluate(e.den, z)
-        if abs(den) == 0.0:
+        den = _evaluate(e.den, z)
+        if (den == 0.0).any():
             raise InputError("evaluation at a pole of a rational expression")
-        return evaluate(e.num, z) / den
+        return _evaluate(e.num, z) / den
     if isinstance(e, Power):
-        b = evaluate(e.base, z)
-        if float(e.exponent).is_integer():
+        b = _evaluate(e.base, z)
+        if e.exponent.is_integer():
             n = int(e.exponent)
-            if n < 0 and abs(b) == 0.0:
+            if n < 0 and (b == 0.0).any():
                 raise InputError("negative power of zero")
             return b ** n
-        if abs(b) == 0.0:
+        if (b == 0.0).any():
             raise InputError("fractional power of zero")
-        return cmath.exp(e.exponent * cmath.log(b))
+        return np.exp(e.exponent * np.log(b))
     if isinstance(e, Exp):
-        return cmath.exp(evaluate(e.arg, z))
+        return np.exp(_evaluate(e.arg, z))
     if isinstance(e, Sum):
-        return sum(evaluate(t, z) for t in e.terms)
+        return sum(_evaluate(t, z) for t in e.terms)
     if isinstance(e, Product):
         acc = 1 + 0j
         for f in e.factors:
-            acc *= evaluate(f, z)
+            acc = acc * _evaluate(f, z)
         return acc
     if isinstance(e, Scale):
-        return e.factor * evaluate(e.inner, z)
+        return e.factor * _evaluate(e.inner, z)
     if isinstance(e, PrecomposeMoebius):
-        return evaluate(e.inner, e.map.apply(z))
+        return _evaluate(e.inner, e.map.apply(z))
     raise InputError(f"unknown expression node {type(e).__name__}")
 
 
@@ -412,11 +408,11 @@ def rational_series(kind: str, num, den, M: int, exponent: float = 1.0) -> np.nd
 
 def _power_constant(b0: np.ndarray, gamma: float) -> np.ndarray:
     """Principal value b0**gamma, rejecting a zero base and the branch cut."""
-    if np.any(b0 == 0.0):
+    if (b0 == 0.0).any():
         raise InputError("power base vanishes at the expansion point 0")
     if float(gamma).is_integer():
         return b0 ** int(gamma)
-    if np.any((b0.real < 0.0) & (np.abs(b0.imag) <= _ZERO_REL * np.abs(b0))):
+    if ((b0.real < 0.0) & (np.abs(b0.imag) <= _ZERO_REL * np.abs(b0))).any():
         raise BranchError(
             "non-integer power of a base whose constant term lies on the branch cut"
         )
@@ -466,21 +462,25 @@ def _lf_numden(m: MoebiusMap) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def _substitute_poly(coeffs: tuple[complex, ...], m: MoebiusMap, D: int) -> np.ndarray:
-    """Coefficients of sum(coeffs[k] P^k Q^(D-k)) for P = b+az, Q = d+cz."""
+def _substitute_poly(coeffs, m: MoebiusMap, D: int) -> np.ndarray:
+    """Coefficients of sum(coeffs[k] P^k Q^(D-k)) for P = b+az, Q = d+cz.
+
+    `coeffs` holds the polynomial's coefficients along axis 0, optionally
+    with a trailing batch axis (the convention of `rational_series`); the
+    result has D + 1 rows and the same batch axis.
+    """
+    c = np.asarray(coeffs, dtype=np.complex128)
+    x = c.reshape(len(c), -1)
     P, Q = _lf_numden(m)
     Ppow = [np.array([1.0 + 0j])]
     Qpow = [np.array([1.0 + 0j])]
     for _ in range(D):
         Ppow.append(np.convolve(Ppow[-1], P))
         Qpow.append(np.convolve(Qpow[-1], Q))
-    out = np.zeros(D + 1, dtype=np.complex128)
-    for k, ck in enumerate(coeffs):
-        if k > D:
-            break
-        term = np.convolve(Ppow[k], Qpow[D - k]) * ck
-        out[: len(term)] += term
-    return out
+    out = np.zeros((D + 1, x.shape[1]), dtype=np.complex128)
+    for k in range(min(len(x), D + 1)):
+        out += np.convolve(Ppow[k], Qpow[D - k])[:, None] * x[k]
+    return out if c.ndim == 2 else out[:, 0]
 
 
 def _substitute(e: Poly | Rational, m: MoebiusMap) -> Poly | Rational:

@@ -115,9 +115,12 @@ def kernel_expr(space: SpaceSpec, w: complex) -> AnalyticExpr:
     return Power(Poly((1.0, -w.conjugate())), -space.gamma)
 
 
-def kernel_norm_sq(space: SpaceSpec, w: complex) -> float:
-    """Exact squared norm ||K_w||^2 = (1 - |w|^2)^(-gamma)."""
-    w = complex(w)
-    if abs(w) >= 1.0:
+def kernel_norm_sq(space: SpaceSpec, w):
+    """Exact squared norm ||K_w||^2 = (1 - |w|^2)^(-gamma) at a point w, or
+    elementwise at an array w (a float, or an array of its shape)."""
+    ws = np.asarray(w, dtype=np.complex128)
+    r = np.abs(np.atleast_1d(ws))
+    if np.any(r >= 1.0):
         raise InputError("kernel point must lie in the open unit disk")
-    return float((1.0 - abs(w) ** 2) ** (-space.gamma))
+    out = (1.0 - r ** 2) ** (-space.gamma)
+    return float(out[0]) if ws.ndim == 0 else out

@@ -31,14 +31,19 @@ from wcolab.probes import (
 )
 from wcolab.scenarios import (
     AFFINE_HALF,
+    ETA,
     HALF_SHIFT,
+    HYPERBOLIC_AUTO,
     PSI_HALF,
     QUARTER_SHRINK,
+    T_GRID,
+    TAU,
     THREE_SPACES,
+    ZETA_GRID,
     load_thresholds,
     run_all,
 )
-from wcolab.series import Exp, Poly, Product, Rational, constant
+from wcolab.series import Exp, Poly, Product, constant
 from wcolab.space import bergman, hardy, kernel_expr
 from wcolab.spectra import DEFAULT_BETA_GRID, eigen_residual, spectral_radius_estimate
 
@@ -89,9 +94,7 @@ def test_criterion_2_halfshift_adjoint_and_contraction():
     direct = build_block(composition(sigma), sp, 24, 24)
     resid = float(np.linalg.norm(adj.entries - direct.entries, 2))
 
-    tau = MoebiusMap(2, 2, 1, 3)
-    eta = Rational(Poly((2,)), Poly((3, 1)))
-    word = (plain(toeplitz(eta)), plain(composition(tau)))
+    word = (plain(toeplitz(ETA)), plain(composition(TAU)))
     norms = [
         operator_norm_estimate(word_block(word, sp, n, max(160, 2 * n)))
         for n in (8, 16, 32)
@@ -176,12 +179,11 @@ def test_criterion_5_rotations_quasinormal_halfshift_not():
 
 
 def test_criterion_6_unitary_weighted_composition():
-    m = MoebiusMap(1, 0.5, 0.5, 1)
     worst = 0.0
     for sp in (hardy(), bergman(0.0)):
         g = sp.gamma
         weight = Product((constant(0.75 ** (g / 2.0)), kernel_expr(sp, -0.5)))
-        worst = max(worst, unitary_defect(weighted(weight, m), sp, 24, 200))
+        worst = max(worst, unitary_defect(weighted(weight, HYPERBOLIC_AUTO), sp, 24, 200))
     ok = worst <= 1e-6
     report(6, ok, f"unitary defect {worst:.3e} at N=24 M=200 (tol 1e-6)")
 
@@ -189,11 +191,9 @@ def test_criterion_6_unitary_weighted_composition():
 def test_criterion_7_parabolic_eigenfunctions_and_gelfand():
     budget = 30.0
     start = time.perf_counter()
-    zetas = (1.0, 1j, np.exp(1j * np.pi / 3.0))
-    ts = (1.0, 2.0, 1 + 0.5j, 0.3 + 2j)
     worst = 0.0
-    for zeta in zetas:
-        for t in ts:
+    for zeta in ZETA_GRID:
+        for t in T_GRID:
             for beta in DEFAULT_BETA_GRID:
                 worst = max(worst, eigen_residual(zeta, t, beta, 400))
     seq = spectral_radius_estimate(composition(PARABOLIC_ONE), hardy(), 48, 24)

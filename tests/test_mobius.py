@@ -48,6 +48,14 @@ def test_apply_matches_formula():
         z = complex(*rng.normal(size=2))
         expected = (m.a * z + m.b) / (m.c * z + m.d)
         assert abs(m.apply(z) - expected) < 1e-12 * max(1.0, abs(expected))
+    # an array is mapped elementwise; the pole z = 2 of z/(2-z) goes to INFINITY
+    zs = np.array([0.5, 2.0, -1j, INFINITY])
+    values = HALF_SHIFT.apply(zs)
+    assert values[1] == HALF_SHIFT.apply(2.0) == INFINITY
+    finite = [0, 2, 3]
+    scalars = [HALF_SHIFT.apply(z) for z in zs[finite]]
+    np.testing.assert_allclose(values[finite], scalars, rtol=1e-15, atol=0)
+    assert values[3] == -1.0  # INFINITY goes to a/c
 
 
 def test_compose_matches_pointwise():

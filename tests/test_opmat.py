@@ -317,6 +317,9 @@ def test_operator_spec_validation():
         weighted(PSI_HALF, "not a map")
     with pytest.raises(UnboundedWeightError):
         toeplitz(Exp(Rational(Poly((1, 1)), Poly((1, -1)))))
+    # an exact pole at the sample point 0.999
+    with pytest.raises(UnboundedWeightError):
+        toeplitz(Rational(Poly((1,)), Poly((0.999, -1))))
 
 
 def test_operator_spec_json_roundtrip():

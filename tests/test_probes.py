@@ -26,19 +26,22 @@ from wcolab.series import (
     Poly,
     PrecomposeMoebius,
     Product,
-    Rational,
     Scale,
     constant,
     evaluate,
     tail_diagnostics,
     taylor,
 )
+from wcolab.scenarios import (
+    AFFINE_HALF,
+    ETA,
+    HALF_SHIFT,
+    HYPERBOLIC_AUTO,
+    PSI_HALF,
+    TAU,
+    THREE_POINT,
+)
 from wcolab.space import bergman, hardy, kernel_expr, kernel_norm_sq
-
-HALF_SHIFT = MoebiusMap(1, 0, -1, 2)
-AFFINE_HALF = MoebiusMap(1, 1, 0, 2)
-THREE_POINT = MoebiusMap(2, 1, 1, 3)
-PSI_HALF = Rational(Poly((2,)), Poly((2, -1)))
 
 ALL_SPACES = (hardy(), bergman(0.0), bergman(1.0))
 
@@ -155,20 +158,17 @@ def test_defect_report_flags_boundary_touching():
 
 def test_unitary_weighted_composition_defect_small():
     # explicit unitary: scaled kernel weight against a disk automorphism
-    m = MoebiusMap(1, 0.5, 0.5, 1)
     for sp in ALL_SPACES:
         g = sp.gamma
         weight = Product((constant(0.75 ** (g / 2.0)), kernel_expr(sp, -0.5)))
-        op = weighted(weight, m)
+        op = weighted(weight, HYPERBOLIC_AUTO)
         assert unitary_defect(op, sp, 12, 128) < 1e-10
         assert normality_defect(op, sp, 12, 128) < 1e-10
 
 
 def test_douglas_witness_for_adjoint_factorization():
     # contraction word T_eta C_tau carries C_phi* = C_sigma onto T_psi C_phi
-    tau = MoebiusMap(2, 2, 1, 3)
-    eta = Rational(Poly((2,)), Poly((3, 1)))
-    word = (plain(toeplitz(eta)), plain(composition(tau)))
+    word = (plain(toeplitz(ETA)), plain(composition(TAU)))
     op = weighted(PSI_HALF, HALF_SHIFT)
     w = douglas_witness(word, op, hardy(), 12, 96)
     assert w.residual < 1e-10
@@ -176,9 +176,8 @@ def test_douglas_witness_for_adjoint_factorization():
 
 
 def test_kernel_probe_zero_for_unitary_and_negative_for_bad_map():
-    m = MoebiusMap(1, 0.5, 0.5, 1)
     weight = Product((constant(0.75**0.5), kernel_expr(hardy(), -0.5)))
-    pts = kernel_condition_probe(weighted(weight, m), hardy())
+    pts = kernel_condition_probe(weighted(weight, HYPERBOLIC_AUTO), hardy())
     assert max(abs(p.chi) for p in pts) < 1e-8
 
     pts2 = kernel_condition_probe(composition(AFFINE_HALF), hardy())

@@ -25,7 +25,6 @@ from wcolab.series import (
     evaluate,
     expr_from_json,
     expr_to_json,
-    monomial,
     rational_series,
     tail_diagnostics,
     taylor,
@@ -128,12 +127,21 @@ def test_evaluate_matches_direct_formulas():
     assert abs(evaluate(e, z) - (1 - 0.5 * z) ** -1.5) < 1e-12
     m = Exp(Poly((1, 2)))
     assert abs(evaluate(m, z) - cmath.exp(1 + 2 * z)) < 1e-12
+    # an array of points is evaluated elementwise, as the scalar calls are
+    zs = np.array([[z, 0.5j], [-0.9, 0.0]])
+    for expr in (e, m, Rational(Poly((1, 2j)), Poly((2, -1, 0.5))), Scale(2j, Sum((e, m)))):
+        values = evaluate(expr, zs)
+        assert values.shape == zs.shape
+        scalars = [[evaluate(expr, w) for w in row] for row in zs]
+        np.testing.assert_allclose(values, scalars, rtol=1e-15, atol=0)
 
 
 def test_precompose_evaluates_as_composition():
     e = PrecomposeMoebius(Exp(Poly((0, 1))), HALF_SHIFT)
     z = 0.4 + 0.1j
     assert abs(evaluate(e, z) - cmath.exp(z / (2 - z))) < 1e-12
+    zs = np.array([z, -0.7j, 0.99])
+    np.testing.assert_allclose(evaluate(e, zs), [evaluate(e, w) for w in zs], rtol=1e-15, atol=0)
 
 
 def test_eliminate_precompose_poly():
@@ -260,11 +268,8 @@ def test_expr_from_json_rejects_unknown_type():
         expr_from_json({"type": "sine", "coeffs": []})
 
 
-def test_constant_and_monomial_helpers():
+def test_constant_helper():
     assert_series_close(taylor(constant(2.5), 3).coeffs, [2.5, 0, 0, 0], 0)
-    assert_series_close(taylor(monomial(2), 4).coeffs, [0, 0, 1, 0, 0], 0)
-    with pytest.raises(InputError):
-        monomial(-1)
 
 
 def test_taylor_determinism():

@@ -96,6 +96,10 @@ def test_kernel_norm_identity():
         series_val = float(np.sum(np.abs(coeffs) ** 2 * b2))
         assert abs(series_val - closed) < 1e-8 * closed
         assert abs(closed - (1 - abs(w) ** 2) ** (-sp.gamma)) < 1e-12
+        # an array of points gives the scalar values elementwise
+        ws = np.array([[w, 0.0], [-0.9j, 0.3]])
+        scalars = [[kernel_norm_sq(sp, v) for v in row] for row in ws]
+        np.testing.assert_allclose(kernel_norm_sq(sp, ws), scalars, rtol=1e-15, atol=0)
 
 
 def test_kernel_requires_interior_point():
