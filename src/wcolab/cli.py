@@ -210,20 +210,17 @@ def cmd_probe(args) -> int:
     space = _resolve_space(args)
     n, m = _resolve_orders(args, (op,))
     rep = defect_report(op, space, n, m)
-    print(f"operator: {op.describe()}  space: {space.label()}  N={rep.N} M={rep.M}")
-    print(f"selfcommutator min eigenvalue: {fmt(rep.min_eig_selfcomm)}")
+    ev = rep.hyponormality
+    print(f"operator: {op.describe()}  space: {space.label()}  N={ev.N} M={ev.M}")
+    print(f"selfcommutator min eigenvalue: {fmt(ev.min_eig)}")
     print(f"selfcommutator norm:           {fmt(rep.norm_selfcomm)}")
     print(f"quasinormal defect:            {fmt(rep.quasinormal_defect)}")
     print(f"selfadjoint defect:            {fmt(rep.selfadjoint_defect)}")
     print(f"unitary defect:                {fmt(rep.unitary_defect)}")
-    print(f"tail bound on G1:              {fmt(rep.tail_bound)}")
+    print(f"tail bound on G1:              {fmt(ev.tail_bound)}")
     for flag in rep.flags:
         print(f"flag: {flag}")
-    verdictline = (
-        "negative certificate (not hyponormal)"
-        if rep.hyponormality.certificate
-        else "no certificate"
-    )
+    verdictline = "negative certificate (not hyponormal)" if ev.certificate else "no certificate"
     print(f"hyponormality: {verdictline}")
     if args.json:
         _write_json(args.json, {"op": op.to_json(), "space": space.to_json(), **rep.to_json()})

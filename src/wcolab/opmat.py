@@ -33,6 +33,7 @@ from .errors import (
 )
 from .mobius import MoebiusMap
 from .series import (
+    TAIL_MIN_ORDER,
     AnalyticExpr,
     Exp,
     Poly,
@@ -250,7 +251,7 @@ def build_block(
         raise OrderPolicyError("row order must be at least the column order")
     entries = _columns(op, space, M, N)
     slow, worst = False, float("nan")
-    if M >= 16:
+    if M >= TAIL_MIN_ORDER:
         td = tail_diagnostics(entries)
         slow, worst = bool(td.slow_decay.any()), float(td.bound.max())
     return TruncatedBlock(entries, space, is_boundary_touching(op) or slow, worst)
@@ -336,8 +337,8 @@ def gram_blocks(
     tall = _columns(op, space, M, N)
     g1 = tall.conj().T @ tall
     g1 = 0.5 * (g1 + g1.conj().T)
-    # the tall block's tail is unknown below the diagnostics' order 16
-    bound1 = float(np.sum(tail_diagnostics(tall).bound ** 2)) if M >= 16 else np.inf
+    # the tall block's tail is unknown below the diagnostics' least order
+    bound1 = float(np.sum(tail_diagnostics(tall).bound ** 2)) if M >= TAIL_MIN_ORDER else np.inf
     wide = wide_block(op, space, N, M)
     g2 = wide.entries @ wide.entries.conj().T
     g2 = 0.5 * (g2 + g2.conj().T)

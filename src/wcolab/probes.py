@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
 from .mobius import MoebiusMap
 from .opmat import (
     GramPair,
@@ -44,7 +43,7 @@ from .series import (
     tail_diagnostics,
     taylor,
 )
-from .space import SpaceSpec, kernel_expr, kernel_norm_sq
+from .space import SpaceSpec, kernel_base, kernel_norm_sq
 
 #: Extra eigenvalue slack for solver rounding on order-one matrices.
 ROUNDING_SLACK = 1e-12
@@ -95,15 +94,6 @@ class HyponormalityEvidence:
     certificate: bool  # True when min_eig is negative beyond bound + slack
     N: int
     M: int
-
-    def to_json(self) -> dict:
-        return {
-            "min_eig": self.min_eig,
-            "tail_bound": self.tail_bound,
-            "certificate": self.certificate,
-            "N": self.N,
-            "M": self.M,
-        }
 
 
 def hyponormality_probe(
@@ -178,34 +168,19 @@ class DefectReport:
     unitary_defect: float
     flags: tuple[str, ...]
 
-    @property
-    def min_eig_selfcomm(self) -> float:
-        return self.hyponormality.min_eig
-
-    @property
-    def tail_bound(self) -> float:
-        return self.hyponormality.tail_bound
-
-    @property
-    def N(self) -> int:
-        return self.hyponormality.N
-
-    @property
-    def M(self) -> int:
-        return self.hyponormality.M
-
     def to_json(self) -> dict:
+        ev = self.hyponormality
         return {
-            "min_eig_selfcomm": self.min_eig_selfcomm,
+            "min_eig_selfcomm": ev.min_eig,
             "norm_selfcomm": self.norm_selfcomm,
             "quasinormal_defect": self.quasinormal_defect,
             "selfadjoint_defect": self.selfadjoint_defect,
             "unitary_defect": self.unitary_defect,
-            "N": self.N,
-            "M": self.M,
-            "tail_bound": self.tail_bound if math.isfinite(self.tail_bound) else None,
+            "N": ev.N,
+            "M": ev.M,
+            "tail_bound": ev.tail_bound if math.isfinite(ev.tail_bound) else None,
             "flags": list(self.flags),
-            "hyponormality_certificate": self.hyponormality.certificate,
+            "hyponormality_certificate": ev.certificate,
         }
 
 
@@ -243,14 +218,6 @@ class DouglasWitness:
     N: int
     M: int
 
-    def to_json(self) -> dict:
-        return {
-            "norm_estimate": self.norm_estimate,
-            "residual": self.residual,
-            "N": self.N,
-            "M": self.M,
-        }
-
 
 def douglas_witness(
     contraction: OperatorWord,
@@ -276,14 +243,6 @@ class KernelProbePoint:
     order: int
     slow_decay: bool
 
-    def to_json(self) -> dict:
-        return {
-            "w": [self.w.real, self.w.imag],
-            "chi": self.chi,
-            "order": self.order,
-            "slow_decay": self.slow_decay,
-        }
-
 
 def default_kernel_grid() -> list[complex]:
     """8 radii from 0.1 to 0.95 times 16 equally spaced angles."""
@@ -308,9 +267,9 @@ def kernel_condition_probe(
     unbounded (see `certified_min_chi`).
 
     The whole grid is expanded at once.  K_w o symbol is (N_w / D)^(-gamma)
-    with D = d + cz the same for every w: the bases of the kernels
-    (`kernel_expr`) are stacked along a batch axis and substituted in one
-    `_substitute_poly` call, so one short recurrence gives every point's
+    with D = d + cz the same for every w: one `kernel_base` call stacks the
+    bases of the kernels along a batch axis and one `_substitute_poly` call
+    substitutes them, so one short recurrence gives every point's
     series, and the weight's series, computed once per order, is convolved
     into the whole batch, which `tail_diagnostics` then judges column by
     column.  Per point, the order doubles up to the cap while the truncation
@@ -320,13 +279,11 @@ def kernel_condition_probe(
     if w_grid is None:
         w_grid = default_kernel_grid()
     ws = np.array([complex(w) for w in w_grid], dtype=np.complex128)
-    if np.any(np.abs(ws) >= 1.0):
-        raise InputError("kernel grid points must lie in the open unit disk")
+    bases = kernel_base(ws)
     if not ws.size:
         return []
     phi = MoebiusMap(1, 0, 0, 1) if op.symbol is None else op.symbol
-    kernels = [kernel_expr(space, w) for w in ws]
-    num = _substitute_poly(np.array([k.base.coeffs for k in kernels]).T, phi, 1)
+    num = _substitute_poly(bases, phi, 1)
     den = np.array([phi.d, phi.c])
     m = int(order)
     lhs = np.zeros(len(ws))
@@ -337,7 +294,7 @@ def kernel_condition_probe(
         psi = taylor(op.weight, m).coeffs
         nonzero = np.flatnonzero(psi)
         psi = psi[: nonzero[-1] + 1 if nonzero.size else 1]  # exact zeros add nothing
-        kern = rational_series("power", num[:, pending], den, m, kernels[0].exponent)
+        kern = rational_series("power", num[:, pending], den, m, -space.gamma)
         series = _poly_mul(psi[:, None], kern, m)
         td = tail_diagnostics(series)
         done = ~td.slow_decay | (m >= KERNEL_PROBE_MAX_ORDER)

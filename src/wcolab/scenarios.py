@@ -33,6 +33,7 @@ from .errors import InputError, UnknownScenarioError
 from .mobius import MoebiusMap, parabolic_from, projective_distance, rotation
 from .opmat import (
     WEIGHT_GRID,
+    OperatorSpec,
     adjoint_block,
     adjoint_letter,
     build_block,
@@ -66,18 +67,28 @@ AFFINE_HALF = MoebiusMap(1, 1, 0, 2)          # (z+1)/2
 THREE_POINT = MoebiusMap(2, 1, 1, 3)          # (2z+1)/(z+3)
 HYPERBOLIC_AUTO = MoebiusMap(1, 0.5, 0.5, 1)  # (z+1/2)/(1+z/2)
 TAU = MoebiusMap(2, 2, 1, 3)                  # 2(z+1)/(z+3)
+PARABOLIC_ONE = parabolic_from(1.0, 1.0)      # parabolic, fixing 1, translation 1
 
 PSI_HALF = Rational(Poly((2,)), Poly((2, -1)))  # 2/(2-z)
 ETA = Rational(Poly((2,)), Poly((3, 1)))        # 2/(z+3); T_ETA C_TAU is S7's contraction
 
 THREE_SPACES = (hardy(), bergman(0.0), bergman(1.0))
 
-#: S8's hyponormal weights f (the operator is W_(f * PSI_HALF, HALF_SHIFT)),
-#: each with g, where g o AFFINE_HALF = f, and 1/f.
+#: S7's hyponormal operator T_PSI_HALF C_HALF_SHIFT; its adjoint is C_AFFINE_HALF.
+SADRAOUI = weighted(PSI_HALF, HALF_SHIFT)
+
+#: S8's hyponormal weights f (the operator is `s8_operator(f)`), each with g,
+#: where g o AFFINE_HALF = f, and 1/f.
 S8_CASES = (
     ("f-linear", Poly((2, 1)), Poly((1, 2)), Rational(Poly((1,)), Poly((2, 1)))),
     ("f-exp", Exp(Poly((0, 1))), Exp(Poly((-1, 2))), Exp(Poly((0, -1)))),
 )
+
+
+def s8_operator(f) -> OperatorSpec:
+    """S8's operator W_(f * PSI_HALF, HALF_SHIFT) for an extra weight f."""
+    return weighted(Product((f, PSI_HALF)), HALF_SHIFT)
+
 
 #: S9's symbols: composition operators with a negative self-commutator.
 S9_SYMBOLS = (("affine-half", AFFINE_HALF), ("three-point", THREE_POINT))
@@ -87,6 +98,12 @@ def s4_weights(space) -> tuple:
     """S4's weights on AFFINE_HALF: 1 and the kernel at sigma(0) = 0, which
     degenerates to the constant 1 but is kept as its own case."""
     return (("psi-one", constant(1.0)), ("psi-kernel", kernel_expr(space, 0.0)))
+
+
+def s6_weight(space):
+    """S6's weight on HYPERBOLIC_AUTO, (1 - 1/4)^(gamma/2) K_(-1/2), which makes
+    the weighted composition operator unitary."""
+    return Product((constant((1.0 - 0.25) ** (space.gamma / 2.0)), kernel_expr(space, -0.5)))
 
 
 def s10_weights(space) -> tuple:
@@ -158,6 +175,10 @@ class ScenarioReport:
             "checks": [c.to_json() for c in self.checks],
             "runtime_s": self.runtime_s,
         }
+
+    def check(self, name: str) -> CheckResult:
+        """The check called name."""
+        return next(c for c in self.checks if c.name == name)
 
 
 @dataclass(frozen=True)
@@ -237,7 +258,7 @@ def _s1(ov: Overrides) -> tuple[list[CheckResult], dict]:
     maps = (
         ("half-shift", HALF_SHIFT, ov.work(160)),
         ("quarter-shrink", QUARTER_SHRINK, ov.work(160)),
-        ("parabolic", parabolic_from(1.0, 1.0), ov.work(320)),
+        ("parabolic", PARABOLIC_ONE, ov.work(320)),
     )
     checks = []
     for space in THREE_SPACES:
@@ -382,12 +403,7 @@ def _s6(ov: Overrides) -> tuple[list[CheckResult], dict]:
     N, M = ov.order(24), ov.work(200)
     checks = []
     for space in THREE_SPACES:
-        g = space.gamma
-        weight = Product(
-            (constant((1.0 - 0.25) ** (g / 2.0)), kernel_expr(space, -0.5))
-        )
-        op = weighted(weight, HYPERBOLIC_AUTO)
-        v = unitary_defect(op, space, N, M)
+        v = unitary_defect(weighted(s6_weight(space), HYPERBOLIC_AUTO), space, N, M)
         checks.append(_le(f"unitary-defect.{space.label()}", v, 1e-6, "analytic"))
     return checks, {"N": N, "M": M}
 
@@ -395,12 +411,10 @@ def _s6(ov: Overrides) -> tuple[list[CheckResult], dict]:
 def _s7(ov: Overrides) -> tuple[list[CheckResult], dict]:
     sp = hardy()
     N, M = ov.order(24), ov.work(160)
-    sigma = AFFINE_HALF                      # Krein adjoint of the half-shift
-    a_op = weighted(PSI_HALF, HALF_SHIFT)
-
     checks = []
-    adj = adjoint_block(build_block(a_op, sp, N, N))
-    direct = build_block(composition(sigma), sp, N, N)
+    adj = adjoint_block(build_block(SADRAOUI, sp, N, N))
+    # the adjoint is the composition with the Krein adjoint of the half-shift
+    direct = build_block(composition(AFFINE_HALF), sp, N, N)
     checks.append(
         _le(
             "adjoint-is-composition-residual",
@@ -410,7 +424,7 @@ def _s7(ov: Overrides) -> tuple[list[CheckResult], dict]:
         )
     )
 
-    factor_word = (plain(toeplitz(ETA)), plain(composition(TAU)), plain(a_op))
+    factor_word = (plain(toeplitz(ETA)), plain(composition(TAU)), plain(SADRAOUI))
     refact = word_block(factor_word, sp, N, M)
     checks.append(
         _le(
@@ -439,12 +453,12 @@ def _s7(ov: Overrides) -> tuple[list[CheckResult], dict]:
     checks.append(_ge("contraction-norm-final", norms[-1][1], 0.90, "analytic"))
     checks.append(_le("contraction-norm-cap", norms[-1][1], 1.0 + 1e-8, "analytic"))
 
-    ev = hyponormality_probe(a_op, sp, ov.order(16), max(M, 160))
+    ev = hyponormality_probe(SADRAOUI, sp, ov.order(16), max(M, 160))
     checks.append(
         _ge("selfcommutator-min-eig", ev.min_eig, -1e-6, "analytic", tail_bound=ev.tail_bound)
     )
 
-    dw = douglas_witness(contraction, a_op, sp, N, M)
+    dw = douglas_witness(contraction, SADRAOUI, sp, N, M)
     checks.append(_le("douglas-residual", dw.residual, 1e-6, "analytic"))
     checks.append(_le("douglas-norm", dw.norm_estimate, 1.0 + 1e-8, "analytic"))
     return checks, {"N": N, "M": M}
@@ -474,7 +488,7 @@ def _s8(ov: Overrides) -> tuple[list[CheckResult], dict]:
             _le(f"g-dominated-by-f.{label}", float(margin), 1e-12, "analytic")
         )
 
-        op = weighted(Product((f, PSI_HALF)), HALF_SHIFT)
+        op = s8_operator(f)
         ev = hyponormality_probe(op, sp, N, max(M, 160))
         checks.append(
             _ge(

@@ -31,12 +31,13 @@ from typing import Union
 import numpy as np
 
 from .errors import BranchError, InputError, PoleAtOriginError
-from .mobius import MoebiusMap
-
-_ZERO_REL = 1e-14
+from .mobius import _ZERO_REL, MoebiusMap
 
 #: Half-power ratio above which a truncation is flagged as slowly decaying.
 SLOW_DECAY_RATIO = 0.95
+
+#: Least order M (rows c_0 .. c_M) whose tail `tail_diagnostics` judges.
+TAIL_MIN_ORDER = 16
 
 
 def _as_coeff_tuple(coeffs) -> tuple[complex, ...]:
@@ -519,14 +520,14 @@ def tail_diagnostics(coeffs: np.ndarray) -> TailDiagnostics:
 
     `coeffs` holds Taylor coefficients c_0 .. c_M along axis 0, optionally
     with a trailing batch axis (the convention of `rational_series`), and
-    needs M >= 16.  The ratio is the per-coefficient decay of the norms of
-    the two halves; the bound is geometric from the largest of the last
+    needs M >= TAIL_MIN_ORDER.  The ratio is the per-coefficient decay of the
+    norms of the two halves; the bound is geometric from the largest of the last
     eight coefficients, infinite when the ratio is not below one.
     """
     c = np.asarray(coeffs, dtype=np.complex128)
     rows = len(c)
-    if rows < 17:
-        raise InputError("tail diagnostics need order at least 16")
+    if rows <= TAIL_MIN_ORDER:
+        raise InputError(f"tail diagnostics need order at least {TAIL_MIN_ORDER}")
     x = c.reshape(rows, -1)
     h = rows // 2
     # column norms of the two halves; einsum on the real and imaginary views

@@ -107,12 +107,19 @@ def _norms_sq_cached(kind: str, alpha: float, order: int) -> np.ndarray:
     return out
 
 
+def kernel_base(w) -> np.ndarray:
+    """Coefficients (1, -conj(w)) of the base of K_w = (1 - conj(w) z)^(-gamma)
+    at a point w, or stacked along a new axis 0 for an array w (shape
+    (2,) + w.shape); requires |w| < 1."""
+    ws = np.asarray(w, dtype=np.complex128)
+    if np.any(np.abs(ws) >= 1.0):
+        raise InputError("kernel point must lie in the open unit disk")
+    return np.stack((np.ones_like(ws), -ws.conj()))
+
+
 def kernel_expr(space: SpaceSpec, w: complex) -> AnalyticExpr:
     """Reproducing kernel K_w as an analytic expression; requires |w| < 1."""
-    w = complex(w)
-    if abs(w) >= 1.0:
-        raise InputError("kernel point must lie in the open unit disk")
-    return Power(Poly((1.0, -w.conjugate())), -space.gamma)
+    return Power(Poly(tuple(kernel_base(w))), -space.gamma)
 
 
 def kernel_norm_sq(space: SpaceSpec, w):

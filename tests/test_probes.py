@@ -22,7 +22,6 @@ from wcolab.probes import (
     unitary_defect,
 )
 from wcolab.series import (
-    Exp,
     Poly,
     PrecomposeMoebius,
     Product,
@@ -38,8 +37,11 @@ from wcolab.scenarios import (
     HALF_SHIFT,
     HYPERBOLIC_AUTO,
     PSI_HALF,
+    S8_CASES,
     TAU,
     THREE_POINT,
+    s6_weight,
+    s8_operator,
 )
 from wcolab.space import bergman, hardy, kernel_expr, kernel_norm_sq
 
@@ -77,7 +79,7 @@ def test_rotation_operator_is_normal_everywhere():
             rep = defect_report(op, sp, 10, 64)
             assert rep.norm_selfcomm < 1e-12
             assert rep.quasinormal_defect < 1e-12
-            assert rep.min_eig_selfcomm > -1e-12
+            assert rep.hyponormality.min_eig > -1e-12
 
 
 def test_unitary_rotation_has_zero_unitary_defect():
@@ -144,9 +146,11 @@ def test_defect_report_carries_hyponormality_evidence():
     for op in (composition(AFFINE_HALF), weighted(PSI_HALF, HALF_SHIFT), toeplitz(Poly((1, 1)))):
         for sp in (hardy(), bergman(1.0)):
             rep = defect_report(op, sp, 10, 160)
-            assert rep.hyponormality == hyponormality_probe(op, sp, 10, 160)
-            assert rep.min_eig_selfcomm == rep.hyponormality.min_eig
-            assert (rep.N, rep.M, rep.tail_bound) == (10, 160, rep.hyponormality.tail_bound)
+            ev = rep.hyponormality
+            assert ev == hyponormality_probe(op, sp, 10, 160)
+            out = rep.to_json()
+            assert (out["min_eig_selfcomm"], out["N"], out["M"]) == (ev.min_eig, 10, 160)
+            assert out["tail_bound"] == ev.tail_bound
 
 
 def test_defect_report_flags_boundary_touching():
@@ -159,9 +163,7 @@ def test_defect_report_flags_boundary_touching():
 def test_unitary_weighted_composition_defect_small():
     # explicit unitary: scaled kernel weight against a disk automorphism
     for sp in ALL_SPACES:
-        g = sp.gamma
-        weight = Product((constant(0.75 ** (g / 2.0)), kernel_expr(sp, -0.5)))
-        op = weighted(weight, HYPERBOLIC_AUTO)
+        op = weighted(s6_weight(sp), HYPERBOLIC_AUTO)
         assert unitary_defect(op, sp, 12, 128) < 1e-10
         assert normality_defect(op, sp, 12, 128) < 1e-10
 
@@ -176,8 +178,7 @@ def test_douglas_witness_for_adjoint_factorization():
 
 
 def test_kernel_probe_zero_for_unitary_and_negative_for_bad_map():
-    weight = Product((constant(0.75**0.5), kernel_expr(hardy(), -0.5)))
-    pts = kernel_condition_probe(weighted(weight, HYPERBOLIC_AUTO), hardy())
+    pts = kernel_condition_probe(weighted(s6_weight(hardy()), HYPERBOLIC_AUTO), hardy())
     assert max(abs(p.chi) for p in pts) < 1e-8
 
     pts2 = kernel_condition_probe(composition(AFFINE_HALF), hardy())
@@ -249,7 +250,7 @@ def test_batched_kernel_probe_matches_per_point_path_s9_s10():
         for weight in (constant(1.0), Poly((1, -1)), kernel_expr(sp, 0.0)):
             ops.append(weighted(weight, AFFINE_HALF))
         # a weight whose series has full length
-        ops.append(weighted(Product((Exp(Poly((0, 1))), PSI_HALF)), HALF_SHIFT))
+        ops.append(s8_operator(next(f for label, f, _, _ in S8_CASES if label == "f-exp")))
         for op in ops:
             _assert_batched_matches_per_point(op, sp, grid, KERNEL_PROBE_ORDER)
 

@@ -56,16 +56,16 @@ def test_unknown_scenario_raises():
         run_scenario("S99-nothing")
 
 
-def test_fast_scenarios_pass():
-    for sid in ("S3-uniform-iteration", "S5-rotation-quasinormal", "S6-unitary-weight"):
-        rep = run_scenario(sid)
+def test_fast_scenarios_pass(suite):
+    for sid in ("S3", "S5", "S6"):
+        rep = suite.reports[sid]
         assert rep.verdict == "PASS", sid
         assert rep.runtime_s >= 0.0
         assert all(c.passed for c in rep.checks if c.passed is not None)
 
 
-def test_exploratory_scenario_reports_without_gating():
-    rep = run_scenario("S11-parabolic-kernel-weight")
+def test_exploratory_scenario_reports_without_gating(suite):
+    rep = suite.reports["S11"]
     assert rep.verdict == "REPORT"
     assert all(c.passed is None for c in rep.checks)
     assert len(rep.checks) > 0
@@ -83,22 +83,28 @@ def test_pass_survives_doubled_orders():
     assert rep.orders["N"] == 32 and rep.orders["M"] == 640
 
 
-def test_check_sources_are_tagged():
-    rep = run_scenario("S7-sadraoui")
-    assert rep.verdict == "PASS"
-    for c in rep.checks:
-        assert c.source in ("exact", "analytic", "oracle")
-        assert c.threshold
+def test_check_sources_are_tagged(suite):
+    for rep in suite.reports.values():
+        assert rep.verdict != "FAIL", rep.scenario_id
+        for c in rep.checks:
+            assert c.source in ("exact", "analytic", "oracle")
+            assert c.threshold
 
 
-def test_report_json_shape():
-    rep = run_scenario("S3-uniform-iteration").to_json()
-    assert rep["scenario_id"] == "S3-uniform-iteration"
-    assert rep["verdict"] == "PASS"
-    assert isinstance(rep["claim"], str) and rep["claim"]
-    assert isinstance(rep["checks"], list)
-    for c in rep["checks"]:
-        assert set(c) == {"name", "value", "threshold", "passed", "source", "details"}
+def test_report_json_shape(suite):
+    assert [rep.scenario_id for rep in suite.reports.values()] == EXPECTED_IDS
+    for report in suite.reports.values():
+        rep = report.to_json()
+        assert rep["scenario_id"] == report.scenario_id
+        assert rep["verdict"] in ("PASS", "REPORT")
+        assert isinstance(rep["claim"], str) and rep["claim"]
+        assert isinstance(rep["checks"], list)
+        for c in rep["checks"]:
+            assert set(c) == {"name", "value", "threshold", "passed", "source", "details"}
+
+
+def test_whole_reports_are_strict_json(suite):
+    json.dumps([rep.to_json() for rep in suite.reports.values()], allow_nan=False)
 
 
 def test_kernel_witness_counts_only_points_not_slow_at_the_cap():
@@ -141,12 +147,14 @@ def test_thresholds_file_is_coherent():
     assert max(vals) / min(vals) <= 1.10
 
 
-def test_scenarios_reference_existing_threshold_keys():
+def test_scenarios_reference_existing_threshold_keys(suite):
     data = load_thresholds()
     known = set(data["quasinormal_floors"]) | set(data["mineig_ceilings"])
-    for sid in ("S4-nonparabolic-defect", "S5-rotation-quasinormal"):
-        rep = run_scenario(sid)
-        for c in rep.checks:
-            key = c.details.get("key")
-            if key is not None:
-                assert key in known, key
+    keys = [
+        c.details["key"]
+        for rep in suite.reports.values()
+        for c in rep.checks
+        if c.source == "oracle"
+    ]
+    assert len(keys) == 26
+    assert set(keys) <= known, set(keys) - known

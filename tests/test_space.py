@@ -5,7 +5,7 @@ import pytest
 
 from wcolab.errors import InputError
 from wcolab.series import evaluate, taylor
-from wcolab.space import SpaceSpec, bergman, hardy, kernel_expr, kernel_norm_sq
+from wcolab.space import SpaceSpec, bergman, hardy, kernel_base, kernel_expr, kernel_norm_sq
 
 
 def test_hardy_monomial_norms_are_one():
@@ -100,6 +100,11 @@ def test_kernel_norm_identity():
         ws = np.array([[w, 0.0], [-0.9j, 0.3]])
         scalars = [[kernel_norm_sq(sp, v) for v in row] for row in ws]
         np.testing.assert_allclose(kernel_norm_sq(sp, ws), scalars, rtol=1e-15, atol=0)
+    # and the kernels' bases (1, -conj(w)), stacked along a new axis 0
+    bases = kernel_base(ws)
+    assert bases.shape == (2, 2, 2)
+    for i, j in np.ndindex(ws.shape):
+        assert tuple(bases[:, i, j]) == (1.0, -complex(ws[i, j]).conjugate())
 
 
 def test_kernel_requires_interior_point():
@@ -107,6 +112,8 @@ def test_kernel_requires_interior_point():
         kernel_expr(hardy(), 1.0)
     with pytest.raises(InputError):
         kernel_norm_sq(bergman(0.0), 1.2)
+    with pytest.raises(InputError):
+        kernel_base(np.array([0.5, 1j]))
 
 
 def test_reproducing_property_numeric():

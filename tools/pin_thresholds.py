@@ -3,11 +3,11 @@
 
 Strictly-positive defect floors and strictly-negative eigenvalue ceilings
 used by the scenario suite are not universal constants: they are finite-order
-measurements.  This script runs the scenarios that own them, at their own
-orders, and commits half of each observed value (50% headroom) so the checks
-stay robust against platform-level rounding differences while still failing
-loudly if the underlying computation ever degrades.  Every check a scenario
-tags "oracle" is pinned here without an edit to this script.
+measurements.  This script runs every scenario at its own orders and commits
+half of each observed value (50% headroom) so the checks stay robust against
+platform-level rounding differences while still failing loudly if the
+underlying computation ever degrades.  Every check a scenario tags "oracle",
+and every kernel witness, is pinned here without an edit to this script.
 
 Run from the repository root:  python3 tools/pin_thresholds.py
 """
@@ -20,18 +20,9 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from wcolab.scenarios import Overrides, run_scenario
+from wcolab.scenarios import Overrides, run_all, run_scenario
 
 OUT = pathlib.Path(__file__).resolve().parents[1] / "src" / "wcolab" / "data" / "thresholds.json"
-
-#: The scenarios with oracle checks or kernel witnesses; meta.orders are the first's.
-PINNED = (
-    "S4-nonparabolic-defect",
-    "S5-rotation-quasinormal",
-    "S8-thm38",
-    "S9-zorboska",
-    "S10-hyperbolic-nonauto",
-)
 
 #: Where an oracle check's comparison puts its pinned value: section and entry.
 BOUNDS = {">=": ("quasinormal_floors", "floor"), "<=": ("mineig_ceilings", "ceiling")}
@@ -40,7 +31,8 @@ WITNESS = "kernel-witness-min-chi."
 
 
 def pin() -> dict:
-    """Run the pinned scenarios and return the contents of thresholds.json."""
+    """Run the scenarios and return the contents of thresholds.json; meta.orders
+    are those of the first report with a pinned value."""
     data: dict = {
         "meta": {
             "script": "tools/pin_thresholds.py",
@@ -54,9 +46,7 @@ def pin() -> dict:
         "kernel_witness": {},
         "stability": {},
     }
-    for sid in PINNED:
-        report = run_scenario(sid)
-        data["meta"].setdefault("orders", report.orders)
+    for report in run_all():
         for c in report.checks:
             if c.source == "oracle":
                 section, entry = BOUNDS[c.threshold[:2]]
@@ -67,17 +57,18 @@ def pin() -> dict:
                         f"{c.name}: every kernel point is slow-decaying at the order cap; "
                         "nothing to pin"
                     )
-                key = f"{sid.split('-')[0]}.{c.name[len(WITNESS):]}"
+                key = f"{report.scenario_id.split('-')[0]}.{c.name[len(WITNESS):]}"
                 data["kernel_witness"][key] = {"observed_min_chi": c.value}
+            else:
+                continue
+            data["meta"].setdefault("orders", report.orders)
 
     # stability of the exponential-weight defect across compression orders,
     # used by the acceptance gate: committed delta = 0.9 * min over N
     observed = {}
     for n in (12, 16, 20, 24):
         report = run_scenario("S8-thm38", Overrides(N=n, M=320))
-        observed[str(n)] = next(
-            c.value for c in report.checks if c.name == "quasinormal-defect.f-exp"
-        )
+        observed[str(n)] = report.check("quasinormal-defect.f-exp").value
     delta = 0.9 * min(observed.values())
     data["stability"]["S8.hardy.f-exp"] = {"observed": observed, "delta": delta}
     return data
