@@ -267,7 +267,7 @@ def cmd_spectrum(args) -> int:
 
     op = _operator_from_args(args)
     n, m = _resolve_orders(args, (op,))
-    eigs = truncation_eigenvalues(build_block(op, space, n, m))
+    eigs = truncation_eigenvalues(build_block(op, space, n, n))
     gelfand = spectral_radius_estimate(op, space, n, k_max=12, M=m)
     radius = gelfand[-1]
     print(f"operator: {op.describe()}  space: {space.label()}  N={n}")

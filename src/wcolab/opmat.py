@@ -3,20 +3,17 @@
 An operator is a pair (weight, symbol): f -> weight * (f o symbol), with
 symbol = None meaning multiplication alone (analytic Toeplitz) and weight = 1
 meaning pure composition.  Matrices act on the normalized monomial basis
-e_n = z^n / ||z^n||, so the (i, j) entry of the tall block is
+e_n = z^n / ||z^n||, so the (i, j) entry of a block is
 
     <A e_j, e_i> = c_i(weight * symbol^j) * ||z^i|| / ||z^j||,
 
-the i-th Taylor coefficient of the analytic image of e_j, rescaled.  These
-entries are exact up to rounding: truncation only ever discards rows.
-
-Operator words (products of operators and adjoints) are evaluated on a larger
-square block of order M and compressed to order N at the end.  One
-function, `working_order`, sets M for every consumer: by default
-max(8N, 160), doubled when any symbol's image circle touches the unit
-circle, and an M below the consumer's least (2N for words and Gram pairs)
-is rejected.  A word block keeps the tail flags of its letters but carries
-no tail estimate (nan).
+the i-th Taylor coefficient of the analytic image of e_j, rescaled.  One
+engine, `_columns`, computes these entries, exact up to rounding, by an
+O(rows * cols) recurrence in which every top-left sub-block is bit for bit
+the smaller block; so a tall block (columns <= N), a wide block (rows <= N)
+and a square block of one operator are slices of one call.  Operator words
+and the quasinormality commutator are formed at the working order M that
+`working_order` sets and compressed to order N at the end.
 """
 
 from __future__ import annotations
@@ -47,7 +44,6 @@ from .series import (
     evaluate,
     expr_from_json,
     expr_to_json,
-    rational_series,
     tail_diagnostics,
     taylor,
 )
@@ -212,24 +208,36 @@ class TruncatedBlock:
 def _columns(op: OperatorSpec, space: SpaceSpec, rows: int, cols: int) -> np.ndarray:
     """Entries <A e_j, e_i> for i <= rows, j <= cols.
 
-    Column j holds the Taylor coefficients of weight * symbol^j, the powers
-    streamed one at a time at coefficient order `rows`, rescaled by the
-    basis norms.
+    Column j holds the coefficients F[:, j] of weight * symbol^j, rescaled by
+    the basis norms.  For symbol (az + b)/(cz + d), (d + cz) symbol^(j+1) =
+    (b + az) symbol^j gives, from column 0 = weight and F[-1, :] = 0,
+
+        F[n, j+1] = (b/d) F[n, j] + ((a/d) F[n-1, j] - (c/d) F[n-1, j+1]),
+
+    stable since |c/d| < 1 for a self-map.  A cell reads only the two
+    anti-diagonals before its own: each anti-diagonal, a stride-`cols` slice
+    of the flat buffer under a zero top row, is one numpy step, in place.  A
+    Toeplitz letter (symbol None) is the weight's series shifted down.
     """
     b = np.sqrt(space.basis_norms_sq(max(rows, cols)))
-    psi = taylor(op.weight, rows).coeffs
-    entries = np.zeros((rows + 1, cols + 1), dtype=np.complex128)
+    buf = np.zeros((rows + 2, cols + 1), dtype=np.complex128)
+    entries = buf[1:]
+    entries[:, 0] = taylor(op.weight, rows).coeffs
     if op.symbol is None:
-        for j in range(min(rows, cols) + 1):
-            entries[j:, j] = psi[: rows + 1 - j]
-    else:
+        for j in range(1, min(rows, cols) + 1):
+            entries[j:, j] = entries[: rows + 1 - j, 0]
+    elif cols:
         sym = op.symbol
-        base = rational_series("quotient", (sym.b, sym.a), (sym.d, sym.c), rows)
-        cur = np.zeros(rows + 1, dtype=np.complex128)
-        cur[0] = 1.0
-        for j in range(cols + 1):
-            entries[:, j] = np.convolve(psi, cur)[: rows + 1]
-            cur = np.convolve(cur, base)[: rows + 1]
+        alpha, beta, kappa = sym.a / sym.d, sym.b / sym.d, sym.c / sym.d
+        flat, w = buf.reshape(-1), cols + 1
+        for s in range(1, rows + cols + 1):
+            # cells F[s - j, j] for j = hi down to lo, at buffer row s - j + 1
+            hi, lo = min(cols, s), max(1, s - rows)
+            start, stop = (s - hi + 1) * w + hi, (s - lo + 1) * w + lo + 1
+            left = flat[start - 1 : stop - 1 : cols]
+            up = flat[start - w : stop - w : cols]
+            upleft = flat[start - w - 1 : stop - w - 1 : cols]
+            flat[start:stop:cols] = beta * left + (alpha * upleft - kappa * up)
     entries *= b[: rows + 1][:, None]
     entries /= b[: cols + 1][None, :]
     return entries
@@ -238,11 +246,7 @@ def _columns(op: OperatorSpec, space: SpaceSpec, rows: int, cols: int) -> np.nda
 def build_block(
     op: OperatorSpec, space: SpaceSpec, N: int, M: int | None = None
 ) -> TruncatedBlock:
-    """Tall block with columns j = 0..N and rows i = 0..M (default M = N).
-
-    Column j holds the Taylor coefficients of weight * symbol^j rescaled by
-    the basis norms; entries are exact up to rounding.
-    """
+    """Tall block with columns j = 0..N and rows i = 0..M (default M = N)."""
     if N < 0:
         raise InputError("column order must be nonnegative")
     if M is None:
@@ -262,17 +266,6 @@ def adjoint_block(block: TruncatedBlock) -> TruncatedBlock:
     return TruncatedBlock(
         block.entries.conj().T, block.space, block.tail_flag, block.tail_estimate
     )
-
-
-def wide_block(
-    op: OperatorSpec, space: SpaceSpec, N: int, M: int
-) -> TruncatedBlock:
-    """Block with rows i = 0..N and columns j = 0..M, built in O(N M) series
-    work by powering the symbol at coefficient order N only."""
-    if N < 0 or M < 0:
-        raise InputError("orders must be nonnegative")
-    entries = _columns(op, space, N, M)
-    return TruncatedBlock(entries, space, is_boundary_touching(op), float("nan"))
 
 
 @dataclass(frozen=True)
@@ -331,20 +324,21 @@ class GramPair:
 def gram_blocks(
     op: OperatorSpec, space: SpaceSpec, N: int, M: int | None = None
 ) -> GramPair:
-    """Order-N compressions of A*A (via a tall block) and AA* (via a wide
-    block powered at coefficient order N).  Requires M >= 2N."""
+    """Order-N compressions of A*A (from the tall block, rows <= M) and AA*
+    (from the wide block, columns <= M).  Requires M >= 2N."""
     M = working_order(N, [op], M)
-    tall = _columns(op, space, M, N)
+    return _gram_pair(_columns(op, space, M, N), _columns(op, space, N, M))
+
+
+def _gram_pair(tall: np.ndarray, wide: np.ndarray) -> GramPair:
+    """Gram pair from the tall block (columns <= N) and the wide block (rows <= N)."""
     g1 = tall.conj().T @ tall
     g1 = 0.5 * (g1 + g1.conj().T)
     # the tall block's tail is unknown below the diagnostics' least order
-    bound1 = float(np.sum(tail_diagnostics(tall).bound ** 2)) if M >= TAIL_MIN_ORDER else np.inf
-    wide = wide_block(op, space, N, M)
-    g2 = wide.entries @ wide.entries.conj().T
+    bound1 = np.inf if len(tall) <= TAIL_MIN_ORDER else np.sum(tail_diagnostics(tall).bound ** 2)
+    g2 = wide @ wide.conj().T
     g2 = 0.5 * (g2 + g2.conj().T)
-    colnorms = np.linalg.norm(wide.entries, axis=0)
-    bound2 = _wide_tail_bound(colnorms)
-    return GramPair(g1, g2, bound1 + bound2)
+    return GramPair(g1, g2, float(bound1) + _wide_tail_bound(np.linalg.norm(wide, axis=0)))
 
 
 def _wide_tail_bound(colnorms: np.ndarray) -> float:
@@ -407,16 +401,8 @@ def cowen_adjoint_word(symbol: MoebiusMap, space: SpaceSpec) -> OperatorWord:
 
 def block_to_csv(block: TruncatedBlock) -> str:
     """Dense CSV with interleaved re/im columns per matrix column."""
-    cols = []
-    for j in range(block.col_order + 1):
-        cols.append(f"re_{j}")
-        cols.append(f"im_{j}")
-    lines = [",".join(["i"] + cols)]
-    for i in range(block.row_order + 1):
-        row = [str(i)]
-        for j in range(block.col_order + 1):
-            v = block.entries[i, j]
-            row.append("%.17g" % v.real)
-            row.append("%.17g" % v.imag)
-        lines.append(",".join(row))
+    head = ["i"] + [f"{part}_{j}" for j in range(block.col_order + 1) for part in ("re", "im")]
+    lines = [",".join(head)]
+    for i, row in enumerate(block.entries):
+        lines.append(",".join([str(i)] + ["%.17g,%.17g" % (v.real, v.imag) for v in row]))
     return "\n".join(lines) + "\n"

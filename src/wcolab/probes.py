@@ -26,8 +26,10 @@ from .opmat import (
     GramPair,
     OperatorSpec,
     OperatorWord,
+    _columns,
     adjoint_block,
     build_block,
+    _gram_pair,
     gram_blocks,
     is_boundary_touching,
     operator_norm_estimate,
@@ -130,10 +132,14 @@ def quasinormality_defect(
     the commutator sees the operator well beyond the reported window.
     """
     M = working_order(N, [op], M, least=_quasinormal_least(N))
-    s = build_block(op, space, M, M).entries
-    g = s.conj().T @ s
-    d = s @ g - g @ s
-    return _spectral_norm(d[: N + 1, : N + 1])
+    return _quasinormal_commutator_norm(_columns(op, space, M, M), N)
+
+
+def _quasinormal_commutator_norm(s: np.ndarray, N: int) -> float:
+    """||P_N (S S*S - S*S S) P_N|| in O(M^2 N), from N + 1 rows and columns of S*S."""
+    tall = s[:, : N + 1]
+    d = s[: N + 1, :] @ (s.conj().T @ tall) - (tall.conj().T @ s) @ tall
+    return _spectral_norm(d)
 
 
 def normality_defect(
@@ -146,7 +152,7 @@ def normality_defect(
 
 def selfadjoint_defect(op: OperatorSpec, space: SpaceSpec, N: int) -> float:
     """Norm of S - S* on the order-N square block (entries are exact)."""
-    s = build_block(op, space, N, N).entries
+    s = _columns(op, space, N, N)
     return _spectral_norm(s - s.conj().T)
 
 
@@ -187,8 +193,14 @@ class DefectReport:
 def defect_report(
     op: OperatorSpec, space: SpaceSpec, N: int, M: int | None = None
 ) -> DefectReport:
+    """Every defect from one square block of order max(M, 2N + 16): the Gram
+    pair reads its rows <= M and columns <= M, the quasinormality defect all
+    of it, the self-adjoint defect its order-N corner."""
     M = working_order(N, [op], M)
-    pair = gram_blocks(op, space, N, M)
+    K = max(M, _quasinormal_least(N))
+    s = _columns(op, space, K, K)
+    tall, wide, corner = s[: M + 1, : N + 1], s[: N + 1, : M + 1], s[: N + 1, : N + 1]
+    pair = _gram_pair(tall, wide)
     ev, norm = _selfcomm_evidence(_selfcomm_block(pair), pair.tail_bound, N, M)
     flags = []
     if is_boundary_touching(op):
@@ -200,8 +212,8 @@ def defect_report(
     return DefectReport(
         hyponormality=ev,
         norm_selfcomm=norm,
-        quasinormal_defect=quasinormality_defect(op, space, N, max(M, _quasinormal_least(N))),
-        selfadjoint_defect=selfadjoint_defect(op, space, N),
+        quasinormal_defect=_quasinormal_commutator_norm(s, N),
+        selfadjoint_defect=_spectral_norm(corner - corner.conj().T),
         unitary_defect=_unitary_gap(pair),
         flags=tuple(flags),
     )

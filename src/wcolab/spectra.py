@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InputError
 from .mobius import parabolic_from
-from .opmat import OperatorSpec, TruncatedBlock, build_block, working_order
+from .opmat import OperatorSpec, TruncatedBlock, _columns, working_order
 from .series import (
     AnalyticExpr,
     Exp,
@@ -160,7 +160,7 @@ def spectral_radius_estimate(
     if N < 0 or k_max < 1:
         raise InputError("need N >= 0 and k_max >= 1")
     M = working_order(N, [op], M, least=N)
-    s = build_block(op, space, M, M).entries
+    s = _columns(op, space, M, M)
     x = np.ascontiguousarray(s[:, : N + 1])
     vals = []
     for k in range(1, k_max + 1):

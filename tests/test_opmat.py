@@ -1,5 +1,7 @@
 """Tests for truncated operator blocks, words, and Gram matrices."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from wcolab.errors import (
 from wcolab.mobius import MoebiusMap, rotation
 from wcolab.opmat import (
     OperatorSpec,
+    _columns,
     adjoint_block,
     adjoint_letter,
     block_to_csv,
@@ -24,11 +27,11 @@ from wcolab.opmat import (
     plain,
     toeplitz,
     weighted,
-    wide_block,
     word_block,
     working_order,
 )
-from wcolab.probes import quasinormality_defect
+from wcolab.probes import defect_report, quasinormality_defect, selfadjoint_defect
+from wcolab.scenarios import PARABOLIC_ONE, TAU, THREE_POINT
 from wcolab.series import (
     Exp,
     Poly,
@@ -119,13 +122,16 @@ def test_composition_block_columns_are_symbol_powers():
         assert np.max(np.abs(blk.entries[:, j] - oracle)) < 1e-9
 
 
-def test_wide_block_matches_tall_block():
-    op = weighted(PSI_HALF, HALF_SHIFT)
-    for sp in (hardy(), bergman(0.0)):
-        wide = wide_block(op, sp, 6, 40)
-        tall = build_block(op, sp, 40, 80)
-        assert wide.entries.shape == (7, 41)
-        assert np.max(np.abs(wide.entries - tall.entries[:7, :])) < 1e-12
+def test_every_top_left_sub_block_is_the_smaller_block():
+    # a cell reads only cells above it and to its left, so a tall, wide or
+    # square block is, bit for bit, a slice of any larger block
+    R, C = 48, 64
+    for sp in ALL_SPACES:
+        for op in EXPLICIT_OPS:
+            big = _columns(op, sp, R, C)
+            for r in (0, 1, 6, 17, R):
+                for c in (0, 1, 6, 40, C):
+                    assert np.array_equal(_columns(op, sp, r, c), big[: r + 1, : c + 1])
 
 
 def test_adjoint_block_is_conjugate_transpose():
@@ -170,28 +176,105 @@ def _reference_entries(op, space, rows, cols):
     return out
 
 
+EXPLICIT_OPS = (
+    composition(HALF_SHIFT),
+    weighted(PSI_HALF, AFFINE_HALF),
+    weighted(Exp(Poly((0, 0.5j))), MoebiusMap(0.3 + 0.1j, 0.2j, 0.25, 1.1)),
+    toeplitz(Poly((1, 0.5j, -0.25))),
+)
+
+
+def _assert_rounding_close(got, want, rtol=1e-14):
+    """Entrywise within rtol of the largest entry."""
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want), initial=0.0) <= rtol * np.max(np.abs(want))
+
+
 def test_blocks_equal_explicit_power_convolutions():
-    ops = (
-        composition(HALF_SHIFT),
-        weighted(PSI_HALF, AFFINE_HALF),
-        weighted(Exp(Poly((0, 0.5j))), MoebiusMap(0.3 + 0.1j, 0.2j, 0.25, 1.1)),
-        toeplitz(Poly((1, 0.5j, -0.25))),
-    )
+    # the recurrence rounds differently from explicit convolutions, so entries
+    # agree to rounding; Toeplitz blocks are the weight's series shifted, bit for bit
     for sp in ALL_SPACES:
-        for op in ops:
+        for op in EXPLICIT_OPS:
             for N, M in ((0, 0), (5, 5), (6, 40)):
-                tall = build_block(op, sp, N, M).entries
-                assert np.array_equal(tall, _reference_entries(op, sp, M, N))
-                wide = wide_block(op, sp, N, M).entries
-                assert np.array_equal(wide, _reference_entries(op, sp, N, M))
+                for got, want in (
+                    (build_block(op, sp, N, M).entries, _reference_entries(op, sp, M, N)),
+                    (_columns(op, sp, N, M), _reference_entries(op, sp, N, M)),
+                ):
+                    _assert_rounding_close(got, want)
+                    if op.symbol is None:
+                        assert np.array_equal(got, want)
         N, M = 8, 40
         word = cowen_adjoint_word(HALF_SHIFT, sp)
-        letters = [_reference_entries(w.op, sp, M, M) for w in word]
+        letters = [_columns(w.op, sp, M, M) for w in word]
+        for w, m in zip(word, letters):
+            _assert_rounding_close(m, _reference_entries(w.op, sp, M, M))
         letters = [m.conj().T if w.adjoint else m for w, m in zip(word, letters)]
         expected = letters[0] @ (letters[1] @ letters[2])
         blk = word_block(word, sp, N, M)
         assert np.array_equal(blk.entries, expected[: N + 1, : N + 1])
         assert np.isnan(blk.tail_estimate)
+
+
+def _exact_raw_coefficients(symbol, num, den, order):
+    """Raw coefficients F[n, j] of weight * symbol**j, n, j <= order, exact.
+
+    The symbol (az + b)/(cz + d) and the weight num/den have integer
+    coefficients.  The weight's series comes out as Fractions; then
+    X[n, j] = F[n, j] q^(n+1) d^(n+j), with q = den[0], is an integer, and
+    (d + cz) weight symbol^(j+1) = (b + az) weight symbol^j becomes an
+    integer recurrence.  Each entry is rounded once, by int true division.
+    """
+    a, b, c, d = (int(v.real) for v in (symbol.a, symbol.b, symbol.c, symbol.d))
+    assert complex(a, 0) == symbol.a and complex(b, 0) == symbol.b
+    assert complex(c, 0) == symbol.c and complex(d, 0) == symbol.d
+    q = den[0]
+    psi = []
+    for n in range(order + 1):
+        v = Fraction(num[n] if n < len(num) else 0)
+        v -= sum(den[k] * psi[n - k] for k in range(1, min(n, len(den) - 1) + 1))
+        psi.append(v / q)
+    X = np.zeros((order + 1, order + 1), dtype=object)
+    for n, v in enumerate(psi):
+        scaled = v * q ** (n + 1) * d**n
+        assert scaled.denominator == 1
+        X[n, 0] = scaled.numerator
+    for j in range(order):
+        for n in range(order + 1):
+            up = q * (a * d * X[n - 1, j] - c * X[n - 1, j + 1]) if n else 0
+            X[n, j + 1] = b * X[n, j] + up
+    # Python ints: the denominators overflow any fixed-width integer
+    rows = range(order + 1)
+    return np.array([[X[n, j] / (q ** (n + 1) * d ** (n + j)) for j in rows] for n in rows])
+
+
+def test_blocks_match_exact_rational_coefficients():
+    # Hardy's basis norms are all 1, so the block is the raw coefficients
+    order = 200
+    for symbol in (HALF_SHIFT, THREE_POINT, TAU, PARABOLIC_ONE):
+        for weight, num, den in ((None, (1,), (1,)), (PSI_HALF, (2,), (2, -1))):
+            op = composition(symbol) if weight is None else weighted(weight, symbol)
+            exact = _exact_raw_coefficients(symbol, num, den, order)
+            _assert_rounding_close(_columns(op, hardy(), order, order), exact)
+
+
+def test_defect_report_slices_one_block_into_every_defect():
+    op = weighted(PSI_HALF, HALF_SHIFT)
+    for sp in (hardy(), bergman(1.0)):
+        for N, M in ((8, None), (8, 20), (8, 31), (24, 64)):
+            rep = defect_report(op, sp, N, M)
+            M = rep.hyponormality.M
+            pair = gram_blocks(op, sp, N, M)
+            h = pair.g1 - pair.g2
+            h = 0.5 * (h + h.conj().T)
+            assert rep.hyponormality.min_eig == np.linalg.eigvalsh(h)[0]
+            assert rep.norm_selfcomm == np.linalg.norm(h, 2)
+            assert rep.hyponormality.tail_bound == pair.tail_bound
+            K = max(M, 2 * N + 16)
+            assert rep.quasinormal_defect == quasinormality_defect(op, sp, N, K)
+            assert rep.selfadjoint_defect == selfadjoint_defect(op, sp, N)
+            eye = np.eye(N + 1)
+            gap = max(np.linalg.norm(pair.g1 - eye, 2), np.linalg.norm(pair.g2 - eye, 2))
+            assert rep.unitary_defect == gap
 
 
 def test_batched_tail_diagnostics_match_each_column():

@@ -20,9 +20,9 @@ def _assert_close(got, want, path=""):
         assert got == want, path
 
 
-def test_pin_reproduces_the_committed_thresholds_without_writing_them():
+def test_pin_reproduces_the_committed_thresholds_without_writing_them(suite):
     tool = runpy.run_path(str(TOOL))
     committed = tool["OUT"].read_bytes()
-    pinned = tool["pin"]()
+    pinned = tool["pin"](list(suite.reports.values()))
     assert tool["OUT"].read_bytes() == committed
     _assert_close(pinned, json.loads(committed))

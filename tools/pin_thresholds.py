@@ -30,9 +30,10 @@ BOUNDS = {">=": ("quasinormal_floors", "floor"), "<=": ("mineig_ceilings", "ceil
 WITNESS = "kernel-witness-min-chi."
 
 
-def pin() -> dict:
-    """Run the scenarios and return the contents of thresholds.json; meta.orders
-    are those of the first report with a pinned value."""
+def pin(reports) -> dict:
+    """Contents of thresholds.json from the reports of one `run_all()` and
+    the S8 stability runs; meta.orders are those of the first report with a
+    pinned value."""
     data: dict = {
         "meta": {
             "script": "tools/pin_thresholds.py",
@@ -46,7 +47,7 @@ def pin() -> dict:
         "kernel_witness": {},
         "stability": {},
     }
-    for report in run_all():
+    for report in reports:
         for c in report.checks:
             if c.source == "oracle":
                 section, entry = BOUNDS[c.threshold[:2]]
@@ -62,20 +63,22 @@ def pin() -> dict:
             else:
                 continue
             data["meta"].setdefault("orders", report.orders)
+    data["stability"]["S8.hardy.f-exp"] = s8_stability()
+    return data
 
-    # stability of the exponential-weight defect across compression orders,
-    # used by the acceptance gate: committed delta = 0.9 * min over N
+
+def s8_stability() -> dict:
+    """Stability of the exponential-weight defect across compression orders,
+    used by the acceptance gate: committed delta = 0.9 * min over N."""
     observed = {}
     for n in (12, 16, 20, 24):
         report = run_scenario("S8-thm38", Overrides(N=n, M=320))
         observed[str(n)] = report.check("quasinormal-defect.f-exp").value
-    delta = 0.9 * min(observed.values())
-    data["stability"]["S8.hardy.f-exp"] = {"observed": observed, "delta": delta}
-    return data
+    return {"observed": observed, "delta": 0.9 * min(observed.values())}
 
 
 def main() -> None:
-    data = pin()
+    data = pin(run_all())
     OUT.parent.mkdir(parents=True, exist_ok=True)
     OUT.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
     print(f"wrote {OUT}")
