@@ -11,9 +11,8 @@ the i-th Taylor coefficient of the analytic image of e_j, rescaled.  One
 engine, `_columns`, computes these entries, exact up to rounding, by an
 O(rows * cols) recurrence in which every top-left sub-block is bit for bit
 the smaller block; so a tall block (columns <= N), a wide block (rows <= N)
-and a square block of one operator are slices of one call.  Operator words
-and the quasinormality commutator are formed at the working order M that
-`working_order` sets and compressed to order N at the end.
+and a square block of one operator are slices of one call.  A word applies
+its order-M letter blocks right to left to the N + 1 columns it reads.
 """
 
 from __future__ import annotations
@@ -288,27 +287,28 @@ def adjoint_letter(op: OperatorSpec) -> WordLetter:
 def word_block(
     word: OperatorWord, space: SpaceSpec, N: int, M: int | None = None
 ) -> TruncatedBlock:
-    """Compression to order N of a product of operator letters.
-
-    Every letter is realized as a square block of order M (left to right in
-    operator order: word[0] applied last) and multiplied into the product at
-    order M from the last letter on, so only one letter block is held at a
-    time; the product is compressed at the very end.  Requires M >= 2N.
-    """
+    """Compression P_N L_1 ... L_k P_N of a word of letters, each a square
+    block of order M (word[0] is applied last).  Requires M >= 2N."""
     word = tuple(word)
-    if not word:
-        raise InputError("operator word must have at least one letter")
     if N < 0:
         raise InputError("compression order must be nonnegative")
     M = working_order(N, [w.op for w in word], M)
-    prod = None
+    prod, flag = _apply_word(word, space, M, np.eye(M + 1, N + 1))
+    return TruncatedBlock(prod[: N + 1], space, flag, float("nan"))
+
+
+def _apply_word(
+    word: OperatorWord, space: SpaceSpec, M: int, x: np.ndarray
+) -> tuple[np.ndarray, bool]:
+    """L_1 ... L_k x and the OR of the letters' tail flags, each letter an order-M block."""
+    if not word:
+        raise InputError("operator word must have at least one letter")
     flag = False
     for w in reversed(word):
         blk = build_block(w.op, space, M, M)
-        mat = blk.entries.conj().T if w.adjoint else blk.entries
-        prod = mat if prod is None else mat @ prod
+        x = (blk.entries.conj().T if w.adjoint else blk.entries) @ x
         flag = flag or blk.tail_flag
-    return TruncatedBlock(prod[: N + 1, : N + 1], space, flag, float("nan"))
+    return x, flag
 
 
 @dataclass(frozen=True, eq=False)

@@ -26,15 +26,11 @@ from .opmat import (
     GramPair,
     OperatorSpec,
     OperatorWord,
+    _apply_word,
     _columns,
-    adjoint_block,
-    build_block,
     _gram_pair,
     gram_blocks,
     is_boundary_touching,
-    operator_norm_estimate,
-    plain,
-    word_block,
     working_order,
 )
 from .series import (
@@ -238,14 +234,15 @@ def douglas_witness(
     N: int,
     M: int | None = None,
 ) -> DouglasWitness:
-    """Check ||C|| <= 1 and A* = C A at order N for a candidate word C."""
+    """Check ||C|| <= 1 and A* = C A at order N for a candidate word C, by
+    one sweep of C over [P_N | A's tall block]; A* is its corner's adjoint."""
     word = tuple(contraction)
     M = working_order(N, [w.op for w in word] + [op], M)
-    cblk = word_block(word, space, N, M)
-    ca = word_block(word + (plain(op),), space, N, M)
-    target = adjoint_block(build_block(op, space, N, N))
-    residual = _spectral_norm(ca.entries - target.entries)
-    return DouglasWitness(operator_norm_estimate(cblk), residual, N, M)
+    tall = _columns(op, space, M, N)
+    panel, _ = _apply_word(word, space, M, np.hstack((np.eye(M + 1, N + 1), tall)))
+    c, ca = panel[: N + 1, : N + 1], panel[: N + 1, N + 1 :]
+    residual = _spectral_norm(ca - tall[: N + 1].conj().T)
+    return DouglasWitness(_spectral_norm(c), residual, N, M)
 
 
 @dataclass(frozen=True)

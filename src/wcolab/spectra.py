@@ -36,14 +36,17 @@ DEFAULT_BETA_GRID = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0)
 
 
 def truncation_eigenvalues(block: TruncatedBlock) -> np.ndarray:
-    """Eigenvalues of the leading square part, sorted by decreasing modulus.
+    """Eigenvalues of the leading square part by decreasing modulus; moduli
+    within 1e-10 of the largest tie and list by imaginary, then real part.
 
     Diagnostic only: truncation spectra of non-normal operators need not
     approximate the operator's spectrum.
     """
     eigs = np.linalg.eigvals(block.square())
-    order = np.argsort(-np.abs(eigs), kind="stable")
-    return eigs[order]
+    eigs = eigs[np.argsort(-np.abs(eigs))]
+    mod = np.abs(eigs)
+    tier = np.cumsum(np.diff(mod, prepend=np.inf) < -1e-10 * mod.max(initial=0.0))
+    return eigs[np.lexsort((eigs.real, eigs.imag, tier))]
 
 
 def spiral_curve(

@@ -1,6 +1,7 @@
 """Tests for truncated operator blocks, words, and Gram matrices."""
 
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -30,8 +31,13 @@ from wcolab.opmat import (
     word_block,
     working_order,
 )
-from wcolab.probes import defect_report, quasinormality_defect, selfadjoint_defect
-from wcolab.scenarios import PARABOLIC_ONE, TAU, THREE_POINT
+from wcolab.probes import (
+    defect_report,
+    douglas_witness,
+    quasinormality_defect,
+    selfadjoint_defect,
+)
+from wcolab.scenarios import PARABOLIC_ONE, QUARTER_SHRINK, TAU, THREE_POINT
 from wcolab.series import (
     Exp,
     Poly,
@@ -215,6 +221,44 @@ def test_blocks_equal_explicit_power_convolutions():
         assert np.isnan(blk.tail_estimate)
 
 
+def _signed(word, letters):
+    return [m.conj().T if w.adjoint else m for w, m in zip(word, letters)]
+
+
+def test_word_block_equals_explicit_full_product():
+    # the panel sweep is P_N L_1 ... L_k P_N of the full order-M letter blocks
+    N = 6
+    words = (
+        cowen_adjoint_word(THREE_POINT, hardy()),
+        (
+            plain(toeplitz(PSI_HALF)),
+            adjoint_letter(composition(HALF_SHIFT)),
+            plain(weighted(PSI_HALF, AFFINE_HALF)),
+        ),
+        (adjoint_letter(weighted(PSI_HALF, INTERIOR_MAP)), plain(composition(THREE_POINT))),
+    )
+    for sp in ALL_SPACES:
+        for word in words:
+            for M in (2 * N, 10 * N):
+                letters = _signed(word, [_columns(w.op, sp, M, M) for w in word])
+                expected = reduce(np.matmul, letters)
+                _assert_rounding_close(
+                    word_block(word, sp, N, M).entries, expected[: N + 1, : N + 1]
+                )
+
+
+def test_cowen_word_compresses_exactly():
+    # T_g is lower and T_h* upper triangular, so P_N T_g C_sigma T_h* P_N is
+    # the product of the three order-N letter compressions at any M
+    N = 8
+    for sp in ALL_SPACES:
+        for m in (HALF_SHIFT, QUARTER_SHRINK, PARABOLIC_ONE, THREE_POINT):
+            word = cowen_adjoint_word(m, sp)
+            g, c, h = _signed(word, [_columns(w.op, sp, N, N) for w in word])
+            for M in (2 * N, 10 * N):
+                _assert_rounding_close(word_block(word, sp, N, M).entries, g @ c @ h)
+
+
 def _exact_raw_coefficients(symbol, num, den, order):
     """Raw coefficients F[n, j] of weight * symbol**j, n, j <= order, exact.
 
@@ -304,6 +348,13 @@ def test_batched_tail_diagnostics_match_each_column():
 def test_word_block_enforces_order_policy():
     with pytest.raises(OrderPolicyError):
         word_block((plain(composition(HALF_SHIFT)),), hardy(), 16, 24)
+
+
+def test_empty_word_is_rejected():
+    with pytest.raises(InputError):
+        word_block((), hardy(), 4)
+    with pytest.raises(InputError):
+        douglas_witness((), composition(HALF_SHIFT), hardy(), 4)
 
 
 def test_cowen_adjoint_word_residual_small():

@@ -5,7 +5,19 @@ import pytest
 
 from wcolab.errors import OrderPolicyError
 from wcolab.mobius import MoebiusMap, rotation
-from wcolab.opmat import composition, gram_blocks, plain, toeplitz, weighted
+from wcolab import opmat
+from wcolab.opmat import (
+    adjoint_block,
+    adjoint_letter,
+    build_block,
+    composition,
+    gram_blocks,
+    operator_norm_estimate,
+    plain,
+    toeplitz,
+    weighted,
+    word_block,
+)
 from wcolab.probes import (
     KERNEL_PROBE_MAX_ORDER,
     KERNEL_PROBE_ORDER,
@@ -38,6 +50,7 @@ from wcolab.scenarios import (
     HYPERBOLIC_AUTO,
     PSI_HALF,
     S8_CASES,
+    SADRAOUI,
     TAU,
     THREE_POINT,
     s6_weight,
@@ -175,6 +188,39 @@ def test_douglas_witness_for_adjoint_factorization():
     w = douglas_witness(word, op, hardy(), 12, 96)
     assert w.residual < 1e-10
     assert w.norm_estimate <= 1.0 + 1e-8
+
+
+def _two_word_douglas(contraction, op, sp, N, M):
+    """The witness as two words: ||C|| and ||C A - A*||, A* from the order-N block."""
+    c = word_block(contraction, sp, N, M)
+    ca = word_block(contraction + (plain(op),), sp, N, M)
+    target = adjoint_block(build_block(op, sp, N, N))
+    return operator_norm_estimate(c), float(np.linalg.norm(ca.entries - target.entries, 2))
+
+
+def test_douglas_witness_builds_each_letter_once(monkeypatch):
+    # S7's contraction, and S8's with the adjoint letter T_g*, at their orders
+    s7 = (plain(toeplitz(ETA)), plain(composition(TAU)))
+    cases = [(s7, SADRAOUI, 24)] + [
+        (s7 + (adjoint_letter(toeplitz(g)), plain(toeplitz(inv_f))), s8_operator(f), 16)
+        for _, f, g, inv_f in S8_CASES
+    ]
+    refs = [_two_word_douglas(c, op, hardy(), N, 160) for c, op, N in cases]
+    build = opmat.build_block
+    built = []
+
+    def counting_build(op, *args, **kwargs):
+        built.append(op)
+        return build(op, *args, **kwargs)
+
+    monkeypatch.setattr(opmat, "build_block", counting_build)
+    for (contraction, op, N), (norm, residual) in zip(cases, refs):
+        built.clear()
+        w = douglas_witness(contraction, op, hardy(), N, 160)
+        assert len(built) == len(contraction)
+        assert all(b is c.op for b, c in zip(built, reversed(contraction)))
+        assert abs(w.norm_estimate - norm) <= 1e-14
+        assert abs(w.residual - residual) <= 1e-14
 
 
 def test_kernel_probe_zero_for_unitary_and_negative_for_bad_map():

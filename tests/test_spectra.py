@@ -5,7 +5,7 @@ import pytest
 
 from wcolab.errors import InputError
 from wcolab.mobius import rotation
-from wcolab.opmat import build_block, composition
+from wcolab.opmat import TruncatedBlock, build_block, composition
 from wcolab.series import taylor
 from wcolab.space import bergman, hardy
 from wcolab.spectra import (
@@ -35,6 +35,17 @@ def test_truncation_eigenvalues_sorted_by_modulus():
     eigs = truncation_eigenvalues(blk)
     mods = np.abs(eigs)
     assert np.all(mods[:-1] >= mods[1:] - 1e-15)
+
+
+def test_truncation_eigenvalues_list_a_real_block_like_its_transpose():
+    # the solver returns the conjugate pairs of a and a.T in opposite orders;
+    # a tie in modulus lists by imaginary part
+    a = np.random.default_rng(0).standard_normal((6, 6))
+    e1, e2 = (
+        truncation_eigenvalues(TruncatedBlock(x, hardy(), False, float("nan"))) for x in (a, a.T)
+    )
+    assert np.max(np.abs(e1 - e2)) <= 1e-12
+    assert e1[1].imag < 0 < e1[2].imag
 
 
 def test_spiral_curve_matches_exponential():
