@@ -13,7 +13,8 @@ Exit codes: 0 success or PASS, 1 internal error, 2 invalid input,
 
 Numeric output is printed with 12 significant digits.  Map, operator, and
 expression JSON schemas are the ones produced by the corresponding
-``to_json`` methods, so every emitted JSON document re-parses.
+``to_json`` methods, so every emitted JSON document re-parses; a value
+that is not finite is written as null, never as NaN or Infinity.
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ def _parse_complex_arg(obj, what: str) -> complex:
 
 
 def _write_json(path: str, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     if path == "-":
         print(text)
     else:
@@ -213,7 +214,7 @@ def cmd_probe(args) -> int:
     ev = rep.hyponormality
     print(f"operator: {op.describe()}  space: {space.label()}  N={ev.N} M={ev.M}")
     print(f"selfcommutator min eigenvalue: {fmt(ev.min_eig)}")
-    print(f"selfcommutator norm:           {fmt(rep.norm_selfcomm)}")
+    print(f"selfcommutator norm:           {fmt(ev.norm)}")
     print(f"quasinormal defect:            {fmt(rep.quasinormal_defect)}")
     print(f"selfadjoint defect:            {fmt(rep.selfadjoint_defect)}")
     print(f"unitary defect:                {fmt(rep.unitary_defect)}")

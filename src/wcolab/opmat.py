@@ -193,14 +193,14 @@ class TruncatedBlock:
         return self.entries[:k, :k]
 
     def to_json(self) -> dict:
-        """Orders, entries as [re, im] pairs, and flags; a nan estimate is null."""
+        """Orders, entries as [re, im] pairs, and flags; a non-finite estimate is null."""
         return {
             "space": self.space.to_json(),
             "row_order": self.row_order,
             "col_order": self.col_order,
             "entries": [[[float(v.real), float(v.imag)] for v in row] for row in self.entries],
             "tail_flag": bool(self.tail_flag),
-            "tail_estimate": None if np.isnan(self.tail_estimate) else self.tail_estimate,
+            "tail_estimate": self.tail_estimate if np.isfinite(self.tail_estimate) else None,
         }
 
 
@@ -300,14 +300,20 @@ def word_block(
 def _apply_word(
     word: OperatorWord, space: SpaceSpec, M: int, x: np.ndarray
 ) -> tuple[np.ndarray, bool]:
-    """L_1 ... L_k x and the OR of the letters' tail flags, each letter an order-M block."""
+    """L_1 ... L_k x and the OR of the letters' tail flags, each letter an order-M block.
+
+    At most one order-M block is alive at a time: an adjoint letter applies
+    conj(B.T @ conj(x)), the same product as B* x bit for bit, without an
+    order-M conjugate copy, and each block is freed before the next is built.
+    """
     if not word:
         raise InputError("operator word must have at least one letter")
     flag = False
     for w in reversed(word):
         blk = build_block(w.op, space, M, M)
-        x = (blk.entries.conj().T if w.adjoint else blk.entries) @ x
+        x = (blk.entries.T @ x.conj()).conj() if w.adjoint else blk.entries @ x
         flag = flag or blk.tail_flag
+        del blk
     return x, flag
 
 

@@ -77,17 +77,10 @@ def _quasinormal_least(N: int) -> int:
     return 2 * N + 16
 
 
-def self_commutator(
-    op: OperatorSpec, space: SpaceSpec, N: int, M: int | None = None
-) -> tuple[np.ndarray, float]:
-    """Hermitian block of A*A - AA* at order N, plus a crude tail bound."""
-    pair = gram_blocks(op, space, N, M)
-    return _selfcomm_block(pair), pair.tail_bound
-
-
 @dataclass(frozen=True)
 class HyponormalityEvidence:
     min_eig: float
+    norm: float  # spectral norm of the self-commutator block
     tail_bound: float
     certificate: bool  # True when min_eig is negative beyond bound + slack
     N: int
@@ -97,26 +90,23 @@ class HyponormalityEvidence:
 def hyponormality_probe(
     op: OperatorSpec, space: SpaceSpec, N: int, M: int | None = None
 ) -> HyponormalityEvidence:
-    """Minimum eigenvalue of the self-commutator block.
+    """Minimum eigenvalue and norm of the self-commutator block.
 
     A value below -(tail_bound + slack) certifies non-hyponormality; a
     nonnegative value is consistent with hyponormality but proves nothing.
     """
     M = working_order(N, [op], M)
-    h, bound = self_commutator(op, space, N, M)
-    return _selfcomm_evidence(h, bound, N, M)[0]
+    return _selfcomm_evidence(gram_blocks(op, space, N, M), N, M)
 
 
-def _selfcomm_evidence(
-    h: np.ndarray, bound: float, N: int, M: int
-) -> tuple[HyponormalityEvidence, float]:
-    """Evidence from a self-commutator block, and the block's spectral norm."""
+def _selfcomm_evidence(pair: GramPair, N: int, M: int) -> HyponormalityEvidence:
+    """Evidence from the self-commutator block of a Gram pair."""
+    h = _selfcomm_block(pair)
     min_eig = float(np.linalg.eigvalsh(h)[0])
     norm = _spectral_norm(h)
-    slack = ROUNDING_SLACK * max(1.0, norm)
-    bound_eff = bound if math.isfinite(bound) else 0.0
-    cert = min_eig < -(bound_eff + slack) and math.isfinite(bound)
-    return HyponormalityEvidence(min_eig, bound, cert, N, M), norm
+    bound, slack = pair.tail_bound, ROUNDING_SLACK * max(1.0, norm)
+    cert = math.isfinite(bound) and min_eig < -(bound + slack)
+    return HyponormalityEvidence(min_eig, norm, bound, cert, N, M)
 
 
 def quasinormality_defect(
@@ -132,18 +122,12 @@ def quasinormality_defect(
 
 
 def _quasinormal_commutator_norm(s: np.ndarray, N: int) -> float:
-    """||P_N (S S*S - S*S S) P_N|| in O(M^2 N), from N + 1 rows and columns of S*S."""
+    """||P_N (S S*S - S*S S) P_N|| in O(M^2 N): u = P_N S*S is formed once,
+    and S*S P_N is its adjoint."""
     tall = s[:, : N + 1]
-    d = s[: N + 1, :] @ (s.conj().T @ tall) - (tall.conj().T @ s) @ tall
+    u = tall.conj().T @ s
+    d = s[: N + 1] @ u.conj().T - u @ tall
     return _spectral_norm(d)
-
-
-def normality_defect(
-    op: OperatorSpec, space: SpaceSpec, N: int, M: int | None = None
-) -> float:
-    """Norm of the self-commutator block."""
-    h, _ = self_commutator(op, space, N, M)
-    return _spectral_norm(h)
 
 
 def selfadjoint_defect(op: OperatorSpec, space: SpaceSpec, N: int) -> float:
@@ -164,7 +148,6 @@ class DefectReport:
     """One-stop summary of the normality-class defects of an operator."""
 
     hyponormality: HyponormalityEvidence
-    norm_selfcomm: float
     quasinormal_defect: float
     selfadjoint_defect: float
     unitary_defect: float
@@ -174,7 +157,7 @@ class DefectReport:
         ev = self.hyponormality
         return {
             "min_eig_selfcomm": ev.min_eig,
-            "norm_selfcomm": self.norm_selfcomm,
+            "norm_selfcomm": ev.norm,
             "quasinormal_defect": self.quasinormal_defect,
             "selfadjoint_defect": self.selfadjoint_defect,
             "unitary_defect": self.unitary_defect,
@@ -197,7 +180,7 @@ def defect_report(
     s = _columns(op, space, K, K)
     tall, wide, corner = s[: M + 1, : N + 1], s[: N + 1, : M + 1], s[: N + 1, : N + 1]
     pair = _gram_pair(tall, wide)
-    ev, norm = _selfcomm_evidence(_selfcomm_block(pair), pair.tail_bound, N, M)
+    ev = _selfcomm_evidence(pair, N, M)
     flags = []
     if is_boundary_touching(op):
         flags.append("boundary-touching-symbol")
@@ -207,7 +190,6 @@ def defect_report(
         flags.append("tail-bound-unavailable")
     return DefectReport(
         hyponormality=ev,
-        norm_selfcomm=norm,
         quasinormal_defect=_quasinormal_commutator_norm(s, N),
         selfadjoint_defect=_spectral_norm(corner - corner.conj().T),
         unitary_defect=_unitary_gap(pair),
@@ -215,14 +197,15 @@ def defect_report(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DouglasWitness:
     """Range-inclusion witness: a word C with A* ~ C A and ||C|| <= 1 shows
     ran(A*) is contained in ran(A), the operator-theoretic footprint of
-    hyponormality."""
+    hyponormality.  ca is the order-N compression of C A."""
 
     norm_estimate: float
     residual: float
+    ca: np.ndarray
     N: int
     M: int
 
@@ -242,7 +225,7 @@ def douglas_witness(
     panel, _ = _apply_word(word, space, M, np.hstack((np.eye(M + 1, N + 1), tall)))
     c, ca = panel[: N + 1, : N + 1], panel[: N + 1, N + 1 :]
     residual = _spectral_norm(ca - tall[: N + 1].conj().T)
-    return DouglasWitness(_spectral_norm(c), residual, N, M)
+    return DouglasWitness(_spectral_norm(c), residual, ca, N, M)
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ from __future__ import annotations
 import functools
 import importlib.resources
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -39,7 +40,6 @@ from .opmat import (
     build_block,
     composition,
     cowen_adjoint_word,
-    operator_norm_estimate,
     plain,
     toeplitz,
     weighted,
@@ -51,7 +51,6 @@ from .probes import (
     douglas_witness,
     hyponormality_probe,
     kernel_condition_probe,
-    normality_defect,
     quasinormality_defect,
     selfadjoint_defect,
     unitary_defect,
@@ -208,6 +207,11 @@ def _flag(name, ok, description, source, **details) -> CheckResult:
 
 def _info(name, value, description, **details) -> CheckResult:
     return CheckResult(name, value, description, None, "exact", details)
+
+
+def _finite_or_none(x: float) -> float | None:
+    """x, or None (JSON null) where x is not finite."""
+    return x if math.isfinite(x) else None
 
 
 def _kernel_witness(name, pts) -> CheckResult:
@@ -387,7 +391,7 @@ def _s5(ov: Overrides) -> tuple[list[CheckResult], dict]:
                 _le(f"quasinormal-defect.{tag}", rep.quasinormal_defect, 1e-12, "analytic")
             )
             checks.append(
-                _le(f"selfcommutator-norm.{tag}", rep.norm_selfcomm, 1e-12, "analytic")
+                _le(f"selfcommutator-norm.{tag}", rep.hyponormality.norm, 1e-12, "analytic")
             )
         checks.append(
             _above_floor(
@@ -424,23 +428,21 @@ def _s7(ov: Overrides) -> tuple[list[CheckResult], dict]:
         )
     )
 
-    factor_word = (plain(toeplitz(ETA)), plain(composition(TAU)), plain(SADRAOUI))
-    refact = word_block(factor_word, sp, N, M)
+    contraction = (plain(toeplitz(ETA)), plain(composition(TAU)))
+    dw = douglas_witness(contraction, SADRAOUI, sp, N, M)
     checks.append(
         _le(
             "factorization-residual",
-            float(np.linalg.norm(direct.entries - refact.entries, 2)),
+            float(np.linalg.norm(direct.entries - dw.ca, 2)),
             1e-6,
             "analytic",
         )
     )
 
-    contraction = (plain(toeplitz(ETA)), plain(composition(TAU)))
-    norms = []
-    for n in (ov.order(8), ov.order(16), ov.order(32)):
-        norms.append(
-            (n, operator_norm_estimate(word_block(contraction, sp, n, max(M, 2 * n))))
-        )
+    # the smaller compressions are leading sub-blocks of the largest one
+    orders = (ov.order(8), ov.order(16), ov.order(32))
+    c = word_block(contraction, sp, orders[-1], max(M, 2 * orders[-1])).entries
+    norms = [(n, float(np.linalg.norm(c[: n + 1, : n + 1], 2))) for n in orders]
     checks.append(
         _flag(
             "contraction-norm-nondecreasing",
@@ -454,11 +456,9 @@ def _s7(ov: Overrides) -> tuple[list[CheckResult], dict]:
     checks.append(_le("contraction-norm-cap", norms[-1][1], 1.0 + 1e-8, "analytic"))
 
     ev = hyponormality_probe(SADRAOUI, sp, ov.order(16), max(M, 160))
-    checks.append(
-        _ge("selfcommutator-min-eig", ev.min_eig, -1e-6, "analytic", tail_bound=ev.tail_bound)
-    )
+    tail = _finite_or_none(ev.tail_bound)
+    checks.append(_ge("selfcommutator-min-eig", ev.min_eig, -1e-6, "analytic", tail_bound=tail))
 
-    dw = douglas_witness(contraction, SADRAOUI, sp, N, M)
     checks.append(_le("douglas-residual", dw.residual, 1e-6, "analytic"))
     checks.append(_le("douglas-norm", dw.norm_estimate, 1.0 + 1e-8, "analytic"))
     return checks, {"N": N, "M": M}
@@ -496,7 +496,7 @@ def _s8(ov: Overrides) -> tuple[list[CheckResult], dict]:
                 ev.min_eig,
                 -1e-6,
                 "analytic",
-                tail_bound=ev.tail_bound,
+                tail_bound=_finite_or_none(ev.tail_bound),
             )
         )
         v = quasinormality_defect(op, sp, N, Mq)
@@ -574,7 +574,7 @@ def _s11(ov: Overrides) -> tuple[list[CheckResult], dict]:
             nd = []
             for n in orders:
                 sa.append(selfadjoint_defect(op, space, n))
-                nd.append(normality_defect(op, space, n, ov.work(max(8 * n, 320))))
+                nd.append(hyponormality_probe(op, space, n, ov.work(max(8 * n, 320))).norm)
             tag = f"{space.label()}.t={t:g}"
             checks.append(
                 _info(

@@ -25,6 +25,13 @@ def run_cli(args):
     return cli.main(args)
 
 
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def test_classify_self_map(capsys):
     code = run_cli(["classify", "--map", HALF_SHIFT_JSON])
     out = capsys.readouterr().out
@@ -50,7 +57,7 @@ def test_classify_json_roundtrips(tmp_path, capsys):
     code = run_cli(["classify", "--map", HALF_SHIFT_JSON, "--json", str(out)])
     capsys.readouterr()
     assert code == 0
-    payload = json.loads(out.read_text())
+    payload = _strict_json(out.read_text())
     again = MoebiusMap.from_json(payload["map"])
     assert abs(again.apply(0.5) - 1.0 / 3.0) < 1e-12
     assert payload["classification"]["class"] == "interior-dw-with-boundary-fixed-point"
@@ -79,7 +86,7 @@ def test_block_csv_and_json(tmp_path, capsys):
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0].startswith("i,re_0,im_0")
     assert len(lines) == 50  # header + rows 0..48
-    payload = json.loads(json_path.read_text())
+    payload = _strict_json(json_path.read_text())
     op = OperatorSpec.from_json(payload["op"])
     assert op.describe() == "composition"
     entries = np.array(
@@ -89,32 +96,26 @@ def test_block_csv_and_json(tmp_path, capsys):
     assert abs(entries[1, 1] - 0.5) < 1e-12  # first coefficient of z/(2-z)
 
 
-def _strict_json(text):
-    def reject(name):
-        raise ValueError(f"non-standard JSON constant {name}")
-
-    return json.loads(text, parse_constant=reject)
-
-
 def test_block_json_is_strict_json_without_a_tail_estimate(capsys):
-    # 13 rows are too few for a tail estimate: it is written as null, not NaN
-    code = run_cli(
-        ["block", "--map", HALF_SHIFT_JSON, "--order", "4", "--tail", "12", "--json", "-"]
-    )
-    out = capsys.readouterr().out
-    assert code == 0
-    payload = _strict_json(out[out.index("{") :])
-    assert payload["tail_estimate"] is None
-    assert set(payload) == {
-        "op",
-        "space",
-        "row_order",
-        "col_order",
-        "entries",
-        "tail_flag",
-        "tail_estimate",
-    }
-    assert (payload["row_order"], payload["col_order"]) == (12, 4)
+    # 13 rows are too few for a tail estimate (NaN), and the half-shift's
+    # columns at 33 rows decay too slowly for one (infinite): both are null
+    for order, tail in ((4, 12), (16, 32)):
+        argv = ["--order", str(order), "--tail", str(tail), "--json", "-"]
+        code = run_cli(["block", "--map", HALF_SHIFT_JSON] + argv)
+        out = capsys.readouterr().out
+        assert code == 0
+        payload = _strict_json(out[out.index("{") :])
+        assert payload["tail_estimate"] is None
+        assert set(payload) == {
+            "op",
+            "space",
+            "row_order",
+            "col_order",
+            "entries",
+            "tail_flag",
+            "tail_estimate",
+        }
+        assert (payload["row_order"], payload["col_order"]) == (tail, order)
 
 
 def test_probe_json_is_strict_json_without_a_tail_bound(capsys):
@@ -152,7 +153,7 @@ def test_probe_outputs_defects_and_json(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "quasinormal defect" in out
-    payload = json.loads(json_path.read_text())
+    payload = _strict_json(json_path.read_text())
     assert set(payload) == {
         "op",
         "space",
@@ -239,7 +240,7 @@ def test_spectrum_json_payload(tmp_path, capsys):
     )
     capsys.readouterr()
     assert code == 0
-    payload = json.loads(json_path.read_text())
+    payload = _strict_json(json_path.read_text())
     assert len(payload["eigenvalues"]) == 9
     assert len(payload["gelfand_sequence"]) == 12
 
@@ -260,7 +261,7 @@ def test_scenario_run_single(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "S3-uniform-iteration: PASS" in out
-    payload = json.loads(json_path.read_text())
+    payload = _strict_json(json_path.read_text())
     assert payload["reports"][0]["verdict"] == "PASS"
 
 

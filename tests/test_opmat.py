@@ -37,7 +37,7 @@ from wcolab.probes import (
     quasinormality_defect,
     selfadjoint_defect,
 )
-from wcolab.scenarios import PARABOLIC_ONE, QUARTER_SHRINK, TAU, THREE_POINT
+from wcolab.scenarios import ETA, PARABOLIC_ONE, QUARTER_SHRINK, TAU, THREE_POINT
 from wcolab.series import (
     Exp,
     Poly,
@@ -301,6 +301,14 @@ def test_blocks_match_exact_rational_coefficients():
             _assert_rounding_close(_columns(op, hardy(), order, order), exact)
 
 
+def test_smaller_word_compressions_are_leading_sub_blocks():
+    # S7 reads its contraction's norms at several orders from one sweep
+    word = (plain(toeplitz(ETA)), plain(composition(TAU)))
+    big = word_block(word, hardy(), 32, 160).entries
+    for n in (8, 16, 24):
+        assert np.array_equal(big[: n + 1, : n + 1], word_block(word, hardy(), n, 160).entries)
+
+
 def test_defect_report_slices_one_block_into_every_defect():
     op = weighted(PSI_HALF, HALF_SHIFT)
     for sp in (hardy(), bergman(1.0)):
@@ -311,7 +319,7 @@ def test_defect_report_slices_one_block_into_every_defect():
             h = pair.g1 - pair.g2
             h = 0.5 * (h + h.conj().T)
             assert rep.hyponormality.min_eig == np.linalg.eigvalsh(h)[0]
-            assert rep.norm_selfcomm == np.linalg.norm(h, 2)
+            assert rep.hyponormality.norm == np.linalg.norm(h, 2)
             assert rep.hyponormality.tail_bound == pair.tail_bound
             K = max(M, 2 * N + 16)
             assert rep.quasinormal_defect == quasinormality_defect(op, sp, N, K)

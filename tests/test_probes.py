@@ -5,7 +5,7 @@ import pytest
 
 from wcolab.errors import OrderPolicyError
 from wcolab.mobius import MoebiusMap, rotation
-from wcolab import opmat
+from wcolab import opmat, probes, scenarios
 from wcolab.opmat import (
     adjoint_block,
     adjoint_letter,
@@ -27,10 +27,8 @@ from wcolab.probes import (
     douglas_witness,
     hyponormality_probe,
     kernel_condition_probe,
-    normality_defect,
     quasinormality_defect,
     selfadjoint_defect,
-    self_commutator,
     unitary_defect,
 )
 from wcolab.series import (
@@ -62,17 +60,18 @@ ALL_SPACES = (hardy(), bergman(0.0), bergman(1.0))
 
 
 def test_self_commutator_is_hermitian():
-    h, bound = self_commutator(weighted(PSI_HALF, HALF_SHIFT), hardy(), 10, 160)
+    pair = gram_blocks(weighted(PSI_HALF, HALF_SHIFT), hardy(), 10, 160)
+    h = probes._selfcomm_block(pair)
     assert np.max(np.abs(h - h.conj().T)) == 0.0
-    assert bound >= 0.0
+    assert pair.tail_bound >= 0.0
 
 
 def test_self_commutator_scale_covariance():
     # replacing psi by c*psi multiplies the self-commutator by |c|^2
     op1 = weighted(PSI_HALF, HALF_SHIFT)
     op2 = weighted(Scale(2j, PSI_HALF), HALF_SHIFT)
-    h1, _ = self_commutator(op1, hardy(), 8, 128)
-    h2, _ = self_commutator(op2, hardy(), 8, 128)
+    h1 = probes._selfcomm_block(gram_blocks(op1, hardy(), 8, 128))
+    h2 = probes._selfcomm_block(gram_blocks(op2, hardy(), 8, 128))
     assert np.max(np.abs(h2 - 4.0 * h1)) < 1e-10
 
 
@@ -90,7 +89,7 @@ def test_rotation_operator_is_normal_everywhere():
         for lam in (1j, 0.5, np.exp(1j * np.pi * np.sqrt(2.0))):
             op = composition(rotation(lam))
             rep = defect_report(op, sp, 10, 64)
-            assert rep.norm_selfcomm < 1e-12
+            assert rep.hyponormality.norm < 1e-12
             assert rep.quasinormal_defect < 1e-12
             assert rep.hyponormality.min_eig > -1e-12
 
@@ -149,10 +148,12 @@ def test_quasinormality_defect_order_policy():
 
 
 def test_normality_defect_matches_selfcommutator_norm():
+    # the evidence record carries the norm of the block its eigenvalue reads
     op = weighted(PSI_HALF, HALF_SHIFT)
-    h, _ = self_commutator(op, hardy(), 10, 160)
-    d = normality_defect(op, hardy(), 10, 160)
-    assert abs(d - np.linalg.norm(h, 2)) < 1e-12
+    h = probes._selfcomm_block(gram_blocks(op, hardy(), 10, 160))
+    ev = hyponormality_probe(op, hardy(), 10, 160)
+    assert ev.norm == np.linalg.norm(h, 2)
+    assert ev.min_eig == np.linalg.eigvalsh(h)[0]
 
 
 def test_defect_report_carries_hyponormality_evidence():
@@ -164,6 +165,7 @@ def test_defect_report_carries_hyponormality_evidence():
             out = rep.to_json()
             assert (out["min_eig_selfcomm"], out["N"], out["M"]) == (ev.min_eig, 10, 160)
             assert out["tail_bound"] == ev.tail_bound
+            assert out["norm_selfcomm"] == ev.norm
 
 
 def test_defect_report_flags_boundary_touching():
@@ -178,7 +180,7 @@ def test_unitary_weighted_composition_defect_small():
     for sp in ALL_SPACES:
         op = weighted(s6_weight(sp), HYPERBOLIC_AUTO)
         assert unitary_defect(op, sp, 12, 128) < 1e-10
-        assert normality_defect(op, sp, 12, 128) < 1e-10
+        assert hyponormality_probe(op, sp, 12, 128).norm < 1e-10
 
 
 def test_douglas_witness_for_adjoint_factorization():
@@ -198,13 +200,17 @@ def _two_word_douglas(contraction, op, sp, N, M):
     return operator_norm_estimate(c), float(np.linalg.norm(ca.entries - target.entries, 2))
 
 
-def test_douglas_witness_builds_each_letter_once(monkeypatch):
-    # S7's contraction, and S8's with the adjoint letter T_g*, at their orders
+def _douglas_cases():
+    """S7's contraction, and S8's with the adjoint letter T_g*, at their orders."""
     s7 = (plain(toeplitz(ETA)), plain(composition(TAU)))
-    cases = [(s7, SADRAOUI, 24)] + [
+    return [(s7, SADRAOUI, 24)] + [
         (s7 + (adjoint_letter(toeplitz(g)), plain(toeplitz(inv_f))), s8_operator(f), 16)
         for _, f, g, inv_f in S8_CASES
     ]
+
+
+def test_douglas_witness_builds_each_letter_once(monkeypatch):
+    cases = _douglas_cases()
     refs = [_two_word_douglas(c, op, hardy(), N, 160) for c, op, N in cases]
     build = opmat.build_block
     built = []
@@ -221,6 +227,32 @@ def test_douglas_witness_builds_each_letter_once(monkeypatch):
         assert all(b is c.op for b, c in zip(built, reversed(contraction)))
         assert abs(w.norm_estimate - norm) <= 1e-14
         assert abs(w.residual - residual) <= 1e-14
+
+
+def test_douglas_witness_carries_the_compression_of_c_times_a():
+    # the witness's C A is the word with the operator appended, bit for bit
+    for contraction, op, N in _douglas_cases():
+        w = douglas_witness(contraction, op, hardy(), N, 160)
+        word = word_block(contraction + (plain(op),), hardy(), N, 160)
+        assert w.ca.shape == (N + 1, N + 1)
+        assert np.array_equal(w.ca, word.entries)
+
+
+def test_s7_sweeps_each_letter_block_once(monkeypatch):
+    # two order-N blocks for the adjoint check, then T_eta and C_tau once for
+    # the contraction norms and once for the Douglas witness (13 before)
+    build = opmat.build_block
+    calls = []
+
+    def counting_build(*args, **kwargs):
+        calls.append(args[0])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(opmat, "build_block", counting_build)
+    monkeypatch.setattr(scenarios, "build_block", counting_build)
+    rep = scenarios.run_scenario("S7-sadraoui")
+    assert rep.verdict == "PASS"
+    assert len(calls) == 6
 
 
 def test_kernel_probe_zero_for_unitary_and_negative_for_bad_map():

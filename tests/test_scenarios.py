@@ -107,6 +107,15 @@ def test_whole_reports_are_strict_json(suite):
     json.dumps([rep.to_json() for rep in suite.reports.values()], allow_nan=False)
 
 
+def test_an_infinite_tail_bound_is_reported_as_null():
+    # at N = 40 from 160 rows the Gram pair's tail bound is infinite
+    for sid in ("S7-sadraoui", "S8-thm38"):
+        rep = run_scenario(sid, Overrides(N=40, M=160))
+        json.dumps(rep.to_json(), allow_nan=False)
+        bounds = [c.details["tail_bound"] for c in rep.checks if "tail_bound" in c.details]
+        assert bounds and all(b is None for b in bounds)
+
+
 def test_kernel_witness_counts_only_points_not_slow_at_the_cap():
     slow = KernelProbePoint(0.9 + 0j, -1.0, KERNEL_PROBE_MAX_ORDER, True)
     fast = KernelProbePoint(0.1 + 0j, -1e-3, 512, False)
