@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -32,13 +33,14 @@ from .opmat import (
     block_to_csv,
     build_block,
     composition,
+    is_boundary_touching,
     operator_norm_estimate,
     toeplitz,
     working_order,
 )
 from .probes import defect_report
 from .scenarios import Overrides, list_scenarios, run_all, run_scenario
-from .series import expr_from_json
+from .series import TAIL_MIN_ORDER, expr_from_json, tail_diagnostics
 from .space import SpaceSpec
 from .spectra import (
     DEFAULT_BETA_GRID,
@@ -107,6 +109,31 @@ def _write_csv(path: str, text: str) -> None:
             fh.write(text)
 
 
+def _int_arg(value, flag: str, default: int | None = None) -> int | None:
+    """An option's value as an integer, or the default when it is unset; a
+    malformed one is an InputError."""
+    if value is None:
+        return default
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise InputError(f"{flag} must be an integer, got {value!r}")
+
+
+def _float_arg(value, flag: str, default: float) -> float:
+    """An option's value as a finite float, or the default when it is unset;
+    anything else is an InputError."""
+    if value is None:
+        return default
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        raise InputError(f"{flag} must be a number, got {value!r}")
+    if not math.isfinite(x):
+        raise InputError(f"{flag} must be finite, got {value!r}")
+    return x
+
+
 def _merge_config(args: argparse.Namespace) -> None:
     """Fill unset CLI options from the optional --config JSON file."""
     if not getattr(args, "config", None):
@@ -125,17 +152,17 @@ def _resolve_space(args) -> SpaceSpec:
 
 
 def _resolve_orders(args, ops) -> tuple[int, int]:
-    n = int(args.order) if args.order is not None else 16
+    n = _int_arg(args.order, "--order", 16)
     if n < MIN_ORDER:
         raise InputError(f"--order must be at least {MIN_ORDER}, got {n}")
-    m = working_order(n, ops) if args.tail is None else int(args.tail)
+    m = working_order(n, ops) if args.tail is None else _int_arg(args.tail, "--tail")
     if m < 2 * n:
         raise InputError(f"--tail must be at least 2*order = {2 * n}, got {m}")
     return n, m
 
 
 def _resolve_tol(args, default: float = 1e-10) -> float:
-    tol = float(args.tol) if args.tol is not None else default
+    tol = _float_arg(args.tol, "--tol", default)
     if tol <= 0:
         raise InputError(f"--tol must be positive, got {tol}")
     return tol
@@ -190,11 +217,18 @@ def cmd_block(args) -> int:
     space = _resolve_space(args)
     n, m = _resolve_orders(args, (op,))
     blk = build_block(op, space, n, m)
+    # the tail judgment: boundary contact or slow decay of some column, and
+    # the largest column bound, unknown below the diagnostics' least order
+    tail_flag, tail_estimate = is_boundary_touching(op), float("nan")
+    if m >= TAIL_MIN_ORDER:
+        td = tail_diagnostics(blk.entries)
+        tail_flag = tail_flag or bool(td.slow_decay.any())
+        tail_estimate = float(td.bound.max())
     print(f"operator: {op.describe()}  space: {space.label()}")
     print(f"orders: N={n} M={m}")
     print(f"norm estimate: {fmt(operator_norm_estimate(blk))}")
-    print(f"tail estimate: {fmt(blk.tail_estimate)}")
-    if blk.tail_flag:
+    print(f"tail estimate: {fmt(tail_estimate)}")
+    if tail_flag:
         print(
             "warning: boundary-touching symbol or slow coefficient decay; "
             "raise --tail for trustworthy tails"
@@ -202,7 +236,9 @@ def cmd_block(args) -> int:
     if args.csv:
         _write_csv(args.csv, block_to_csv(blk))
     if args.json:
-        _write_json(args.json, {"op": op.to_json(), **blk.to_json()})
+        estimate = tail_estimate if math.isfinite(tail_estimate) else None
+        payload = {"op": op.to_json(), **blk.to_json(), "tail_flag": tail_flag}
+        _write_json(args.json, {**payload, "tail_estimate": estimate})
     return 0
 
 
@@ -236,12 +272,12 @@ def cmd_spectrum(args) -> int:
             _parse_complex_arg(args.zeta, "--zeta") if args.zeta is not None else 1.0 + 0j
         )
         phi = parabolic_from(zeta, t)
-        samples = int(args.samples) if args.samples is not None else 64
+        samples = _int_arg(args.samples, "--samples", 64)
         if samples < 2:
             raise InputError("--samples must be at least 2")
         betas = tuple(float(b) for b in np.linspace(0.0, 8.0, samples))
         spiral = spiral_curve(t, betas)
-        order = int(args.order) if args.order is not None else 400
+        order = _int_arg(args.order, "--order", 400)
         residuals = [
             (beta, eigen_residual(zeta, t, beta, order)) for beta in DEFAULT_BETA_GRID
         ]
@@ -310,9 +346,9 @@ def cmd_scenario(args) -> int:
             print(f"{sid}: {claim}")
         return 0
     ov = Overrides(
-        order_scale=float(args.order_scale) if args.order_scale is not None else 1.0,
-        N=int(args.order) if args.order is not None else None,
-        M=int(args.tail) if args.tail is not None else None,
+        order_scale=_float_arg(args.order_scale, "--order-scale", 1.0),
+        N=_int_arg(args.order, "--order"),
+        M=_int_arg(args.tail, "--tail"),
     )
     if args.all:
         reports = run_all(ov)

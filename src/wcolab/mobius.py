@@ -59,6 +59,8 @@ class MoebiusMap:
     def __post_init__(self) -> None:
         for name in ("a", "b", "c", "d"):
             object.__setattr__(self, name, _as_complex(getattr(self, name)))
+        if not all(cmath.isfinite(z) for z in (self.a, self.b, self.c, self.d)):
+            raise DegenerateMapError("coefficients must be finite")
         s = self.coeff_scale()
         if s == 0.0 or not math.isfinite(s):
             raise DegenerateMapError("coefficients must be finite and not all zero")

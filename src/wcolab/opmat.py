@@ -172,8 +172,6 @@ class TruncatedBlock:
 
     entries: np.ndarray
     space: SpaceSpec
-    tail_flag: bool
-    tail_estimate: float
 
     def __post_init__(self) -> None:
         arr = np.ascontiguousarray(np.asarray(self.entries, dtype=np.complex128))
@@ -193,14 +191,12 @@ class TruncatedBlock:
         return self.entries[:k, :k]
 
     def to_json(self) -> dict:
-        """Orders, entries as [re, im] pairs, and flags; a non-finite estimate is null."""
+        """Space, orders, and entries as [re, im] pairs."""
         return {
             "space": self.space.to_json(),
             "row_order": self.row_order,
             "col_order": self.col_order,
             "entries": [[[float(v.real), float(v.imag)] for v in row] for row in self.entries],
-            "tail_flag": bool(self.tail_flag),
-            "tail_estimate": self.tail_estimate if np.isfinite(self.tail_estimate) else None,
         }
 
 
@@ -252,19 +248,12 @@ def build_block(
         M = N
     if M < N:
         raise OrderPolicyError("row order must be at least the column order")
-    entries = _columns(op, space, M, N)
-    slow, worst = False, float("nan")
-    if M >= TAIL_MIN_ORDER:
-        td = tail_diagnostics(entries)
-        slow, worst = bool(td.slow_decay.any()), float(td.bound.max())
-    return TruncatedBlock(entries, space, is_boundary_touching(op) or slow, worst)
+    return TruncatedBlock(_columns(op, space, M, N), space)
 
 
 def adjoint_block(block: TruncatedBlock) -> TruncatedBlock:
     """Conjugate transpose; exact because P A* P = (P A P)* for compressions."""
-    return TruncatedBlock(
-        block.entries.conj().T, block.space, block.tail_flag, block.tail_estimate
-    )
+    return TruncatedBlock(block.entries.conj().T, block.space)
 
 
 @dataclass(frozen=True)
@@ -293,14 +282,12 @@ def word_block(
     if N < 0:
         raise InputError("compression order must be nonnegative")
     M = working_order(N, [w.op for w in word], M)
-    prod, flag = _apply_word(word, space, M, np.eye(M + 1, N + 1))
-    return TruncatedBlock(prod[: N + 1], space, flag, float("nan"))
+    prod = _apply_word(word, space, M, np.eye(M + 1, N + 1))
+    return TruncatedBlock(prod[: N + 1], space)
 
 
-def _apply_word(
-    word: OperatorWord, space: SpaceSpec, M: int, x: np.ndarray
-) -> tuple[np.ndarray, bool]:
-    """L_1 ... L_k x and the OR of the letters' tail flags, each letter an order-M block.
+def _apply_word(word: OperatorWord, space: SpaceSpec, M: int, x: np.ndarray) -> np.ndarray:
+    """L_1 ... L_k x, each letter an order-M block.
 
     At most one order-M block is alive at a time: an adjoint letter applies
     conj(B.T @ conj(x)), the same product as B* x bit for bit, without an
@@ -308,13 +295,11 @@ def _apply_word(
     """
     if not word:
         raise InputError("operator word must have at least one letter")
-    flag = False
     for w in reversed(word):
-        blk = build_block(w.op, space, M, M)
-        x = (blk.entries.T @ x.conj()).conj() if w.adjoint else blk.entries @ x
-        flag = flag or blk.tail_flag
+        blk = _columns(w.op, space, M, M)
+        x = (blk.T @ x.conj()).conj() if w.adjoint else blk @ x
         del blk
-    return x, flag
+    return x
 
 
 @dataclass(frozen=True, eq=False)
@@ -337,7 +322,8 @@ def gram_blocks(
 
 
 def _gram_pair(tall: np.ndarray, wide: np.ndarray) -> GramPair:
-    """Gram pair from the tall block (columns <= N) and the wide block (rows <= N)."""
+    """Gram pair from the tall block (columns <= N) and the wide block (rows <= N);
+    G1 and G2 are symmetrized, so exactly Hermitian."""
     g1 = tall.conj().T @ tall
     g1 = 0.5 * (g1 + g1.conj().T)
     # the tall block's tail is unknown below the diagnostics' least order

@@ -60,9 +60,8 @@ def _spectral_norm(x: np.ndarray) -> float:
 
 
 def _selfcomm_block(pair: GramPair) -> np.ndarray:
-    """Hermitian part of G1 - G2, the self-commutator block."""
-    h = pair.g1 - pair.g2
-    return 0.5 * (h + h.conj().T)
+    """G1 - G2, the self-commutator block, exactly Hermitian with G1 and G2."""
+    return pair.g1 - pair.g2
 
 
 def _unitary_gap(pair: GramPair) -> float:
@@ -222,7 +221,7 @@ def douglas_witness(
     word = tuple(contraction)
     M = working_order(N, [w.op for w in word] + [op], M)
     tall = _columns(op, space, M, N)
-    panel, _ = _apply_word(word, space, M, np.hstack((np.eye(M + 1, N + 1), tall)))
+    panel = _apply_word(word, space, M, np.hstack((np.eye(M + 1, N + 1), tall)))
     c, ca = panel[: N + 1, : N + 1], panel[: N + 1, N + 1 :]
     residual = _spectral_norm(ca - tall[: N + 1].conj().T)
     return DouglasWitness(_spectral_norm(c), residual, ca, N, M)

@@ -14,6 +14,7 @@ and gamma = alpha + 2 for Bergman, and ||K_w||^2 = (1 - |w|^2)^(-gamma).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,8 +37,10 @@ class SpaceSpec:
         object.__setattr__(self, "alpha", float(self.alpha))
         if self.kind == HARDY and self.alpha != 0.0:
             raise InputError("the Hardy space takes no weight parameter")
-        if self.kind == BERGMAN and self.alpha <= -1.0:
-            raise InputError("Bergman weight parameter must satisfy alpha > -1")
+        if self.kind == BERGMAN and not (math.isfinite(self.alpha) and self.alpha > -1.0):
+            raise InputError(
+                f"Bergman weight parameter must be finite with alpha > -1, got {self.alpha}"
+            )
 
     @property
     def gamma(self) -> float:
@@ -81,9 +84,10 @@ class SpaceSpec:
             return bergman(0.0)
         if text.startswith(BERGMAN + ":"):
             try:
-                return bergman(float(text.split(":", 1)[1]))
+                alpha = float(text.split(":", 1)[1])
             except ValueError as exc:
                 raise InputError(f"bad Bergman weight parameter: {exc}")
+            return bergman(alpha)
         raise InputError(f"cannot parse space {text!r}; use hardy or bergman:<alpha>")
 
 

@@ -9,8 +9,10 @@ import pytest
 
 from wcolab import cli
 from wcolab.mobius import MoebiusMap
-from wcolab.opmat import OperatorSpec
+from wcolab.opmat import OperatorSpec, build_block, composition
 from wcolab.scenarios import CheckResult, ScenarioReport
+from wcolab.series import tail_diagnostics
+from wcolab.space import hardy
 
 HALF_SHIFT_JSON = '{"a":[1,0],"b":[0,0],"c":[-1,0],"d":[2,0]}'
 AFFINE_JSON = '{"a":[1,0],"b":[1,0],"c":[0,0],"d":[2,0]}'
@@ -18,6 +20,13 @@ ROTATION_JSON = '{"a":[0,1],"b":[0,0],"c":[0,0],"d":[1,0]}'
 PSI_JSON = (
     '{"type":"rational","num":{"type":"poly","coeffs":[[2,0]]},'
     '"den":{"type":"poly","coeffs":[[2,0],[-1,0]]}}'
+)
+
+# exp((1+z)/(1-z)), unbounded on the disk
+EXP_CAYLEY_JSON = (
+    '{"type":"exp","arg":{"type":"rational",'
+    '"num":{"type":"poly","coeffs":[[1,0],[1,0]]},'
+    '"den":{"type":"poly","coeffs":[[1,0],[-1,0]]}}}'
 )
 
 
@@ -118,6 +127,16 @@ def test_block_json_is_strict_json_without_a_tail_estimate(capsys):
         assert (payload["row_order"], payload["col_order"]) == (tail, order)
 
 
+def test_block_reports_the_largest_column_tail_bound(capsys):
+    code = run_cli(["block", "--map", HALF_SHIFT_JSON, "--order", "4", "--tail", "40", "--json", "-"])
+    out = capsys.readouterr().out
+    assert code == 0
+    payload = _strict_json(out[out.index("{") :])
+    blk = build_block(composition(MoebiusMap.from_json(json.loads(HALF_SHIFT_JSON))), hardy(), 4, 40)
+    assert payload["tail_estimate"] == tail_diagnostics(blk.entries).bound.max()
+    assert f"tail estimate: {cli.fmt(payload['tail_estimate'])}" in out
+
+
 def test_probe_json_is_strict_json_without_a_tail_bound(capsys):
     # below 17 rows the Gram pair's tail bound is infinite: written as null
     code = run_cli(["probe", "--map", AFFINE_JSON, "--order", "4", "--tail", "12", "--json", "-"])
@@ -176,12 +195,7 @@ def test_probe_outputs_defects_and_json(tmp_path, capsys):
 
 def test_probe_constraint_violation_exit_code(capsys):
     # exp((1+z)/(1-z)) weight is unbounded on the disk: constraint, not parse
-    bad = (
-        '{"weight":{"type":"exp","arg":{"type":"rational",'
-        '"num":{"type":"poly","coeffs":[[1,0],[1,0]]},'
-        '"den":{"type":"poly","coeffs":[[1,0],[-1,0]]}}},'
-        '"symbol":' + HALF_SHIFT_JSON + "}"
-    )
+    bad = '{"weight":' + EXP_CAYLEY_JSON + ',"symbol":' + HALF_SHIFT_JSON + "}"
     code = run_cli(["probe", "--op", bad, "--order", "8", "--tail", "64"])
     err = capsys.readouterr().err
     assert code == 3
@@ -332,6 +346,40 @@ def test_cli_flag_overrides_config(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "N=8 M=64" in out
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["block", "--map", HALF_SHIFT_JSON, "--order", "abc"], 2),
+        (["block", "--map", HALF_SHIFT_JSON, "--order", "8", "--tail", "1e3"], 2),
+        (["classify", "--map", HALF_SHIFT_JSON, "--tol", "x"], 2),
+        (["classify", "--map", HALF_SHIFT_JSON, "--tol", "nan"], 2),
+        (["classify", "--map", HALF_SHIFT_JSON, "--tol", "inf"], 2),
+        (["spectrum", "--t", "1", "--samples", "3.5"], 2),
+        (["scenario", "run", "--id", "S7-sadraoui", "--order", "1.5"], 2),
+        (["scenario", "run", "--all", "--order-scale", "nan"], 2),
+        (["scenario", "run", "--all", "--order-scale", "inf"], 2),
+        (["block", "--map", HALF_SHIFT_JSON, "--config", {"order": "abc"}], 2),
+        (["block", "--map", HALF_SHIFT_JSON, "--order", "8", "--tail", "16", "--space", "bergman:nan"], 2),
+        (["block", "--map", HALF_SHIFT_JSON, "--order", "8", "--tail", "16", "--space", "bergman:inf"], 2),
+        (["classify", "--map", '{"a":[1,0],"b":[NaN,0],"c":[-1,0],"d":[2,0]}'], 2),
+        # the exit codes of inputs that were already rejected stay as they were
+        (["block", "--map", HALF_SHIFT_JSON, "--order", "2"], 2),
+        (["block", "--map", HALF_SHIFT_JSON, "--order", "8", "--tail", "9"], 2),
+        (["block", "--op", "{broken"], 2),
+        (["block", "--weight", EXP_CAYLEY_JSON, "--order", "4", "--tail", "8"], 3),
+        (["scenario", "run", "--id", "S7-sadraoui", "--order-scale", "0"], 3),
+    ],
+)
+def test_malformed_option_values_are_input_errors(argv, code, tmp_path, capsys):
+    if isinstance(argv[-1], dict):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(argv[-1]))
+        argv = argv[:-1] + [str(cfg)]
+    assert run_cli(argv) == code
+    err = capsys.readouterr().err
+    assert "internal error" not in err
 
 
 def test_entry_point_runs_as_module():

@@ -109,6 +109,16 @@ def test_degenerate_map_rejected():
         MoebiusMap(2, 4, 1, 2)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0, float("nan"))])
+def test_non_finite_coefficient_rejected(bad):
+    # max() over the moduli skips a NaN after the first, so each is checked
+    for k in range(4):
+        coeffs = [1, 0, -1, 2]
+        coeffs[k] = bad
+        with pytest.raises(DegenerateMapError, match="finite"):
+            MoebiusMap(*coeffs)
+
+
 def test_image_circle_against_samples():
     rng = np.random.default_rng(4)
     for m in (HALF_SHIFT, AFFINE_HALF, MoebiusMap(2, 1, 1, 3), random_map(rng)):

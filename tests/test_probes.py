@@ -66,6 +66,19 @@ def test_self_commutator_is_hermitian():
     assert pair.tail_bound >= 0.0
 
 
+def test_gram_pair_is_exactly_hermitian():
+    # so the self-commutator block G1 - G2 needs no symmetrization of its own
+    ops = (SADRAOUI, composition(AFFINE_HALF), composition(THREE_POINT), weighted(PSI_HALF, TAU))
+    for sp in ALL_SPACES:
+        for op in ops:
+            for N, M in ((4, 16), (16, 160)):
+                pair = gram_blocks(op, sp, N, M)
+                for g in (pair.g1, pair.g2):
+                    assert np.array_equal(g, g.conj().T)
+                h = probes._selfcomm_block(pair)
+                assert h.tobytes() == (0.5 * (h + h.conj().T)).tobytes()
+
+
 def test_self_commutator_scale_covariance():
     # replacing psi by c*psi multiplies the self-commutator by |c|^2
     op1 = weighted(PSI_HALF, HALF_SHIFT)
@@ -209,17 +222,24 @@ def _douglas_cases():
     ]
 
 
+def _count_letter_blocks(monkeypatch, M):
+    """Record the operator of every square order-M block `opmat` builds."""
+    columns = opmat._columns
+    built = []
+
+    def counting_columns(op, space, rows, cols):
+        if rows == cols == M:
+            built.append(op)
+        return columns(op, space, rows, cols)
+
+    monkeypatch.setattr(opmat, "_columns", counting_columns)
+    return built
+
+
 def test_douglas_witness_builds_each_letter_once(monkeypatch):
     cases = _douglas_cases()
     refs = [_two_word_douglas(c, op, hardy(), N, 160) for c, op, N in cases]
-    build = opmat.build_block
-    built = []
-
-    def counting_build(op, *args, **kwargs):
-        built.append(op)
-        return build(op, *args, **kwargs)
-
-    monkeypatch.setattr(opmat, "build_block", counting_build)
+    built = _count_letter_blocks(monkeypatch, 160)
     for (contraction, op, N), (norm, residual) in zip(cases, refs):
         built.clear()
         w = douglas_witness(contraction, op, hardy(), N, 160)
@@ -238,6 +258,19 @@ def test_douglas_witness_carries_the_compression_of_c_times_a():
         assert np.array_equal(w.ca, word.entries)
 
 
+def test_words_run_no_tail_diagnostics(monkeypatch):
+    # blocks carry only their entries; the tail judgment is `wcolab block`'s
+    def refuse(*args, **kwargs):
+        raise AssertionError("a word ran the tail diagnostics")
+
+    monkeypatch.setattr(opmat, "tail_diagnostics", refuse)
+    for contraction, op, N in _douglas_cases():
+        word_block(contraction + (plain(op),), hardy(), N, 160)
+        douglas_witness(contraction, op, hardy(), N, 160)
+    for sp in ALL_SPACES:
+        word_block(opmat.cowen_adjoint_word(HALF_SHIFT, sp), sp, 24, 160)
+
+
 def test_s7_sweeps_each_letter_block_once(monkeypatch):
     # two order-N blocks for the adjoint check, then T_eta and C_tau once for
     # the contraction norms and once for the Douglas witness (13 before)
@@ -250,9 +283,11 @@ def test_s7_sweeps_each_letter_block_once(monkeypatch):
 
     monkeypatch.setattr(opmat, "build_block", counting_build)
     monkeypatch.setattr(scenarios, "build_block", counting_build)
+    letters = _count_letter_blocks(monkeypatch, 160)
     rep = scenarios.run_scenario("S7-sadraoui")
     assert rep.verdict == "PASS"
-    assert len(calls) == 6
+    assert len(calls) == 2
+    assert [op.symbol for op in letters] == [TAU, None] * 2
 
 
 def test_kernel_probe_zero_for_unitary_and_negative_for_bad_map():

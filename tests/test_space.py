@@ -50,6 +50,19 @@ def test_alpha_must_exceed_minus_one():
         bergman(-2.5)
 
 
+def test_alpha_must_be_finite():
+    for alpha in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(InputError):
+            bergman(alpha)
+        with pytest.raises(InputError):
+            SpaceSpec("bergman", alpha)
+    for text in ("bergman:nan", "bergman:inf", "bergman:-inf"):
+        with pytest.raises(InputError, match="finite"):
+            SpaceSpec.parse(text)
+    with pytest.raises(InputError):
+        SpaceSpec("hardy", float("nan"))
+
+
 def test_parse_and_label_roundtrip():
     for label in ("hardy", "bergman:0", "bergman:1", "bergman:0.5"):
         sp = SpaceSpec.parse(label)
