@@ -27,7 +27,7 @@ import sys
 import numpy as np
 
 from .errors import ConstraintError, InputError, WcolabError
-from .mobius import MoebiusMap, classify, parabolic_from
+from .mobius import DEFAULT_TOL, MoebiusMap, classify, parabolic_from
 from .opmat import (
     OperatorSpec,
     block_to_csv,
@@ -161,8 +161,8 @@ def _resolve_orders(args, ops) -> tuple[int, int]:
     return n, m
 
 
-def _resolve_tol(args, default: float = 1e-10) -> float:
-    tol = _float_arg(args.tol, "--tol", default)
+def _resolve_tol(args) -> float:
+    tol = _float_arg(args.tol, "--tol", DEFAULT_TOL)
     if tol <= 0:
         raise InputError(f"--tol must be positive, got {tol}")
     return tol
@@ -314,7 +314,7 @@ def cmd_spectrum(args) -> int:
         print(f"  {fmt_c(lam)}")
     exact = None
     if op.symbol is not None and op.describe() == "composition":
-        sym = op.symbol
+        sym = op.symbol.normalized()
         if abs(sym.b) <= 1e-14 and abs(sym.c) <= 1e-14:
             lam = sym.a / sym.d
             exact = rotation_spectrum(lam)

@@ -43,10 +43,6 @@ def is_infinity(z: complex) -> bool:
     return not (math.isfinite(z.real) and math.isfinite(z.imag))
 
 
-def _as_complex(z) -> complex:
-    return complex(z)
-
-
 @dataclass(frozen=True)
 class MoebiusMap:
     """The map z -> (a*z + b)/(c*z + d), coefficients stored unnormalized."""
@@ -58,7 +54,7 @@ class MoebiusMap:
 
     def __post_init__(self) -> None:
         for name in ("a", "b", "c", "d"):
-            object.__setattr__(self, name, _as_complex(getattr(self, name)))
+            object.__setattr__(self, name, complex(getattr(self, name)))
         if not all(cmath.isfinite(z) for z in (self.a, self.b, self.c, self.d)):
             raise DegenerateMapError("coefficients must be finite")
         s = self.coeff_scale()
@@ -369,7 +365,7 @@ def identity() -> MoebiusMap:
 
 def rotation(lam: complex) -> MoebiusMap:
     """The rotation-dilation z -> lam * z for 0 < |lam|."""
-    lam = _as_complex(lam)
+    lam = complex(lam)
     if abs(lam) == 0.0:
         raise InputError("rotation factor must be nonzero")
     return MoebiusMap(lam, 0.0, 0.0, 1.0)
@@ -377,10 +373,10 @@ def rotation(lam: complex) -> MoebiusMap:
 
 def disk_automorphism(point: complex, lam: complex = 1.0) -> MoebiusMap:
     """The automorphism z -> lam * (point - z)/(1 - conj(point) z), |point| < 1."""
-    point = _as_complex(point)
+    point = complex(point)
     if abs(point) >= 1.0:
         raise InputError("automorphism parameter must lie in the open disk")
-    lam = _as_complex(lam)
+    lam = complex(lam)
     return MoebiusMap(-lam, lam * point, -point.conjugate(), 1.0)
 
 
@@ -408,8 +404,8 @@ def parabolic_from(zeta: complex, t: complex) -> MoebiusMap:
     sends the map to w -> w + t on the right half-plane; Re t >= 0 is required
     (Re t = 0 gives the automorphism case), t = 0 is rejected as the identity.
     """
-    zeta = _as_complex(zeta)
-    t = _as_complex(t)
+    zeta = complex(zeta)
+    t = complex(t)
     if abs(abs(zeta) - 1.0) > 1e-9:
         raise InputError("fixed point must lie on the unit circle")
     zeta = zeta / abs(zeta)
@@ -442,7 +438,7 @@ def translation_number(
         raise NotParabolicError("double fixed point is not on the unit circle")
     point = point / abs(point)
     if zeta is not None:
-        zeta = _as_complex(zeta)
+        zeta = complex(zeta)
         if abs(point - zeta / abs(zeta)) > 1e-6:
             raise NotParabolicError("map does not fix the requested boundary point")
         point = zeta / abs(zeta)

@@ -18,6 +18,7 @@ its order-M letter blocks right to left to the N + 1 columns it reads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import get_args
 
 import numpy as np
 
@@ -31,14 +32,8 @@ from .mobius import MoebiusMap
 from .series import (
     TAIL_MIN_ORDER,
     AnalyticExpr,
-    Exp,
     Poly,
     Power,
-    PrecomposeMoebius,
-    Product,
-    Rational,
-    Scale,
-    Sum,
     constant,
     evaluate,
     expr_from_json,
@@ -48,7 +43,7 @@ from .series import (
 )
 from .space import SpaceSpec
 
-_EXPR_TYPES = (Poly, Rational, Power, Exp, Sum, Product, Scale, PrecomposeMoebius)
+_EXPR_TYPES = get_args(AnalyticExpr)
 
 #: The circle |z| = 0.999, 512 points, on which every weight is spot-checked
 #: for boundedness, and the cap on |weight| there.
@@ -134,15 +129,16 @@ def weighted(weight: AnalyticExpr, symbol: MoebiusMap) -> OperatorSpec:
     return OperatorSpec(weight, symbol)
 
 
-def is_boundary_touching(op: OperatorSpec, tol: float = BOUNDARY_TOUCH_TOL) -> bool:
-    """True when the symbol's image circle comes within tol of the unit circle."""
+def is_boundary_touching(op: OperatorSpec) -> bool:
+    """True when the symbol's image circle comes within BOUNDARY_TOUCH_TOL of
+    the unit circle."""
     if op.symbol is None:
         return False
     circle = op.symbol.image_circle()
     if circle is None:
         return True
     center, radius = circle
-    return abs(center) + radius >= 1.0 - tol
+    return abs(center) + radius >= 1.0 - BOUNDARY_TOUCH_TOL
 
 
 def working_order(
@@ -355,35 +351,23 @@ def operator_norm_estimate(block: TruncatedBlock) -> float:
     return float(np.linalg.norm(block.square(), 2))
 
 
-def cowen_auxiliary_weights(
-    symbol: MoebiusMap, gamma: float
-) -> tuple[AnalyticExpr, AnalyticExpr]:
-    """Auxiliary Toeplitz weights for the adjoint factorization.
-
-    For phi = (az+b)/(cz+d) these are g = (-conj(b) z + conj(d))^(-gamma) and
-    h = (cz + d)^gamma.  The representative is rescaled so d is a positive
-    real, keeping both constant terms off the branch cut for any gamma; the
-    factorization is invariant under that rescaling.
-    """
-    if abs(symbol.d) <= abs(symbol.c):
-        raise NotSelfMapError("symbol must map the unit disk into itself")
-    k = symbol.d.conjugate() / abs(symbol.d)
-    a, b, c, d = symbol.a * k, symbol.b * k, symbol.c * k, symbol.d * k
-    g = Power(Poly((d.conjugate(), -b.conjugate())), -float(gamma))
-    h = Power(Poly((d, c)), float(gamma))
-    return g, h
-
-
 def cowen_adjoint_word(symbol: MoebiusMap, space: SpaceSpec) -> OperatorWord:
     """Word T_g C_sigma T_h* realizing the adjoint of C_symbol.
 
-    sigma is the Krein adjoint map of the symbol (again a self-map), and g, h
-    are the auxiliary weights for the space's kernel exponent.  The first and
-    last letters are triangular, so compressions of this word are exact.
+    sigma is the Krein adjoint map of the symbol (again a self-map), and for
+    symbol = (az+b)/(cz+d) and the space's kernel exponent gamma the
+    auxiliary weights are g = (-conj(b) z + conj(d))^(-gamma) and
+    h = (cz + d)^gamma.  The representative is rescaled so d is a positive
+    real, keeping both constant terms off the branch cut for any gamma; the
+    factorization is invariant under that rescaling.  The first and last
+    letters are triangular, so compressions of this word are exact.
     """
     if not symbol.is_self_map(_SELF_MAP_TOL):
         raise NotSelfMapError("adjoint factorization requires a self-map")
-    g, h = cowen_auxiliary_weights(symbol, space.gamma)
+    k = symbol.d.conjugate() / abs(symbol.d)
+    b, c, d = symbol.b * k, symbol.c * k, symbol.d * k
+    g = Power(Poly((d.conjugate(), -b.conjugate())), -float(space.gamma))
+    h = Power(Poly((d, c)), float(space.gamma))
     sigma = symbol.krein_adjoint()
     return (plain(toeplitz(g)), plain(composition(sigma)), adjoint_letter(toeplitz(h)))
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mobius import MoebiusMap
+from .mobius import identity
 from .opmat import (
     GramPair,
     OperatorSpec,
@@ -59,11 +59,6 @@ def _spectral_norm(x: np.ndarray) -> float:
     return float(np.linalg.norm(x, 2))
 
 
-def _selfcomm_block(pair: GramPair) -> np.ndarray:
-    """G1 - G2, the self-commutator block, exactly Hermitian with G1 and G2."""
-    return pair.g1 - pair.g2
-
-
 def _unitary_gap(pair: GramPair) -> float:
     """max(||G1 - I||, ||G2 - I||)."""
     eye = np.eye(len(pair.g1))
@@ -99,8 +94,9 @@ def hyponormality_probe(
 
 
 def _selfcomm_evidence(pair: GramPair, N: int, M: int) -> HyponormalityEvidence:
-    """Evidence from the self-commutator block of a Gram pair."""
-    h = _selfcomm_block(pair)
+    """Evidence from the self-commutator block G1 - G2 of a Gram pair, exactly
+    Hermitian with G1 and G2."""
+    h = pair.g1 - pair.g2
     min_eig = float(np.linalg.eigvalsh(h)[0])
     norm = _spectral_norm(h)
     bound, slack = pair.tail_bound, ROUNDING_SLACK * max(1.0, norm)
@@ -273,7 +269,7 @@ def kernel_condition_probe(
     bases = kernel_base(ws)
     if not ws.size:
         return []
-    phi = MoebiusMap(1, 0, 0, 1) if op.symbol is None else op.symbol
+    phi = identity() if op.symbol is None else op.symbol
     num = _substitute_poly(bases, phi, 1)
     den = np.array([phi.d, phi.c])
     m = int(order)

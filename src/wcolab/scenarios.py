@@ -31,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InputError, UnknownScenarioError
-from .mobius import MoebiusMap, parabolic_from, projective_distance, rotation
+from .mobius import MoebiusMap, identity, parabolic_from, projective_distance, rotation
 from .opmat import (
     WEIGHT_GRID,
     OperatorSpec,
@@ -124,14 +124,19 @@ class Overrides:
     M: int | None = None
 
     def order(self, default: int) -> int:
-        if self.N is not None:
-            return self.N
-        return max(1, int(round(default * self.order_scale)))
+        return self._scaled(self.N, default)
 
     def work(self, default: int) -> int:
-        if self.M is not None:
-            return self.M
-        return max(1, int(round(default * self.order_scale)))
+        return self._scaled(self.M, default)
+
+    def _scaled(self, given: int | None, default: int) -> int:
+        """The given order, else the default times order_scale, at least 1."""
+        if given is not None:
+            return given
+        scaled = default * self.order_scale
+        if not math.isfinite(scaled):
+            raise InputError(f"order scale {self.order_scale:g} overflows the order {default}")
+        return max(1, int(round(scaled)))
 
 
 @dataclass(frozen=True)
@@ -511,7 +516,7 @@ def _s8(ov: Overrides) -> tuple[list[CheckResult], dict]:
         dw = douglas_witness(contraction, op, sp, N, M)
         checks.append(_le(f"douglas-residual.{label}", dw.residual, 1e-6, "analytic"))
         checks.append(_le(f"douglas-norm.{label}", dw.norm_estimate, 1.0 + 1e-8, "analytic"))
-    sanity = projective_distance(sigma_inv.compose(sigma), MoebiusMap(1, 0, 0, 1))
+    sanity = projective_distance(sigma_inv.compose(sigma), identity())
     checks.append(_le("sigma-inverse-sanity", sanity, 1e-12, "exact"))
     return checks, {"N": N, "M": M, "M_quasinormal": Mq}
 

@@ -94,7 +94,10 @@ class Power:
             if abs(exp.imag) > 0.0:
                 raise InputError("power exponent must be real")
             exp = exp.real
-        object.__setattr__(self, "exponent", float(exp))
+        try:
+            object.__setattr__(self, "exponent", float(exp))
+        except (TypeError, ValueError):
+            raise InputError(f"power exponent must be a number, got {exp!r}")
         _power_constant(np.asarray(evaluate(self.base, 0.0)), self.exponent)
 
 
@@ -456,13 +459,6 @@ def _eliminate(e: AnalyticExpr, maps: tuple[MoebiusMap, ...]) -> AnalyticExpr:
     raise InputError(f"unknown expression node {type(e).__name__}")
 
 
-def _lf_numden(m: MoebiusMap) -> tuple[np.ndarray, np.ndarray]:
-    return (
-        np.array([m.b, m.a], dtype=np.complex128),
-        np.array([m.d, m.c], dtype=np.complex128),
-    )
-
-
 def _substitute_poly(coeffs, m: MoebiusMap, D: int) -> np.ndarray:
     """Coefficients of sum(coeffs[k] P^k Q^(D-k)) for P = b+az, Q = d+cz.
 
@@ -472,7 +468,8 @@ def _substitute_poly(coeffs, m: MoebiusMap, D: int) -> np.ndarray:
     """
     c = np.asarray(coeffs, dtype=np.complex128)
     x = c.reshape(len(c), -1)
-    P, Q = _lf_numden(m)
+    P = np.array([m.b, m.a], dtype=np.complex128)
+    Q = np.array([m.d, m.c], dtype=np.complex128)
     Ppow = [np.array([1.0 + 0j])]
     Qpow = [np.array([1.0 + 0j])]
     for _ in range(D):
@@ -485,22 +482,13 @@ def _substitute_poly(coeffs, m: MoebiusMap, D: int) -> np.ndarray:
 
 
 def _substitute(e: Poly | Rational, m: MoebiusMap) -> Poly | Rational:
-    """The leaf e(m(z)) as a rational function; a constant stays as it is."""
-    if isinstance(e, Poly):
-        D = e.degree
-        if D == 0:
-            return e
-        num = _substitute_poly(e.coeffs, m, D)
-        den = Q = _lf_numden(m)[1]
-        for _ in range(D - 1):
-            den = np.convolve(den, Q)
-        return Rational(Poly(tuple(num)), Poly(tuple(den)))
-    D = max(e.num.degree, e.den.degree)
+    """The leaf e(m(z)) as a rational function, a polynomial being one over
+    1; a constant stays as it is."""
+    num, den = (e.num, e.den) if isinstance(e, Rational) else (e, constant(1.0))
+    D = max(num.degree, den.degree)
     if D == 0:
         return e
-    num = _substitute_poly(e.num.coeffs, m, D)
-    den = _substitute_poly(e.den.coeffs, m, D)
-    return Rational(Poly(tuple(num)), Poly(tuple(den)))
+    return Rational(*(Poly(tuple(_substitute_poly(p.coeffs, m, D))) for p in (num, den)))
 
 
 # -- tail diagnostics ---------------------------------------------------------
@@ -595,7 +583,7 @@ def expr_from_json(obj: dict) -> AnalyticExpr:
                 raise InputError("rational num/den must be polynomials")
             return Rational(num, den)
         if kind == "power":
-            return Power(expr_from_json(obj["base"]), float(obj["exponent"]))
+            return Power(expr_from_json(obj["base"]), obj["exponent"])
         if kind == "exp":
             return Exp(expr_from_json(obj["arg"]))
         if kind == "sum":

@@ -34,7 +34,10 @@ class SpaceSpec:
     def __post_init__(self) -> None:
         if self.kind not in (HARDY, BERGMAN):
             raise InputError(f"unknown space kind {self.kind!r}")
-        object.__setattr__(self, "alpha", float(self.alpha))
+        try:
+            object.__setattr__(self, "alpha", float(self.alpha))
+        except (TypeError, ValueError):
+            raise InputError(f"weight parameter must be a number, got {self.alpha!r}")
         if self.kind == HARDY and self.alpha != 0.0:
             raise InputError("the Hardy space takes no weight parameter")
         if self.kind == BERGMAN and not (math.isfinite(self.alpha) and self.alpha > -1.0):
@@ -71,7 +74,7 @@ class SpaceSpec:
         if kind == HARDY:
             return hardy()
         if kind == BERGMAN:
-            return bergman(float(obj.get("alpha", 0.0)))
+            return bergman(obj.get("alpha", 0.0))
         raise InputError(f"unknown space kind {kind!r}")
 
     @staticmethod
@@ -83,11 +86,7 @@ class SpaceSpec:
         if text == BERGMAN:
             return bergman(0.0)
         if text.startswith(BERGMAN + ":"):
-            try:
-                alpha = float(text.split(":", 1)[1])
-            except ValueError as exc:
-                raise InputError(f"bad Bergman weight parameter: {exc}")
-            return bergman(alpha)
+            return bergman(text.split(":", 1)[1])
         raise InputError(f"cannot parse space {text!r}; use hardy or bergman:<alpha>")
 
 
@@ -107,6 +106,12 @@ def _norms_sq_cached(kind: str, alpha: float, order: int) -> np.ndarray:
         n = np.arange(order, dtype=np.float64)
         ratios = (n + 1.0) / (n + alpha + 2.0)
         out = np.concatenate(([1.0], np.cumprod(ratios)))
+        # the norms decrease for alpha > -1, so the last is the smallest
+        if out[-1] < np.finfo(float).tiny:
+            raise InputError(
+                f"Bergman weight parameter alpha={alpha:g} is too large for order {order}: "
+                "the monomial norms underflow"
+            )
     out.flags.writeable = False
     return out
 

@@ -34,6 +34,9 @@ from .space import SpaceSpec
 #: Default beta grid for spiral sampling: {0} plus powers of two.
 DEFAULT_BETA_GRID = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0)
 
+#: Largest order of a root of unity that `rotation_spectrum` recognizes.
+ROOT_ORDER_LIMIT = 256
+
 
 def truncation_eigenvalues(block: TruncatedBlock) -> np.ndarray:
     """Eigenvalues of the leading square part by decreasing modulus; moduli
@@ -119,12 +122,12 @@ class RotationSpectrum:
         }
 
 
-def rotation_spectrum(lam: complex, root_limit: int = 256) -> RotationSpectrum:
+def rotation_spectrum(lam: complex) -> RotationSpectrum:
     """Spectrum of C_{lam z} on any of the spaces here, |lam| <= 1.
 
-    A root of unity gives the finite cyclic group it generates; other
-    unimodular lam give the whole circle (sampled); |lam| < 1 gives the
-    closure {lam^n : n >= 0} together with 0.
+    A root of unity of order at most ROOT_ORDER_LIMIT gives the finite
+    cyclic group it generates; other unimodular lam give the whole circle
+    (sampled); |lam| < 1 gives the closure {lam^n : n >= 0} together with 0.
     """
     lam = complex(lam)
     mod = abs(lam)
@@ -132,7 +135,7 @@ def rotation_spectrum(lam: complex, root_limit: int = 256) -> RotationSpectrum:
         raise InputError("rotation-dilation factor must satisfy |lam| <= 1")
     if abs(mod - 1.0) <= 1e-12:
         p = 1.0 + 0j
-        for k in range(1, root_limit + 1):
+        for k in range(1, ROOT_ORDER_LIMIT + 1):
             p *= lam
             if abs(p - 1.0) <= 1e-12:
                 pts = tuple(lam ** j for j in range(k))

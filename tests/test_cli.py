@@ -29,6 +29,9 @@ EXP_CAYLEY_JSON = (
     '"den":{"type":"poly","coeffs":[[1,0],[-1,0]]}}}'
 )
 
+# a power whose exponent is no number
+POWER_X_JSON = '{"type":"power","base":{"type":"poly","coeffs":[[1,0]]},"exponent":"x"}'
+
 
 def run_cli(args):
     return cli.main(args)
@@ -235,6 +238,16 @@ def test_spectrum_rotation_detection(tmp_path, capsys):
     assert "finite-cyclic" in out
     rot = _strict_json(json_path.read_text())["rotation_spectrum"]
     assert (rot["kind"], rot["lam"], len(rot["points"])) == ("finite-cyclic", [0.0, 1.0], 4)
+    # detection is projective: a rescaled map reads as the map itself
+    for coeffs, rotates in (((0.5, 0.25, 0.3, 1), False), ((0.5, 0, 0, 1), True)):
+        lines = []
+        for scale in (1.0, 1e-15):
+            a, b, c, d = (scale * x for x in coeffs)
+            m = json.dumps({"a": [a, 0], "b": [b, 0], "c": [c, 0], "d": [d, 0]})
+            assert run_cli(["spectrum", "--map", m, "--order", "6", "--tail", "48"]) == 0
+            lines.append(capsys.readouterr().out)
+        assert lines[0] == lines[1]
+        assert ("rotation symbol detected" in lines[0]) == rotates
 
 
 def test_spectrum_json_payload(tmp_path, capsys):
@@ -360,10 +373,13 @@ def test_cli_flag_overrides_config(tmp_path, capsys):
         (["scenario", "run", "--id", "S7-sadraoui", "--order", "1.5"], 2),
         (["scenario", "run", "--all", "--order-scale", "nan"], 2),
         (["scenario", "run", "--all", "--order-scale", "inf"], 2),
+        (["scenario", "run", "--all", "--order-scale", "1e308"], 2),
         (["block", "--map", HALF_SHIFT_JSON, "--config", {"order": "abc"}], 2),
         (["block", "--map", HALF_SHIFT_JSON, "--order", "8", "--tail", "16", "--space", "bergman:nan"], 2),
         (["block", "--map", HALF_SHIFT_JSON, "--order", "8", "--tail", "16", "--space", "bergman:inf"], 2),
         (["classify", "--map", '{"a":[1,0],"b":[NaN,0],"c":[-1,0],"d":[2,0]}'], 2),
+        (["block", "--weight", POWER_X_JSON, "--order", "4"], 2),
+        (["block", "--map", HALF_SHIFT_JSON, "--order", "16", "--tail", "128", "--space", "bergman:1e5"], 2),
         # the exit codes of inputs that were already rejected stay as they were
         (["block", "--map", HALF_SHIFT_JSON, "--order", "2"], 2),
         (["block", "--map", HALF_SHIFT_JSON, "--order", "8", "--tail", "9"], 2),

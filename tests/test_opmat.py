@@ -454,6 +454,8 @@ def test_working_order_default_and_least():
 def test_operator_spec_validation():
     with pytest.raises(NotSelfMapError):
         composition(MoebiusMap(2, 0, 0, 1))
+    with pytest.raises(NotSelfMapError):
+        cowen_adjoint_word(MoebiusMap(2, 0, 0, 1), hardy())
     with pytest.raises(InputError):
         weighted(PSI_HALF, "not a map")
     with pytest.raises(UnboundedWeightError):

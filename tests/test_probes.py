@@ -5,7 +5,7 @@ import pytest
 
 from wcolab.errors import OrderPolicyError
 from wcolab.mobius import MoebiusMap, rotation
-from wcolab import opmat, probes, scenarios
+from wcolab import opmat, scenarios
 from wcolab.opmat import (
     adjoint_block,
     adjoint_letter,
@@ -61,7 +61,7 @@ ALL_SPACES = (hardy(), bergman(0.0), bergman(1.0))
 
 def test_self_commutator_is_hermitian():
     pair = gram_blocks(weighted(PSI_HALF, HALF_SHIFT), hardy(), 10, 160)
-    h = probes._selfcomm_block(pair)
+    h = pair.g1 - pair.g2
     assert np.max(np.abs(h - h.conj().T)) == 0.0
     assert pair.tail_bound >= 0.0
 
@@ -75,7 +75,7 @@ def test_gram_pair_is_exactly_hermitian():
                 pair = gram_blocks(op, sp, N, M)
                 for g in (pair.g1, pair.g2):
                     assert np.array_equal(g, g.conj().T)
-                h = probes._selfcomm_block(pair)
+                h = pair.g1 - pair.g2
                 assert h.tobytes() == (0.5 * (h + h.conj().T)).tobytes()
 
 
@@ -83,8 +83,8 @@ def test_self_commutator_scale_covariance():
     # replacing psi by c*psi multiplies the self-commutator by |c|^2
     op1 = weighted(PSI_HALF, HALF_SHIFT)
     op2 = weighted(Scale(2j, PSI_HALF), HALF_SHIFT)
-    h1 = probes._selfcomm_block(gram_blocks(op1, hardy(), 8, 128))
-    h2 = probes._selfcomm_block(gram_blocks(op2, hardy(), 8, 128))
+    pair1, pair2 = gram_blocks(op1, hardy(), 8, 128), gram_blocks(op2, hardy(), 8, 128)
+    h1, h2 = pair1.g1 - pair1.g2, pair2.g1 - pair2.g2
     assert np.max(np.abs(h2 - 4.0 * h1)) < 1e-10
 
 
@@ -163,7 +163,8 @@ def test_quasinormality_defect_order_policy():
 def test_normality_defect_matches_selfcommutator_norm():
     # the evidence record carries the norm of the block its eigenvalue reads
     op = weighted(PSI_HALF, HALF_SHIFT)
-    h = probes._selfcomm_block(gram_blocks(op, hardy(), 10, 160))
+    pair = gram_blocks(op, hardy(), 10, 160)
+    h = pair.g1 - pair.g2
     ev = hyponormality_probe(op, hardy(), 10, 160)
     assert ev.norm == np.linalg.norm(h, 2)
     assert ev.min_eig == np.linalg.eigvalsh(h)[0]

@@ -162,6 +162,14 @@ def test_eliminate_precompose_poly():
         s = taylor(flat, 25)
         assert_series_close(s.coeffs, dft_coeffs(direct, 25), 1e-10)
         assert "Precompose" not in type(flat).__name__
+    # a polynomial leaf is a rational function over 1, so its denominator is Q^D
+    flat = eliminate_precompose(PrecomposeMoebius(Poly((1, 2, 3, 4)), HALF_SHIFT))
+    q = qd = np.array([HALF_SHIFT.d, HALF_SHIFT.c])
+    for _ in range(2):
+        qd = np.convolve(qd, q)
+    assert np.array_equal(flat.den.coeffs, qd)
+    # a constant leaf comes back unchanged
+    assert eliminate_precompose(PrecomposeMoebius(Poly((2.5,)), HALF_SHIFT)) == Poly((2.5,))
 
 
 def test_eliminate_precompose_nested():

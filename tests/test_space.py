@@ -81,6 +81,16 @@ def test_json_roundtrip():
     for sp in (hardy(), bergman(0.0), bergman(2.25)):
         again = SpaceSpec.from_json(sp.to_json())
         assert again == sp
+    for alpha in ("x", [1], None):
+        with pytest.raises(InputError, match="must be a number"):
+            SpaceSpec.from_json({"kind": "bergman", "alpha": alpha})
+
+
+def test_norms_that_underflow_are_rejected():
+    # alpha = 1e4 reaches 1.7e-297 at order 128; alpha = 1e5 underflows there
+    assert bergman(1e4).basis_norms_sq(128)[-1] > 0.0
+    with pytest.raises(InputError, match="underflow"):
+        bergman(1e5).basis_norms_sq(128)
 
 
 def test_kernel_evaluates_to_binomial_form():
