@@ -373,19 +373,21 @@ def test_cli_flag_overrides_config(tmp_path, capsys):
         (["scenario", "run", "--id", "S7-sadraoui", "--order", "1.5"], 2),
         (["scenario", "run", "--all", "--order-scale", "nan"], 2),
         (["scenario", "run", "--all", "--order-scale", "inf"], 2),
-        (["scenario", "run", "--all", "--order-scale", "1e308"], 2),
         (["block", "--map", HALF_SHIFT_JSON, "--config", {"order": "abc"}], 2),
         (["block", "--map", HALF_SHIFT_JSON, "--order", "8", "--tail", "16", "--space", "bergman:nan"], 2),
         (["block", "--map", HALF_SHIFT_JSON, "--order", "8", "--tail", "16", "--space", "bergman:inf"], 2),
         (["classify", "--map", '{"a":[1,0],"b":[NaN,0],"c":[-1,0],"d":[2,0]}'], 2),
-        (["block", "--weight", POWER_X_JSON, "--order", "4"], 2),
-        (["block", "--map", HALF_SHIFT_JSON, "--order", "16", "--tail", "128", "--space", "bergman:1e5"], 2),
         # the exit codes of inputs that were already rejected stay as they were
         (["block", "--map", HALF_SHIFT_JSON, "--order", "2"], 2),
         (["block", "--map", HALF_SHIFT_JSON, "--order", "8", "--tail", "9"], 2),
         (["block", "--op", "{broken"], 2),
         (["block", "--weight", EXP_CAYLEY_JSON, "--order", "4", "--tail", "8"], 3),
         (["scenario", "run", "--id", "S7-sadraoui", "--order-scale", "0"], 3),
+        # an order that overflows, an exponent that is no number and Bergman
+        # monomial norms that underflow are input errors too
+        (["scenario", "run", "--all", "--order-scale", "1e308"], 2),
+        (["block", "--weight", POWER_X_JSON, "--order", "4"], 2),
+        (["block", "--map", HALF_SHIFT_JSON, "--order", "16", "--tail", "128", "--space", "bergman:1e5"], 2),
     ],
 )
 def test_malformed_option_values_are_input_errors(argv, code, tmp_path, capsys):
