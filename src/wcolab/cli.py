@@ -147,6 +147,28 @@ def _merge_config(args: argparse.Namespace) -> None:
             setattr(args, attr, value)
 
 
+def _reject_unread_flags(args) -> None:
+    """A flag the chosen mode of a subcommand does not read is an input error.
+
+    Decided on the command line alone, before `_merge_config`: every value
+    option defaults to None and --all to False, so a set one is one the user
+    gave.  Config keys stay ignored where they are unread.
+    """
+    if args.command == "spectrum" and args.t is not None:
+        mode, unread = "spectrum --t", ("space", "tail", "op", "map", "weight")
+    elif args.command == "spectrum":
+        mode, unread = "spectrum without --t", ("zeta", "samples")
+    elif args.command == "scenario" and args.action == "list":
+        mode, unread = "scenario list", ("id", "all", "order_scale", "order", "tail", "json")
+    elif args.command == "scenario" and args.all:
+        mode, unread = "scenario run --all", ("id",)
+    else:
+        return
+    given = ["--" + n.replace("_", "-") for n in unread if getattr(args, n) not in (None, False)]
+    if given:
+        raise InputError(f"{mode} does not read {', '.join(given)}")
+
+
 def _resolve_space(args) -> SpaceSpec:
     return SpaceSpec.parse(args.space if args.space is not None else "hardy")
 
@@ -265,7 +287,6 @@ def cmd_probe(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    space = _resolve_space(args)
     if args.t is not None:
         t = _parse_complex_arg(args.t, "--t")
         zeta = (
@@ -278,9 +299,9 @@ def cmd_spectrum(args) -> int:
         betas = tuple(float(b) for b in np.linspace(0.0, 8.0, samples))
         spiral = spiral_curve(t, betas)
         order = _int_arg(args.order, "--order", 400)
-        residuals = [
-            (beta, eigen_residual(zeta, t, beta, order)) for beta in DEFAULT_BETA_GRID
-        ]
+        residuals = list(
+            zip(DEFAULT_BETA_GRID, eigen_residual(zeta, t, DEFAULT_BETA_GRID, order).tolist())
+        )
         print(f"parabolic symbol: zeta={fmt_c(zeta)} t={fmt_c(t)}")
         print(f"map: {json.dumps(phi.to_json())}")
         print("eigen residual table (beta, residual):")
@@ -302,6 +323,7 @@ def cmd_spectrum(args) -> int:
             _write_json(args.json, payload)
         return 0
 
+    space = _resolve_space(args)
     op = _operator_from_args(args)
     n, m = _resolve_orders(args, (op,))
     eigs = truncation_eigenvalues(build_block(op, space, n, n))
@@ -443,6 +465,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _reject_unread_flags(args)
         _merge_config(args)
         return args.func(args)
     except InputError as exc:

@@ -127,8 +127,31 @@ def _quasinormal_commutator_norm(s: np.ndarray, N: int) -> float:
 
 def selfadjoint_defect(op: OperatorSpec, space: SpaceSpec, N: int) -> float:
     """Norm of S - S* on the order-N square block (entries are exact)."""
-    s = _columns(op, space, N, N)
+    return _selfadjoint_gap(_columns(op, space, N, N))
+
+
+def _selfadjoint_gap(s: np.ndarray) -> float:
     return _spectral_norm(s - s.conj().T)
+
+
+def defect_sweep(
+    op: OperatorSpec, space: SpaceSpec, orders: list[tuple[int, int | None]]
+) -> list[tuple[float, HyponormalityEvidence]]:
+    """`selfadjoint_defect(op, space, N)` and `hyponormality_probe(op, space,
+    N, M)` at every (N, M) in `orders`, bit for bit, from one tall and one
+    wide block per distinct working order M, each built to the largest N
+    that uses it: every top left sub-block of a block is the smaller block."""
+    Ms = [working_order(N, [op], M) for N, M in orders]
+    blocks = {}
+    for M in dict.fromkeys(Ms):
+        top = max(N for (N, _), m in zip(orders, Ms) if m == M)
+        blocks[M] = (_columns(op, space, M, top), _columns(op, space, top, M))
+    out = []
+    for (N, _), M in zip(orders, Ms):
+        tall, wide = blocks[M]
+        pair = _gram_pair(np.ascontiguousarray(tall[:, : N + 1]), wide[: N + 1])
+        out.append((_selfadjoint_gap(wide[: N + 1, : N + 1]), _selfcomm_evidence(pair, N, M)))
+    return out
 
 
 def unitary_defect(
@@ -186,7 +209,7 @@ def defect_report(
     return DefectReport(
         hyponormality=ev,
         quasinormal_defect=_quasinormal_commutator_norm(s, N),
-        selfadjoint_defect=_spectral_norm(corner - corner.conj().T),
+        selfadjoint_defect=_selfadjoint_gap(corner),
         unitary_defect=_unitary_gap(pair),
         flags=tuple(flags),
     )

@@ -48,11 +48,11 @@ from .opmat import (
 from .probes import (
     certified_min_chi,
     defect_report,
+    defect_sweep,
     douglas_witness,
     hyponormality_probe,
     kernel_condition_probe,
     quasinormality_defect,
-    selfadjoint_defect,
     unitary_defect,
 )
 from .series import Exp, Poly, PrecomposeMoebius, Product, Rational, constant, evaluate, taylor
@@ -289,26 +289,23 @@ def _s1(ov: Overrides) -> tuple[list[CheckResult], dict]:
 
 def _s2(ov: Overrides) -> tuple[list[CheckResult], dict]:
     M = ov.work(400)
-    worst = 0.0
-    worst_at = None
-    for zeta in ZETA_GRID:
-        for t in T_GRID:
-            for beta in DEFAULT_BETA_GRID:
-                r = eigen_residual(zeta, t, beta, M)
-                if r > worst:
-                    worst, worst_at = r, (complex(zeta), complex(t), float(beta))
+    res = eigen_residual(
+        np.array(ZETA_GRID)[:, None, None],
+        np.array(T_GRID)[None, :, None],
+        np.array(DEFAULT_BETA_GRID)[None, None, :],
+        M,
+    )
+    # the first largest residual in (zeta, t, beta) order
+    i, j, k = np.unravel_index(np.argmax(res), res.shape)
+    zeta, t, beta = complex(ZETA_GRID[i]), complex(T_GRID[j]), float(DEFAULT_BETA_GRID[k])
     checks = [
         _le(
             "eigen-residual-worst",
-            worst,
+            float(res[i, j, k]),
             1e-9,
             "exact",
-            grid_size=len(ZETA_GRID) * len(T_GRID) * len(DEFAULT_BETA_GRID),
-            worst_at=[
-                [worst_at[0].real, worst_at[0].imag],
-                [worst_at[1].real, worst_at[1].imag],
-                worst_at[2],
-            ],
+            grid_size=res.size,
+            worst_at=[[zeta.real, zeta.imag], [t.real, t.imag], beta],
         )
     ]
     spiral = spiral_curve(1.0 + 0.5j)
@@ -565,26 +562,33 @@ def _s10(ov: Overrides) -> tuple[list[CheckResult], dict]:
     )
 
 
+def s11_operator(space, t: float) -> tuple[OperatorSpec, complex]:
+    """S11's operator for translation number t and its kernel point w0: the
+    parabolic symbol fixing 1, weighted by the kernel at w0 = sigma(0)."""
+    phi = parabolic_from(1.0, t)
+    w0 = phi.krein_adjoint().apply(0.0)
+    return weighted(kernel_expr(space, w0), phi), w0
+
+
+def s11_orders(ov: Overrides) -> list[tuple[int, int]]:
+    """S11's (N, M) pairs, one per truncation order of the trend."""
+    orders = [ov.order(n) for n in (8, 12, 16, 20, 24)]
+    return [(n, ov.work(max(8 * n, 320))) for n in orders]
+
+
 def _s11(ov: Overrides) -> tuple[list[CheckResult], dict]:
     checks = []
-    orders = [ov.order(n) for n in (8, 12, 16, 20, 24)]
+    pairs = s11_orders(ov)
+    orders = [n for n, _ in pairs]
     for space in THREE_SPACES:
         for t in (1.0, 2.0):
-            phi = parabolic_from(1.0, t)
-            sigma = phi.krein_adjoint()
-            w0 = sigma.apply(0.0)
-            weight = kernel_expr(space, w0)
-            op = weighted(weight, phi)
-            sa = []
-            nd = []
-            for n in orders:
-                sa.append(selfadjoint_defect(op, space, n))
-                nd.append(hyponormality_probe(op, space, n, ov.work(max(8 * n, 320))).norm)
+            op, w0 = s11_operator(space, t)
+            sweep = defect_sweep(op, space, pairs)
             tag = f"{space.label()}.t={t:g}"
             checks.append(
                 _info(
                     f"selfadjoint-defect-trend.{tag}",
-                    [float(v) for v in sa],
+                    [d for d, _ in sweep],
                     f"selfadjoint defect across N={orders}",
                     kernel_point=[w0.real, w0.imag],
                 )
@@ -592,7 +596,7 @@ def _s11(ov: Overrides) -> tuple[list[CheckResult], dict]:
             checks.append(
                 _info(
                     f"normality-defect-trend.{tag}",
-                    [float(v) for v in nd],
+                    [ev.norm for _, ev in sweep],
                     f"selfcommutator norm across N={orders}",
                 )
             )

@@ -25,9 +25,9 @@ from .series import (
     AnalyticExpr,
     Exp,
     Poly,
-    PrecomposeMoebius,
     Rational,
-    taylor,
+    _substitute_poly,
+    rational_series,
 )
 from .space import SpaceSpec
 
@@ -93,17 +93,49 @@ def parabolic_eigenpair(
     return f, cmath.exp(-beta * complex(t))
 
 
-def eigen_residual(zeta: complex, t: complex, beta: float, order: int = 400) -> float:
+def eigen_residual(zeta, t, beta, order: int = 400):
     """Relative max-coefficient residual of f o phi = e^(-beta t) f through
-    the given order; rounding-level for all valid parameters."""
-    phi = parabolic_from(zeta, t)
-    f, lam = parabolic_eigenpair(zeta, t, beta)
-    lhs = taylor(PrecomposeMoebius(f, phi), order).coeffs
-    rhs = lam * taylor(f, order).coeffs
-    scale = float(np.max(np.abs(rhs)))
-    if scale == 0.0:
-        scale = 1.0
-    return float(np.max(np.abs(lhs - rhs)) / scale)
+    the given order; rounding-level for all valid parameters.
+
+    zeta, t and beta broadcast against each other, and the residuals take
+    their broadcast shape (a float when all three are scalars).  Every
+    eigenfunction of `parabolic_eigenpair` is exp(N/D) with N and D of
+    degree one, so the whole grid takes two batched recurrences: one
+    `rational_series("exp")` over the stacked (N, D) gives every f, and one
+    over their substitutions by phi, one map per (zeta, t), gives every
+    f o phi.  Each point's residual is then formed from its own contiguous
+    coefficient rows, so it does not depend on the grid around it.
+    """
+    if order < 0:
+        raise InputError("taylor order must be nonnegative")
+    grid = np.broadcast(np.asarray(zeta), np.asarray(t), np.asarray(beta))
+    maps: dict = {}
+    lams, num, den = [], [], []
+    for z, tt, b in grid:
+        key = (complex(z), complex(tt))
+        if key not in maps:
+            maps[key] = (parabolic_from(*key), [])
+        maps[key][1].append(len(lams))
+        f, lam = parabolic_eigenpair(z, tt, b)
+        lams.append(lam)
+        num.append(f.arg.num.coeffs)
+        den.append(f.arg.den.coeffs)
+    num, den = np.array(num).T, np.array(den).T
+    D = max(len(num), len(den)) - 1
+    sub_num, sub_den = np.empty_like(num), np.empty_like(den)
+    for phi, cols in maps.values():
+        sub_num[:, cols] = _substitute_poly(num[:, cols], phi, D)
+        sub_den[:, cols] = _substitute_poly(den[:, cols], phi, D)
+    lhs = np.ascontiguousarray(rational_series("exp", sub_num, sub_den, int(order)).T)
+    rhs = np.ascontiguousarray(rational_series("exp", num, den, int(order)).T)
+    out = np.empty(len(lams))
+    for i, lam in enumerate(lams):
+        r = lam * rhs[i]
+        scale = float(np.max(np.abs(r)))
+        if scale == 0.0:
+            scale = 1.0
+        out[i] = np.max(np.abs(lhs[i] - r)) / scale
+    return float(out[0]) if grid.shape == () else out.reshape(grid.shape)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from wcolab import cli
+from wcolab import cli, spectra
 from wcolab.mobius import MoebiusMap
 from wcolab.opmat import OperatorSpec, build_block, composition
 from wcolab.scenarios import CheckResult, ScenarioReport
@@ -348,6 +348,47 @@ def test_options_a_subcommand_ignores_are_rejected(argv, capsys):
         run_cli(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--t", "1", "--space", "bergman:1", "--tail", "50"],
+        ["spectrum", "--t", "1", "--map", ROTATION_JSON],
+        ["spectrum", "--map", ROTATION_JSON, "--zeta", "1j"],
+        ["spectrum", "--map", ROTATION_JSON, "--order", "6", "--samples", "16"],
+        ["scenario", "list", "--json", "-"],
+        ["scenario", "list", "--all"],
+        ["scenario", "run", "--all", "--id", "S3-uniform-iteration"],
+    ],
+)
+def test_flags_a_mode_does_not_read_are_input_errors(argv, capsys):
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert "does not read" in captured.err
+    assert captured.out == ""
+
+
+def test_config_keys_a_mode_does_not_read_stay_ignored(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"space": "bergman:1", "tail": 50, "zeta": 1}))
+    assert run_cli(["spectrum", "--t", "1", "--samples", "4", "--config", str(cfg)]) == 0
+    assert "eigen residual table" in capsys.readouterr().out
+
+
+def test_spectrum_parabolic_mode_runs_two_recurrences(monkeypatch, capsys):
+    # one for every f and one for every f o phi over the beta grid
+    series = spectra.rational_series
+    calls = []
+
+    def counting_series(*args):
+        calls.append(args[0])
+        return series(*args)
+
+    monkeypatch.setattr(spectra, "rational_series", counting_series)
+    assert run_cli(["spectrum", "--t", "1+0.5j", "--zeta", "1j", "--samples", "8"]) == 0
+    assert calls == ["exp", "exp"]
+    assert len(capsys.readouterr().out.splitlines()) == 3 + len(spectra.DEFAULT_BETA_GRID)
 
 
 def test_cli_flag_overrides_config(tmp_path, capsys):

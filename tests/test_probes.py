@@ -5,7 +5,7 @@ import pytest
 
 from wcolab.errors import OrderPolicyError
 from wcolab.mobius import MoebiusMap, rotation
-from wcolab import opmat, scenarios
+from wcolab import opmat, probes, scenarios
 from wcolab.opmat import (
     adjoint_block,
     adjoint_letter,
@@ -24,6 +24,7 @@ from wcolab.probes import (
     certified_min_chi,
     default_kernel_grid,
     defect_report,
+    defect_sweep,
     douglas_witness,
     hyponormality_probe,
     kernel_condition_probe,
@@ -51,8 +52,12 @@ from wcolab.scenarios import (
     SADRAOUI,
     TAU,
     THREE_POINT,
+    THREE_SPACES,
+    Overrides,
     s6_weight,
     s8_operator,
+    s11_operator,
+    s11_orders,
 )
 from wcolab.space import bergman, hardy, kernel_expr, kernel_norm_sq
 
@@ -289,6 +294,52 @@ def test_s7_sweeps_each_letter_block_once(monkeypatch):
     assert rep.verdict == "PASS"
     assert len(calls) == 2
     assert [op.symbol for op in letters] == [TAU, None] * 2
+
+
+def _assert_sweep_is_per_order(op, sp, pairs):
+    sweep = defect_sweep(op, sp, pairs)
+    assert len(sweep) == len(pairs)
+    for (N, M), (sa, ev) in zip(pairs, sweep):
+        assert sa == selfadjoint_defect(op, sp, N)
+        assert ev == hyponormality_probe(op, sp, N, M)
+
+
+def test_defect_sweep_is_the_per_order_probes():
+    # bit for bit: at S11's orders (one M), at order scale 2 (two Ms), with
+    # explicit orders (one pair, repeated), and with the default M
+    for sp in THREE_SPACES:
+        for t in (1.0, 2.0):
+            _assert_sweep_is_per_order(s11_operator(sp, t)[0], sp, s11_orders(Overrides()))
+    scaled = s11_orders(Overrides(order_scale=2.0))
+    assert len({M for _, M in scaled}) == 2
+    pinned = s11_orders(Overrides(N=10, M=96))
+    assert pinned == [(10, 96)] * 5
+    for t in (1.0, 2.0):
+        op = s11_operator(bergman(1.0), t)[0]
+        _assert_sweep_is_per_order(op, bergman(1.0), scaled)
+        _assert_sweep_is_per_order(op, bergman(1.0), pinned)
+    pairs = [(12, None), (6, 64), (4, None)]
+    _assert_sweep_is_per_order(weighted(PSI_HALF, HALF_SHIFT), hardy(), pairs)
+
+
+def test_defect_sweep_checks_the_working_order():
+    with pytest.raises(OrderPolicyError):
+        defect_sweep(composition(HALF_SHIFT), hardy(), [(8, 160), (20, 30)])
+
+
+def test_s11_builds_one_tall_and_one_wide_block_per_operator(monkeypatch):
+    # 3 spaces x 2 translation numbers, one working order: 12 blocks (90 before)
+    columns = opmat._columns
+    shapes = []
+
+    def counting_columns(op, space, rows, cols):
+        shapes.append((rows, cols))
+        return columns(op, space, rows, cols)
+
+    monkeypatch.setattr(probes, "_columns", counting_columns)
+    rep = scenarios.run_scenario("S11-parabolic-kernel-weight")
+    assert rep.verdict == "REPORT"
+    assert shapes == [(320, 24), (24, 320)] * 6
 
 
 def test_kernel_probe_zero_for_unitary_and_negative_for_bad_map():

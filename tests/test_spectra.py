@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from wcolab import scenarios, spectra
 from wcolab.errors import InputError
-from wcolab.mobius import rotation
+from wcolab.mobius import parabolic_from, rotation
 from wcolab.opmat import TruncatedBlock, build_block, composition
-from wcolab.series import taylor
+from wcolab.scenarios import T_GRID, ZETA_GRID
+from wcolab.series import PrecomposeMoebius, taylor
 from wcolab.space import bergman, hardy
 from wcolab.spectra import (
     DEFAULT_BETA_GRID,
@@ -75,10 +77,67 @@ def test_parabolic_eigenpair_eigenvalue_and_residual():
 
 
 def test_eigen_residual_small_on_grid():
-    for zeta in (1.0, 1j):
-        for t in (1.0, 1 + 0.5j):
-            for beta in DEFAULT_BETA_GRID:
-                assert eigen_residual(zeta, t, beta, 256) < 1e-10
+    res = eigen_residual(
+        np.array([1.0, 1j])[:, None, None],
+        np.array([1.0, 1 + 0.5j])[None, :, None],
+        np.array(DEFAULT_BETA_GRID)[None, None, :],
+        256,
+    )
+    assert res.shape == (2, 2, len(DEFAULT_BETA_GRID))
+    assert np.all(res < 1e-10)
+
+
+def _residual_per_point(zeta, t, beta, order):
+    # one point at a time through `taylor`, both sides their own series
+    phi = parabolic_from(zeta, t)
+    f, lam = parabolic_eigenpair(zeta, t, beta)
+    lhs = taylor(PrecomposeMoebius(f, phi), order).coeffs
+    rhs = lam * taylor(f, order).coeffs
+    scale = float(np.max(np.abs(rhs)))
+    if scale == 0.0:
+        scale = 1.0
+    return float(np.max(np.abs(lhs - rhs)) / scale)
+
+
+def test_batched_eigen_residual_is_the_per_point_residual_on_s2_grid():
+    got = eigen_residual(
+        np.array(ZETA_GRID)[:, None, None],
+        np.array(T_GRID)[None, :, None],
+        np.array(DEFAULT_BETA_GRID)[None, None, :],
+        400,
+    )
+    want = [
+        [[_residual_per_point(z, t, b, 400) for b in DEFAULT_BETA_GRID] for t in T_GRID]
+        for z in ZETA_GRID
+    ]
+    assert np.array_equal(got, np.array(want))
+
+
+def test_batched_eigen_residual_is_the_per_point_residual_on_random_grid():
+    # several beta share each (zeta, t), so one substitution serves a group;
+    # beta = 0 gives the constant eigenfunction
+    rng = np.random.default_rng(17)
+    zeta = np.exp(2j * np.pi * rng.random(5))[:, None]
+    t = (rng.uniform(0.05, 3.0, 5) + 1j * rng.uniform(-3.0, 3.0, 5))[:, None]
+    beta = np.concatenate(([0.0], rng.uniform(0.0, 6.0, 3)))[None, :]
+    got = eigen_residual(zeta, t, beta, 300)
+    assert got.shape == (5, 4)
+    want = [[_residual_per_point(z[0], s[0], b, 300) for b in beta[0]] for z, s in zip(zeta, t)]
+    assert np.array_equal(got, np.array(want))
+    # a scalar point gives a float, the same one
+    assert eigen_residual(zeta[1, 0], t[1, 0], beta[0, 2], 300) == got[1, 2]
+    assert isinstance(eigen_residual(1.0, 1.0, 1.0, 32), float)
+
+
+def test_eigen_residual_checks_its_inputs():
+    with pytest.raises(InputError):
+        eigen_residual(1.0, 1.0, 1.0, -1)
+    with pytest.raises(InputError):
+        eigen_residual([1.0, 2.0], 1.0, 1.0, 32)  # |zeta| != 1
+    with pytest.raises(InputError):
+        eigen_residual(1.0, [1.0, -1.0], 1.0, 32)  # Re t < 0
+    with pytest.raises(InputError):
+        eigen_residual(1.0, 1.0, [0.5, -0.5], 32)  # beta < 0
 
 
 def test_rotation_spectrum_kinds():
@@ -120,3 +179,16 @@ def test_spectral_radius_estimate_validates_orders():
     with pytest.raises(InputError):
         spectral_radius_estimate(composition(rotation(1j)), hardy(), 8, 0)
 
+
+def test_s2_runs_two_recurrences(monkeypatch):
+    # one for every f and one for every f o phi over the 72-point grid (144 before)
+    series = spectra.rational_series
+    widths = []
+
+    def counting_series(kind, num, den, M, *args):
+        widths.append(np.shape(num)[1])
+        return series(kind, num, den, M, *args)
+
+    monkeypatch.setattr(spectra, "rational_series", counting_series)
+    assert scenarios.run_scenario("S2-parabolic-eigen").verdict == "PASS"
+    assert widths == [72, 72]
