@@ -12,7 +12,10 @@ engine, `_columns`, computes these entries, exact up to rounding, by an
 O(rows * cols) recurrence in which every top-left sub-block is bit for bit
 the smaller block; so a tall block (columns <= N), a wide block (rows <= N)
 and a square block of one operator are slices of one call.  A word applies
-its order-M letter blocks right to left to the N + 1 columns it reads.
+its letters right to left to the N + 1 columns it reads, each letter built
+with only the rows and columns that the compression reads of it: triangular
+letters at the ends of a word compress exactly and are built at order N,
+and only the letters between them are order-M blocks (see `_apply_word`).
 """
 
 from __future__ import annotations
@@ -257,6 +260,14 @@ class WordLetter:
     op: OperatorSpec
     adjoint: bool = False
 
+    @property
+    def triangular(self) -> bool:
+        """True when the operator's matrix is lower triangular, so the letter
+        is lower triangular when plain and upper triangular when adjoint:
+        weight * symbol^j vanishes to order j when there is no symbol or
+        symbol(0) = b/d = 0."""
+        return self.op.symbol is None or self.op.symbol.b == 0
+
 
 OperatorWord = tuple[WordLetter, ...]
 
@@ -272,30 +283,61 @@ def adjoint_letter(op: OperatorSpec) -> WordLetter:
 def word_block(
     word: OperatorWord, space: SpaceSpec, N: int, M: int | None = None
 ) -> TruncatedBlock:
-    """Compression P_N L_1 ... L_k P_N of a word of letters, each a square
-    block of order M (word[0] is applied last).  Requires M >= 2N."""
+    """Compression P_N L_1 ... L_k P_N of a word of letters (word[0] is
+    applied last).  Lower-triangular letters on the left and upper-triangular
+    letters on the right compress exactly and are built at order N, as is a
+    single letter left between them; two or more letters left between them
+    are swept at working order M.  Requires M >= 2N."""
     word = tuple(word)
     if N < 0:
         raise InputError("compression order must be nonnegative")
     M = working_order(N, [w.op for w in word], M)
-    prod = _apply_word(word, space, M, np.eye(M + 1, N + 1))
-    return TruncatedBlock(prod[: N + 1], space)
+    (x,) = _apply_word(word, space, N, M, [np.eye(N + 1)])
+    return TruncatedBlock(x, space)
 
 
-def _apply_word(word: OperatorWord, space: SpaceSpec, M: int, x: np.ndarray) -> np.ndarray:
-    """L_1 ... L_k x, each letter an order-M block.
+def _apply_word(
+    word: OperatorWord, space: SpaceSpec, N: int, M: int, panels: list[np.ndarray]
+) -> list[np.ndarray]:
+    """Rows 0..N of L_1 ... L_k x for each panel x, all of M + 1 rows, or all
+    of N + 1 rows standing for x with every row past N zero (P_N's columns).
 
-    At most one order-M block is alive at a time: an adjoint letter applies
-    conj(B.T @ conj(x)), the same product as B* x bit for bit, without an
-    order-M conjugate copy, and each block is freed before the next is built.
+    Each letter is built with the rows its output needs and the columns its
+    input has.  A lower-triangular letter maps rows 0..N from rows 0..N, so
+    the leading run of them (the left peel) is built at order N.  On panels
+    of N + 1 rows an upper-triangular letter keeps every row past N zero, so
+    the trailing run of them (the right peel) is built at order N too.  Of
+    the letters between, only the outermost one's rows 0..N are read; the
+    others give the M + 1 rows the next letter reads.  So one letter left
+    between the peels is an order-N block, and the Cowen word, triangular at
+    both ends, costs O(N^2) at any M.
+
+    Each block is built once, applied to every panel as a product of its own
+    (BLAS may round a column differently in a wider product, and a panel's
+    result must not depend on the others), and freed before the next is
+    built.  An adjoint letter applies conj(B.T @ conj(x)), the same product
+    as B* x bit for bit, from the block B of the transposed shape.
     """
     if not word:
         raise InputError("operator word must have at least one letter")
-    for w in reversed(word):
-        blk = _columns(w.op, space, M, M)
-        x = (blk.T @ x.conj()).conj() if w.adjoint else blk @ x
+    lo, hi = 0, len(word)
+    while lo < hi and word[lo].triangular and not word[lo].adjoint:
+        lo += 1
+    while len(panels[0]) == N + 1 and hi > lo and word[hi - 1].triangular and word[hi - 1].adjoint:
+        hi -= 1
+    for i in reversed(range(len(word))):
+        w, rows = word[i], (M if lo < i < hi else N)
+        if i < lo:
+            panels = [x[: N + 1] for x in panels]
+        cols = len(panels[0]) - 1
+        if w.adjoint:
+            blk = _columns(w.op, space, cols, rows).T
+            panels = [(blk @ x.conj()).conj() for x in panels]
+        else:
+            blk = _columns(w.op, space, rows, cols)
+            panels = [blk @ x for x in panels]
         del blk
-    return x
+    return panels
 
 
 @dataclass(frozen=True, eq=False)
@@ -360,7 +402,8 @@ def cowen_adjoint_word(symbol: MoebiusMap, space: SpaceSpec) -> OperatorWord:
     h = (cz + d)^gamma.  The representative is rescaled so d is a positive
     real, keeping both constant terms off the branch cut for any gamma; the
     factorization is invariant under that rescaling.  The first and last
-    letters are triangular, so compressions of this word are exact.
+    letters are triangular, so compressions of this word are exact and
+    `word_block` builds all three letters at order N.
     """
     if not symbol.is_self_map(_SELF_MAP_TOL):
         raise NotSelfMapError("adjoint factorization requires a self-map")

@@ -236,12 +236,12 @@ def douglas_witness(
     M: int | None = None,
 ) -> DouglasWitness:
     """Check ||C|| <= 1 and A* = C A at order N for a candidate word C, by
-    one sweep of C over [P_N | A's tall block]; A* is its corner's adjoint."""
+    one sweep of C over the panels P_N and A's tall block; A* is its
+    corner's adjoint."""
     word = tuple(contraction)
     M = working_order(N, [w.op for w in word] + [op], M)
     tall = _columns(op, space, M, N)
-    panel = _apply_word(word, space, M, np.hstack((np.eye(M + 1, N + 1), tall)))
-    c, ca = panel[: N + 1, : N + 1], panel[: N + 1, N + 1 :]
+    c, ca = _apply_word(word, space, N, M, [np.eye(M + 1, N + 1), tall])
     residual = _spectral_norm(ca - tall[: N + 1].conj().T)
     return DouglasWitness(_spectral_norm(c), residual, ca, N, M)
 

@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InputError, UnknownScenarioError
+from .errors import InputError, OrderPolicyError, UnknownScenarioError
 from .mobius import MoebiusMap, identity, parabolic_from, projective_distance, rotation
 from .opmat import (
     WEIGHT_GRID,
@@ -130,13 +130,17 @@ class Overrides:
         return self._scaled(self.M, default)
 
     def _scaled(self, given: int | None, default: int) -> int:
-        """The given order, else the default times order_scale, at least 1."""
-        if given is not None:
-            return given
-        scaled = default * self.order_scale
-        if not math.isfinite(scaled):
-            raise InputError(f"order scale {self.order_scale:g} overflows the order {default}")
-        return max(1, int(round(scaled)))
+        """The given order, else the default times order_scale, at least 1;
+        an order whose square complex block numpy cannot shape raises
+        OrderPolicyError."""
+        if given is None:
+            scaled = default * self.order_scale
+            if not math.isfinite(scaled):
+                raise InputError(f"order scale {self.order_scale:g} overflows the order {default}")
+            given = max(1, int(round(scaled)))
+        if 16 * (given + 2) * (given + 1) > np.iinfo(np.intp).max:
+            raise OrderPolicyError(f"order {given} is too large for a block")
+        return given
 
 
 @dataclass(frozen=True)

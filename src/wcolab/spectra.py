@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InputError
 from .mobius import parabolic_from
-from .opmat import OperatorSpec, TruncatedBlock, _columns, working_order
+from .opmat import OperatorSpec, TruncatedBlock, _columns, plain, working_order
 from .series import (
     AnalyticExpr,
     Exp,
@@ -193,12 +193,15 @@ def spectral_radius_estimate(
     """Gelfand sequence ||P_N A^k P_N||^(1/k) for k = 1..k_max.
 
     Powers are taken on the order-M square block and compressed afterwards,
-    so each term sees the operator at full working order.
+    so each term sees the operator at full working order.  A lower-triangular
+    A (see `WordLetter.triangular`) has P_N A^k P_N = (P_N A P_N)^k exactly,
+    so its powers are taken on the order-N block.
     """
     if N < 0 or k_max < 1:
         raise InputError("need N >= 0 and k_max >= 1")
     M = working_order(N, [op], M, least=N)
-    s = _columns(op, space, M, M)
+    K = N if plain(op).triangular else M
+    s = _columns(op, space, K, K)
     x = np.ascontiguousarray(s[:, : N + 1])
     vals = []
     for k in range(1, k_max + 1):

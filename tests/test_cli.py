@@ -429,6 +429,9 @@ def test_cli_flag_overrides_config(tmp_path, capsys):
         (["scenario", "run", "--all", "--order-scale", "1e308"], 2),
         (["block", "--weight", POWER_X_JSON, "--order", "4"], 2),
         (["block", "--map", HALF_SHIFT_JSON, "--order", "16", "--tail", "128", "--space", "bergman:1e5"], 2),
+        # an order whose square block numpy cannot shape breaks the order policy
+        (["scenario", "run", "--all", "--order-scale", "1e20"], 3),
+        (["scenario", "run", "--id", "S7-sadraoui", "--order", "10000000000000000000"], 3),
     ],
 )
 def test_malformed_option_values_are_input_errors(argv, code, tmp_path, capsys):

@@ -1,11 +1,16 @@
 """Tests for truncated operator blocks, words, and Gram matrices."""
 
+import cmath
+import math
 from fractions import Fraction
 from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from wcolab import opmat
 from wcolab.errors import (
     InputError,
     NotSelfMapError,
@@ -256,6 +261,81 @@ def test_cowen_word_compresses_exactly():
             g, c, h = _signed(word, [_columns(w.op, sp, N, N) for w in word])
             for M in (2 * N, 10 * N):
                 _assert_rounding_close(word_block(word, sp, N, M).entries, g @ c @ h)
+
+
+def test_cowen_word_builds_only_order_n_letters_at_any_working_order(monkeypatch):
+    # as in the order-study Cowen step: both end letters are peeled and the
+    # one letter left between them is built at order N too, so M is only
+    # validated
+    built = []
+    columns = opmat._columns
+
+    def counting_columns(op, space, rows, cols):
+        built.append((rows, cols))
+        return columns(op, space, rows, cols)
+
+    monkeypatch.setattr(opmat, "_columns", counting_columns)
+    N, sp = 24, bergman(1.0)
+    for m in (HALF_SHIFT, THREE_POINT, PARABOLIC_ONE):
+        word = cowen_adjoint_word(m, sp)
+        first = None
+        for M in (320, 640, 1280):
+            built.clear()
+            entries = word_block(word, sp, N, M).entries
+            assert built == [(N, N)] * 3
+            first = entries if first is None else first
+            assert np.array_equal(entries, first)
+
+
+@st.composite
+def self_maps(draw):
+    """z -> c0 + r lam (z - p) / (1 - conj(p) z), |c0| + r <= 0.9, with
+    c0 = r lam p (so symbol(0) = 0, a triangular letter) half of the time."""
+    r = draw(st.floats(0.05, 0.5))
+    p = cmath.rect(draw(st.floats(0.0, 0.6)), draw(st.floats(0.0, 2 * math.pi)))
+    lam = cmath.rect(1.0, draw(st.floats(0.0, 2 * math.pi)))
+    if draw(st.booleans()):
+        c0 = r * lam * p
+    else:
+        c0 = cmath.rect(draw(st.floats(0.0, 0.9 - r)), draw(st.floats(0.0, 2 * math.pi)))
+    pc = p.conjugate()
+    return MoebiusMap(r * lam - c0 * pc, c0 - r * lam * p, -pc, 1.0)
+
+
+WORD_WEIGHTS = (PSI_HALF, Poly((1, 0.5j, -0.25)), Exp(Poly((0, 0.5j))))
+
+
+@st.composite
+def word_letters(draw):
+    """A Toeplitz, composition or weighted-composition letter, plain or adjoint."""
+    kind = draw(st.sampled_from(("toeplitz", "composition", "weighted")))
+    weight = draw(st.sampled_from(WORD_WEIGHTS))
+    if kind == "toeplitz":
+        op = toeplitz(weight)
+    elif kind == "composition":
+        op = composition(draw(self_maps()))
+    else:
+        op = weighted(weight, draw(self_maps()))
+    return adjoint_letter(op) if draw(st.booleans()) else plain(op)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    word=st.lists(word_letters(), min_size=1, max_size=4),
+    N=st.integers(0, 6),
+    extra=st.integers(0, 24),
+    sp=st.sampled_from(ALL_SPACES),
+)
+def test_word_block_is_the_compression_of_the_full_product(word, N, extra, sp):
+    # peeled end letters and the rectangular outer letter change only what is
+    # built, not the compression of the product of the order-M letters
+    M = 2 * N + extra
+    letters = _signed(word, [_columns(w.op, sp, M, M) for w in word])
+    expected = reduce(np.matmul, letters)[: N + 1, : N + 1]
+    scale = math.prod(np.linalg.norm(m, 2) for m in letters)
+    got = word_block(tuple(word), sp, N, M).entries
+    assert got.shape == expected.shape
+    assert np.max(np.abs(got - expected)) <= 1e-14 * scale
 
 
 def _exact_raw_coefficients(symbol, num, den, order):

@@ -228,14 +228,13 @@ def _douglas_cases():
     ]
 
 
-def _count_letter_blocks(monkeypatch, M):
-    """Record the operator of every square order-M block `opmat` builds."""
+def _count_letter_blocks(monkeypatch):
+    """Record (operator, rows, cols) of every block `opmat` builds."""
     columns = opmat._columns
     built = []
 
     def counting_columns(op, space, rows, cols):
-        if rows == cols == M:
-            built.append(op)
+        built.append((op, rows, cols))
         return columns(op, space, rows, cols)
 
     monkeypatch.setattr(opmat, "_columns", counting_columns)
@@ -243,14 +242,19 @@ def _count_letter_blocks(monkeypatch, M):
 
 
 def test_douglas_witness_builds_each_letter_once(monkeypatch):
+    # innermost letter first: S8's T_{1/f} and T_g* are order-M squares (an
+    # adjoint letter's block is built transposed), C_tau, the outermost
+    # letter that is not peeled, gives only its rows 0..N, and T_eta, lower
+    # triangular, is peeled to order N
     cases = _douglas_cases()
     refs = [_two_word_douglas(c, op, hardy(), N, 160) for c, op, N in cases]
-    built = _count_letter_blocks(monkeypatch, 160)
+    built = _count_letter_blocks(monkeypatch)
     for (contraction, op, N), (norm, residual) in zip(cases, refs):
         built.clear()
         w = douglas_witness(contraction, op, hardy(), N, 160)
-        assert len(built) == len(contraction)
-        assert all(b is c.op for b, c in zip(built, reversed(contraction)))
+        shapes = [(160, 160)] * (len(contraction) - 2) + [(N, 160), (N, N)]
+        assert [(rows, cols) for _, rows, cols in built] == shapes
+        assert all(b is c.op for (b, _, _), c in zip(built, reversed(contraction)))
         assert abs(w.norm_estimate - norm) <= 1e-14
         assert abs(w.residual - residual) <= 1e-14
 
@@ -278,8 +282,11 @@ def test_words_run_no_tail_diagnostics(monkeypatch):
 
 
 def test_s7_sweeps_each_letter_block_once(monkeypatch):
-    # two order-N blocks for the adjoint check, then T_eta and C_tau once for
-    # the contraction norms and once for the Douglas witness (13 before)
+    # every block S7 builds: two order-N blocks for the adjoint check, then
+    # C_tau and T_eta once for the Douglas witness (C_tau's rows 0..24 of
+    # 160, T_eta at order 24) and once for the contraction norms, whose word
+    # compresses exactly at order 32, and last the hyponormality probe's tall
+    # and wide blocks
     build = opmat.build_block
     calls = []
 
@@ -289,11 +296,20 @@ def test_s7_sweeps_each_letter_block_once(monkeypatch):
 
     monkeypatch.setattr(opmat, "build_block", counting_build)
     monkeypatch.setattr(scenarios, "build_block", counting_build)
-    letters = _count_letter_blocks(monkeypatch, 160)
+    letters = _count_letter_blocks(monkeypatch)
     rep = scenarios.run_scenario("S7-sadraoui")
     assert rep.verdict == "PASS"
     assert len(calls) == 2
-    assert [op.symbol for op in letters] == [TAU, None] * 2
+    assert [(op.symbol, rows, cols) for op, rows, cols in letters] == [
+        (SADRAOUI.symbol, 24, 24),
+        (AFFINE_HALF, 24, 24),
+        (TAU, 24, 160),
+        (None, 24, 24),
+        (TAU, 32, 32),
+        (None, 32, 32),
+        (SADRAOUI.symbol, 160, 16),
+        (SADRAOUI.symbol, 16, 160),
+    ]
 
 
 def _assert_sweep_is_per_order(op, sp, pairs):

@@ -5,10 +5,10 @@ import pytest
 
 from wcolab import scenarios, spectra
 from wcolab.errors import InputError
-from wcolab.mobius import parabolic_from, rotation
-from wcolab.opmat import TruncatedBlock, build_block, composition
+from wcolab.mobius import MoebiusMap, parabolic_from, rotation
+from wcolab.opmat import TruncatedBlock, _columns, build_block, composition, toeplitz
 from wcolab.scenarios import T_GRID, ZETA_GRID
-from wcolab.series import PrecomposeMoebius, taylor
+from wcolab.series import Poly, PrecomposeMoebius, taylor
 from wcolab.space import bergman, hardy
 from wcolab.spectra import (
     DEFAULT_BETA_GRID,
@@ -173,6 +173,33 @@ def test_spectral_radius_estimate_contraction_decays():
         composition(rotation(0.5)), hardy(), 8, 8, M=64
     )
     assert all(v <= 1.0 + 1e-12 for v in vals)
+
+
+def test_triangular_gelfand_sequence_needs_only_the_order_n_block(monkeypatch):
+    # P_N A^k P_N = (P_N A P_N)^k for a lower-triangular A: a Toeplitz
+    # operator, or a composition with symbol(0) = 0
+    shapes = []
+
+    def counting_columns(op, space, rows, cols):
+        shapes.append((rows, cols))
+        return _columns(op, space, rows, cols)
+
+    monkeypatch.setattr(spectra, "_columns", counting_columns)
+    N, M, k_max = 8, 64, 6
+    for op in (toeplitz(Poly((1, 0.5j, -0.25))), composition(MoebiusMap(1, 0, -1, 2))):
+        for sp in (hardy(), bergman(1.0)):
+            shapes.clear()
+            vals = spectral_radius_estimate(op, sp, N, k_max, M=M)
+            assert shapes == [(N, N)]
+            s = _columns(op, sp, M, M)
+            x = s[:, : N + 1]
+            for k, v in enumerate(vals, start=1):
+                want = np.linalg.norm(x[: N + 1], 2) ** (1.0 / k)
+                assert abs(v - want) <= 1e-14 * want
+                x = s @ x
+    shapes.clear()
+    spectral_radius_estimate(composition(MoebiusMap(1, 1, 0, 2)), hardy(), N, k_max, M=M)
+    assert shapes == [(M, M)]
 
 
 def test_spectral_radius_estimate_validates_orders():
