@@ -30,11 +30,9 @@ from .errors import ConstraintError, InputError, WcolabError
 from .mobius import DEFAULT_TOL, MoebiusMap, classify, parabolic_from
 from .opmat import (
     OperatorSpec,
-    block_to_csv,
     build_block,
     composition,
     is_boundary_touching,
-    operator_norm_estimate,
     toeplitz,
     working_order,
 )
@@ -101,7 +99,11 @@ def _write_json(path: str, payload: dict) -> None:
             fh.write(text + "\n")
 
 
-def _write_csv(path: str, text: str) -> None:
+def _write_csv(path: str, header: str, table: np.ndarray) -> None:
+    """A float table as CSV under its header line, every value as %.17g, so
+    every float reads back exactly."""
+    row = ",".join(["%.17g"] * table.shape[1])
+    text = "\n".join([header] + [row % tuple(r) for r in table.tolist()]) + "\n"
     if path == "-":
         sys.stdout.write(text)
     else:
@@ -238,17 +240,17 @@ def cmd_block(args) -> int:
     op = _operator_from_args(args)
     space = _resolve_space(args)
     n, m = _resolve_orders(args, (op,))
-    blk = build_block(op, space, n, m)
+    e = build_block(op, space, n, m).entries
     # the tail judgment: boundary contact or slow decay of some column, and
     # the largest column bound, unknown below the diagnostics' least order
     tail_flag, tail_estimate = is_boundary_touching(op), float("nan")
     if m >= TAIL_MIN_ORDER:
-        td = tail_diagnostics(blk.entries)
+        td = tail_diagnostics(e)
         tail_flag = tail_flag or bool(td.slow_decay.any())
         tail_estimate = float(td.bound.max())
     print(f"operator: {op.describe()}  space: {space.label()}")
     print(f"orders: N={n} M={m}")
-    print(f"norm estimate: {fmt(operator_norm_estimate(blk))}")
+    print(f"norm estimate: {fmt(np.linalg.norm(e[: n + 1], 2))}")
     print(f"tail estimate: {fmt(tail_estimate)}")
     if tail_flag:
         print(
@@ -256,11 +258,13 @@ def cmd_block(args) -> int:
             "raise --tail for trustworthy tails"
         )
     if args.csv:
-        _write_csv(args.csv, block_to_csv(blk))
+        header = ",".join(["i"] + [f"{part}_{j}" for j in range(n + 1) for part in ("re", "im")])
+        _write_csv(args.csv, header, np.column_stack((np.arange(m + 1), e.view(float))))
     if args.json:
+        payload = {"op": op.to_json(), "space": space.to_json(), "row_order": m, "col_order": n}
+        payload["entries"] = np.stack((e.real, e.imag), -1).tolist()
         estimate = tail_estimate if math.isfinite(tail_estimate) else None
-        payload = {"op": op.to_json(), **blk.to_json(), "tail_flag": tail_flag}
-        _write_json(args.json, {**payload, "tail_estimate": estimate})
+        _write_json(args.json, {**payload, "tail_flag": tail_flag, "tail_estimate": estimate})
     return 0
 
 
@@ -296,6 +300,8 @@ def cmd_spectrum(args) -> int:
         samples = _int_arg(args.samples, "--samples", 64)
         if samples < 2:
             raise InputError("--samples must be at least 2")
+        if samples > np.iinfo(np.intp).max:
+            raise InputError(f"--samples must be at most {np.iinfo(np.intp).max}")
         betas = tuple(float(b) for b in np.linspace(0.0, 8.0, samples))
         spiral = spiral_curve(t, betas)
         order = _int_arg(args.order, "--order", 400)
@@ -308,10 +314,7 @@ def cmd_spectrum(args) -> int:
         for beta, r in residuals:
             print(f"  {fmt(beta)}  {fmt(r)}")
         if args.csv:
-            lines = ["beta,re,im"]
-            for beta, lam in spiral:
-                lines.append(f"{beta:.17g},{lam.real:.17g},{lam.imag:.17g}")
-            _write_csv(args.csv, "\n".join(lines) + "\n")
+            _write_csv(args.csv, "beta,re,im", np.array([(b, v.real, v.imag) for b, v in spiral]))
         if args.json:
             payload = {
                 "map": phi.to_json(),
@@ -344,10 +347,7 @@ def cmd_spectrum(args) -> int:
             for p in exact.points:
                 print(f"  {fmt_c(p)}")
     if args.csv:
-        lines = ["re,im"]
-        for lam in eigs:
-            lines.append(f"{lam.real:.17g},{lam.imag:.17g}")
-        _write_csv(args.csv, "\n".join(lines) + "\n")
+        _write_csv(args.csv, "re,im", np.column_stack((eigs.real, eigs.imag)))
     if args.json:
         payload = {
             "op": op.to_json(),

@@ -144,16 +144,26 @@ def is_boundary_touching(op: OperatorSpec) -> bool:
     return abs(center) + radius >= 1.0 - BOUNDARY_TOUCH_TOL
 
 
+def shapeable_order(k: int) -> int:
+    """The order k itself when numpy can shape the complex buffer of an
+    order-k square block (k + 2 rows of k + 1 columns); else OrderPolicyError."""
+    if 16 * (k + 2) * (k + 1) > np.iinfo(np.intp).max:
+        raise OrderPolicyError(f"order {k} is too large for a block")
+    return k
+
+
 def working_order(
     N: int, ops: tuple[OperatorSpec, ...] | list, M: int | None = None, least: int | None = None
 ) -> int:
     """Working order for an order-N result computed from order-M blocks.
 
     The default is max(8N, 160), doubled when any symbol's image touches the
-    unit circle; it is never below 2N + 16.  `least` (default 2N) is the
-    smallest M the caller's algorithm accepts; an M below it raises
-    OrderPolicyError.
+    unit circle; it is never below 2N + 16.  A negative N raises InputError.
+    `least` (default 2N) is the smallest M the caller's algorithm accepts; an
+    M below it, or one too large for numpy to shape, raises OrderPolicyError.
     """
+    if N < 0:
+        raise InputError(f"order N={N} must be nonnegative")
     if least is None:
         least = 2 * N
     if M is None:
@@ -162,41 +172,22 @@ def working_order(
             M *= 2
     if M < least:
         raise OrderPolicyError(f"working order M={M} violates M >= {least} with N={N}")
-    return M
+    return shapeable_order(M)
 
 
 @dataclass(frozen=True, eq=False)
 class TruncatedBlock:
-    """Matrix of <A e_j, e_i> for i <= row_order, j <= col_order."""
+    """Matrix of <A e_j, e_i>, held C-contiguous as complex128.
+
+    A block is its entries and nothing more; the type remains, rather than a
+    bare array, because the wcbench workloads read `.entries`.
+    """
 
     entries: np.ndarray
-    space: SpaceSpec
 
     def __post_init__(self) -> None:
         arr = np.ascontiguousarray(np.asarray(self.entries, dtype=np.complex128))
         object.__setattr__(self, "entries", arr)
-
-    @property
-    def row_order(self) -> int:
-        return self.entries.shape[0] - 1
-
-    @property
-    def col_order(self) -> int:
-        return self.entries.shape[1] - 1
-
-    def square(self) -> np.ndarray:
-        """Leading square part, order min(row_order, col_order)."""
-        k = min(self.row_order, self.col_order) + 1
-        return self.entries[:k, :k]
-
-    def to_json(self) -> dict:
-        """Space, orders, and entries as [re, im] pairs."""
-        return {
-            "space": self.space.to_json(),
-            "row_order": self.row_order,
-            "col_order": self.col_order,
-            "entries": [[[float(v.real), float(v.imag)] for v in row] for row in self.entries],
-        }
 
 
 def _columns(op: OperatorSpec, space: SpaceSpec, rows: int, cols: int) -> np.ndarray:
@@ -241,18 +232,13 @@ def build_block(
     op: OperatorSpec, space: SpaceSpec, N: int, M: int | None = None
 ) -> TruncatedBlock:
     """Tall block with columns j = 0..N and rows i = 0..M (default M = N)."""
-    if N < 0:
-        raise InputError("column order must be nonnegative")
-    if M is None:
-        M = N
-    if M < N:
-        raise OrderPolicyError("row order must be at least the column order")
-    return TruncatedBlock(_columns(op, space, M, N), space)
+    M = working_order(N, [op], N if M is None else M, least=N)
+    return TruncatedBlock(_columns(op, space, M, N))
 
 
 def adjoint_block(block: TruncatedBlock) -> TruncatedBlock:
     """Conjugate transpose; exact because P A* P = (P A P)* for compressions."""
-    return TruncatedBlock(block.entries.conj().T, block.space)
+    return TruncatedBlock(block.entries.conj().T)
 
 
 @dataclass(frozen=True)
@@ -289,11 +275,9 @@ def word_block(
     single letter left between them; two or more letters left between them
     are swept at working order M.  Requires M >= 2N."""
     word = tuple(word)
-    if N < 0:
-        raise InputError("compression order must be nonnegative")
     M = working_order(N, [w.op for w in word], M)
     (x,) = _apply_word(word, space, N, M, [np.eye(N + 1)])
-    return TruncatedBlock(x, space)
+    return TruncatedBlock(x)
 
 
 def _apply_word(
@@ -388,11 +372,6 @@ def _wide_tail_bound(colnorms: np.ndarray) -> float:
     return last * last * r2 / (1.0 - r2)
 
 
-def operator_norm_estimate(block: TruncatedBlock) -> float:
-    """Largest singular value of the leading square part."""
-    return float(np.linalg.norm(block.square(), 2))
-
-
 def cowen_adjoint_word(symbol: MoebiusMap, space: SpaceSpec) -> OperatorWord:
     """Word T_g C_sigma T_h* realizing the adjoint of C_symbol.
 
@@ -414,14 +393,3 @@ def cowen_adjoint_word(symbol: MoebiusMap, space: SpaceSpec) -> OperatorWord:
     sigma = symbol.krein_adjoint()
     return (plain(toeplitz(g)), plain(composition(sigma)), adjoint_letter(toeplitz(h)))
 
-
-# -- export -------------------------------------------------------------------
-
-
-def block_to_csv(block: TruncatedBlock) -> str:
-    """Dense CSV with interleaved re/im columns per matrix column."""
-    head = ["i"] + [f"{part}_{j}" for j in range(block.col_order + 1) for part in ("re", "im")]
-    lines = [",".join(head)]
-    for i, row in enumerate(block.entries):
-        lines.append(",".join([str(i)] + ["%.17g,%.17g" % (v.real, v.imag) for v in row]))
-    return "\n".join(lines) + "\n"

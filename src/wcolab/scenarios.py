@@ -14,8 +14,8 @@ Threshold provenance is tagged per check:
            reference run (data/thresholds.json, which tools/pin_thresholds.py
            writes from their reports); an unpinned key gives NaN and fails.
 
-Reports are deterministic: two runs produce identical JSON apart from the
-runtime field.
+Reports are deterministic at a fixed BLAS thread count: two runs produce
+identical JSON apart from the runtime field.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InputError, OrderPolicyError, UnknownScenarioError
+from .errors import InputError, UnknownScenarioError
 from .mobius import MoebiusMap, identity, parabolic_from, projective_distance, rotation
 from .opmat import (
     WEIGHT_GRID,
@@ -41,6 +41,7 @@ from .opmat import (
     composition,
     cowen_adjoint_word,
     plain,
+    shapeable_order,
     toeplitz,
     weighted,
     word_block,
@@ -138,9 +139,7 @@ class Overrides:
             if not math.isfinite(scaled):
                 raise InputError(f"order scale {self.order_scale:g} overflows the order {default}")
             given = max(1, int(round(scaled)))
-        if 16 * (given + 2) * (given + 1) > np.iinfo(np.intp).max:
-            raise OrderPolicyError(f"order {given} is too large for a block")
-        return given
+        return shapeable_order(given)
 
 
 @dataclass(frozen=True)

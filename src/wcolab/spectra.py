@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InputError
 from .mobius import parabolic_from
-from .opmat import OperatorSpec, TruncatedBlock, _columns, plain, working_order
+from .opmat import OperatorSpec, TruncatedBlock, _columns, plain, shapeable_order, working_order
 from .series import (
     AnalyticExpr,
     Exp,
@@ -45,7 +45,8 @@ def truncation_eigenvalues(block: TruncatedBlock) -> np.ndarray:
     Diagnostic only: truncation spectra of non-normal operators need not
     approximate the operator's spectrum.
     """
-    eigs = np.linalg.eigvals(block.square())
+    k = min(block.entries.shape)
+    eigs = np.linalg.eigvals(block.entries[:k, :k])
     eigs = eigs[np.argsort(-np.abs(eigs))]
     mod = np.abs(eigs)
     tier = np.cumsum(np.diff(mod, prepend=np.inf) < -1e-10 * mod.max(initial=0.0))
@@ -108,6 +109,7 @@ def eigen_residual(zeta, t, beta, order: int = 400):
     """
     if order < 0:
         raise InputError("taylor order must be nonnegative")
+    shapeable_order(order)
     grid = np.broadcast(np.asarray(zeta), np.asarray(t), np.asarray(beta))
     maps: dict = {}
     lams, num, den = [], [], []
@@ -197,8 +199,8 @@ def spectral_radius_estimate(
     A (see `WordLetter.triangular`) has P_N A^k P_N = (P_N A P_N)^k exactly,
     so its powers are taken on the order-N block.
     """
-    if N < 0 or k_max < 1:
-        raise InputError("need N >= 0 and k_max >= 1")
+    if k_max < 1:
+        raise InputError("need k_max >= 1")
     M = working_order(N, [op], M, least=N)
     K = N if plain(op).triangular else M
     s = _columns(op, space, K, K)

@@ -108,6 +108,45 @@ def test_block_csv_and_json(tmp_path, capsys):
     assert abs(entries[1, 1] - 0.5) < 1e-12  # first coefficient of z/(2-z)
 
 
+def test_block_csv_and_header(tmp_path, capsys):
+    csv_path, json_path = tmp_path / "block.csv", tmp_path / "block.json"
+    argv = ["--order", "4", "--tail", "40", "--csv", str(csv_path), "--json", str(json_path)]
+    assert run_cli(["block", "--map", HALF_SHIFT_JSON] + argv) == 0
+    capsys.readouterr()
+    blk = build_block(composition(MoebiusMap.from_json(json.loads(HALF_SHIFT_JSON))), hardy(), 4, 40)
+    lines = csv_path.read_text().strip().splitlines()
+    heads = lines[0].split(",")
+    assert heads[0] == "i"
+    assert heads[1] == "re_0" and heads[2] == "im_0"
+    assert len(lines) == 42  # header + 41 rows
+    parsed = np.array(
+        [[float(x) for x in line.split(",")[1:]] for line in lines[1:]]
+    )
+    rebuilt = parsed[:, 0::2] + 1j * parsed[:, 1::2]
+    assert np.max(np.abs(rebuilt - blk.entries)) < 1e-15
+    hdr = _strict_json(json_path.read_text())
+    # a block is its entries: the CLI writes the space and the orders beside
+    # them, and the operator and the tail judgment (see below)
+    assert set(hdr) - {"op", "tail_flag", "tail_estimate"} == {"space", "row_order", "col_order", "entries"}
+    assert hdr["row_order"] == 40
+    assert hdr["col_order"] == 4
+    assert hdr["space"] == hardy().to_json()
+    assert hdr["entries"][1][1] == [0.5, 0.0]
+
+
+def test_operator_norm_estimates(capsys):
+    # the largest singular value of the leading square, on the console
+    weight = '{"type":"poly","coeffs":[[2.5,0]]}'
+    for argv, norm in (
+        (["--map", ROTATION_JSON], 1.0),
+        (["--weight", weight, "--space", "bergman:0"], 2.5),
+    ):
+        assert run_cli(["block"] + argv + ["--order", "8", "--tail", "64"]) == 0
+        out = capsys.readouterr().out
+        (line,) = [x for x in out.splitlines() if x.startswith("norm estimate: ")]
+        assert abs(float(line.split(": ")[1]) - norm) < 1e-12
+
+
 def test_block_json_is_strict_json_without_a_tail_estimate(capsys):
     # 13 rows are too few for a tail estimate (NaN), and the half-shift's
     # columns at 33 rows decay too slowly for one (infinite): both are null
@@ -272,6 +311,22 @@ def test_spectrum_json_payload(tmp_path, capsys):
     assert len(payload["gelfand_sequence"]) == 12
 
 
+def test_spectrum_eigenvalue_csv(tmp_path, capsys):
+    csv_path = tmp_path / "eigs.csv"
+    argv = ["--map", AFFINE_JSON, "--order", "8", "--tail", "64", "--csv", str(csv_path)]
+    assert run_cli(["spectrum"] + argv) == 0
+    capsys.readouterr()
+    rows = csv_path.read_text().splitlines()
+    assert rows[0] == "re,im"
+    op = composition(MoebiusMap.from_json(json.loads(AFFINE_JSON)))
+    eigs = spectra.truncation_eigenvalues(build_block(op, hardy(), 8, 8))
+    assert len(rows) == 1 + len(eigs) == 10
+    # one row per eigenvalue, in truncation_eigenvalues order, exactly
+    parsed = np.array([[float(x) for x in row.split(",")] for row in rows[1:]])
+    assert np.array_equal(parsed[:, 0], eigs.real)
+    assert np.array_equal(parsed[:, 1], eigs.imag)
+
+
 def test_scenario_list(capsys):
     code = run_cli(["scenario", "list"])
     out = capsys.readouterr().out
@@ -432,6 +487,14 @@ def test_cli_flag_overrides_config(tmp_path, capsys):
         # an order whose square block numpy cannot shape breaks the order policy
         (["scenario", "run", "--all", "--order-scale", "1e20"], 3),
         (["scenario", "run", "--id", "S7-sadraoui", "--order", "10000000000000000000"], 3),
+        # and so does one of the other subcommands; a sample count numpy
+        # cannot shape is an input error
+        (["block", "--map", HALF_SHIFT_JSON, "--order", "10000000000000000000"], 3),
+        (["probe", "--map", HALF_SHIFT_JSON, "--order", "10000000000000000000"], 3),
+        (["spectrum", "--map", HALF_SHIFT_JSON, "--order", "10000000000000000000"], 3),
+        (["block", "--map", HALF_SHIFT_JSON, "--order", "16", "--tail", "10000000000000000000"], 3),
+        (["spectrum", "--t", "1", "--order", "10000000000000000000"], 3),
+        (["spectrum", "--t", "1", "--samples", "10000000000000000000"], 2),
     ],
 )
 def test_malformed_option_values_are_input_errors(argv, code, tmp_path, capsys):

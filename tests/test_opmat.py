@@ -1,6 +1,7 @@
 """Tests for truncated operator blocks, words, and Gram matrices."""
 
 import cmath
+import dataclasses
 import math
 from fractions import Fraction
 from functools import reduce
@@ -23,14 +24,13 @@ from wcolab.opmat import (
     _columns,
     adjoint_block,
     adjoint_letter,
-    block_to_csv,
     build_block,
     composition,
     cowen_adjoint_word,
     gram_blocks,
     is_boundary_touching,
-    operator_norm_estimate,
     plain,
+    shapeable_order,
     toeplitz,
     weighted,
     word_block,
@@ -149,6 +149,10 @@ def test_adjoint_block_is_conjugate_transpose():
     blk = build_block(weighted(PSI_HALF, HALF_SHIFT), bergman(0.0), 8, 64)
     adj = adjoint_block(blk)
     assert np.array_equal(adj.entries, blk.entries.conj().T)
+    # a block is its entries, C-contiguous complex128
+    for x in (blk, adj, word_block((plain(composition(HALF_SHIFT)),), hardy(), 4, 16)):
+        assert [f.name for f in dataclasses.fields(x)] == ["entries"]
+        assert x.entries.dtype == np.complex128 and x.entries.flags.c_contiguous
 
 
 def test_word_single_plain_letter_matches_block():
@@ -437,6 +441,25 @@ def test_word_block_enforces_order_policy():
         word_block((plain(composition(HALF_SHIFT)),), hardy(), 16, 24)
 
 
+def test_blocks_and_words_go_through_the_order_policy():
+    op = composition(HALF_SHIFT)
+    with pytest.raises(OrderPolicyError):
+        build_block(op, hardy(), 8, 7)
+    with pytest.raises(InputError):
+        build_block(op, hardy(), -1)
+    with pytest.raises(InputError):
+        word_block((plain(op),), hardy(), -1)
+    # an order numpy cannot shape is refused before anything is allocated
+    big = np.iinfo(np.intp).max
+    assert shapeable_order(10_000) == 10_000
+    with pytest.raises(OrderPolicyError):
+        shapeable_order(big)
+    with pytest.raises(OrderPolicyError):
+        build_block(op, hardy(), 4, big)
+    with pytest.raises(OrderPolicyError):
+        working_order(big // 8, [op])
+
+
 def test_empty_word_is_rejected():
     with pytest.raises(InputError):
         word_block((), hardy(), 4)
@@ -490,12 +513,6 @@ def test_gram_blocks_converge_with_order():
     assert np.max(np.abs(a.g1 - b.g1)) < 1e-10
     assert np.max(np.abs(a.g2 - b.g2)) < 1e-8
     assert b.tail_bound <= a.tail_bound + 1e-15
-
-
-def test_operator_norm_estimates():
-    assert abs(operator_norm_estimate(build_block(composition(rotation(1j)), hardy(), 8, 64)) - 1.0) < 1e-12
-    blk = build_block(toeplitz(Poly((2.5,))), bergman(0.0), 8, 64)
-    assert abs(operator_norm_estimate(blk) - 2.5) < 1e-12
 
 
 def test_boundary_touching_and_order_policy():
@@ -555,28 +572,6 @@ def test_operator_spec_json_roundtrip():
     assert composition(HALF_SHIFT).describe() == "composition"
     assert toeplitz(PSI_HALF).describe() == "toeplitz"
     assert op.describe() == "weighted-composition"
-
-
-def test_block_csv_and_header():
-    blk = build_block(composition(HALF_SHIFT), hardy(), 4, 40)
-    text = block_to_csv(blk)
-    lines = text.strip().splitlines()
-    heads = lines[0].split(",")
-    assert heads[0] == "i"
-    assert heads[1] == "re_0" and heads[2] == "im_0"
-    assert len(lines) == 42  # header + 41 rows
-    parsed = np.array(
-        [[float(x) for x in line.split(",")[1:]] for line in lines[1:]]
-    )
-    rebuilt = parsed[:, 0::2] + 1j * parsed[:, 1::2]
-    assert np.max(np.abs(rebuilt - blk.entries)) < 1e-15
-    hdr = blk.to_json()
-    # a block is its entries: the tail judgment is `wcolab block`'s (test_cli)
-    assert set(hdr) == {"space", "row_order", "col_order", "entries"}
-    assert hdr["row_order"] == 40
-    assert hdr["col_order"] == 4
-    assert hdr["space"] == hardy().to_json()
-    assert hdr["entries"][1][1] == [0.5, 0.0]
 
 
 def test_adjoint_letter_flag():

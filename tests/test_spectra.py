@@ -44,7 +44,7 @@ def test_truncation_eigenvalues_list_a_real_block_like_its_transpose():
     # a tie in modulus lists by imaginary part
     a = np.random.default_rng(0).standard_normal((6, 6))
     e1, e2 = (
-        truncation_eigenvalues(TruncatedBlock(x, hardy())) for x in (a, a.T)
+        truncation_eigenvalues(TruncatedBlock(x)) for x in (a, a.T)
     )
     assert np.max(np.abs(e1 - e2)) <= 1e-12
     assert e1[1].imag < 0 < e1[2].imag
