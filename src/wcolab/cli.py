@@ -14,12 +14,14 @@ Exit codes: 0 success or PASS, 1 internal error, 2 invalid input,
 Numeric output is printed with 12 significant digits.  Map, operator, and
 expression JSON schemas are the ones produced by the corresponding
 ``to_json`` methods, so every emitted JSON document re-parses; a value
-that is not finite is written as null, never as NaN or Infinity.
+that is not finite is written as null, never as NaN or Infinity.  Every
+other record, complex number and array becomes JSON in `_write_json` alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -27,7 +29,7 @@ import sys
 import numpy as np
 
 from .errors import ConstraintError, InputError, WcolabError
-from .mobius import DEFAULT_TOL, MoebiusMap, classify, parabolic_from
+from .mobius import DEFAULT_TOL, Classification, MoebiusMap, classify, is_infinity, parabolic_from
 from .opmat import (
     OperatorSpec,
     build_block,
@@ -90,8 +92,20 @@ def _parse_complex_arg(obj, what: str) -> complex:
     raise InputError(f"{what} must be a number, a [re, im] pair, or a complex literal")
 
 
-def _write_json(path: str, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+def _json_default(x):
+    """Records as their fields, complex values as [re, im] pairs, arrays as lists."""
+    if dataclasses.is_dataclass(x):
+        return dataclasses.asdict(x)
+    if np.iscomplexobj(x):
+        return np.stack((np.real(x), np.imag(x)), -1).tolist()
+    if isinstance(x, np.ndarray):
+        return x.tolist()
+    raise TypeError(f"cannot write {type(x).__name__} as JSON")
+
+
+def _write_json(path: str, payload) -> None:
+    """The one JSON encoder: sorted keys, indent 2, no NaN or Infinity."""
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False, default=_json_default)
     if path == "-":
         print(text)
     else:
@@ -203,6 +217,25 @@ def _operator_from_args(args) -> OperatorSpec:
     return toeplitz(expr_from_json(_load_json_arg(args.weight, "weight")))
 
 
+def _classification_json(c: Classification) -> dict:
+    """`classify`'s JSON schema; a point at infinity is "infinity"."""
+
+    def at(z):
+        return "infinity" if isinstance(z, complex) and is_infinity(z) else z
+
+    def record(x):
+        return None if x is None else {k: at(v) for k, v in dataclasses.asdict(x).items()}
+
+    return {
+        "class": c.map_class.value,
+        "borderline": c.borderline,
+        "notes": c.notes,
+        "fixed_points": c.fixed_points and [record(p) for p in c.fixed_points.points],
+        "denjoy_wolff": record(c.dw),
+        "translation": at(c.translation),
+    }
+
+
 # -- subcommands --------------------------------------------------------------
 
 
@@ -231,8 +264,7 @@ def cmd_classify(args) -> int:
     for note in result.notes:
         print(f"note: {note}")
     if args.json:
-        payload = {"map": m.to_json(), "classification": result.to_json()}
-        _write_json(args.json, payload)
+        _write_json(args.json, {"map": m.to_json(), "classification": _classification_json(result)})
     return 0
 
 
@@ -286,7 +318,13 @@ def cmd_probe(args) -> int:
     verdictline = "negative certificate (not hyponormal)" if ev.certificate else "no certificate"
     print(f"hyponormality: {verdictline}")
     if args.json:
-        _write_json(args.json, {"op": op.to_json(), "space": space.to_json(), **rep.to_json()})
+        payload = {"op": op.to_json(), "space": space.to_json(), "N": ev.N, "M": ev.M}
+        payload.update(min_eig_selfcomm=ev.min_eig, norm_selfcomm=ev.norm, flags=rep.flags)
+        payload.update(quasinormal_defect=rep.quasinormal_defect, unitary_defect=rep.unitary_defect)
+        tail = ev.tail_bound if math.isfinite(ev.tail_bound) else None
+        payload.update(selfadjoint_defect=rep.selfadjoint_defect, tail_bound=tail)
+        payload["hyponormality_certificate"] = ev.certificate
+        _write_json(args.json, payload)
     return 0
 
 
@@ -316,14 +354,8 @@ def cmd_spectrum(args) -> int:
         if args.csv:
             _write_csv(args.csv, "beta,re,im", np.array([(b, v.real, v.imag) for b, v in spiral]))
         if args.json:
-            payload = {
-                "map": phi.to_json(),
-                "zeta": [zeta.real, zeta.imag],
-                "t": [t.real, t.imag],
-                "spiral": [[b, [v.real, v.imag]] for b, v in spiral],
-                "residuals": [[b, r] for b, r in residuals],
-            }
-            _write_json(args.json, payload)
+            payload = {"map": phi.to_json(), "zeta": zeta, "t": t}
+            _write_json(args.json, {**payload, "spiral": spiral, "residuals": residuals})
         return 0
 
     space = _resolve_space(args)
@@ -349,15 +381,10 @@ def cmd_spectrum(args) -> int:
     if args.csv:
         _write_csv(args.csv, "re,im", np.column_stack((eigs.real, eigs.imag)))
     if args.json:
-        payload = {
-            "op": op.to_json(),
-            "space": space.to_json(),
-            "N": n,
-            "gelfand_sequence": [float(v) for v in gelfand],
-            "eigenvalues": [[v.real, v.imag] for v in eigs],
-        }
+        payload = {"op": op.to_json(), "space": space.to_json(), "N": n}
+        payload.update(gelfand_sequence=gelfand, eigenvalues=eigs)
         if exact is not None:
-            payload["rotation_spectrum"] = exact.to_json()
+            payload["rotation_spectrum"] = exact
         _write_json(args.json, payload)
     return 0
 
@@ -390,8 +417,7 @@ def cmd_scenario(args) -> int:
             print(f"  [{mark}] {c.name}: {value}  ({c.threshold}; {c.source})")
         failed = failed or rep.verdict == "FAIL"
     if args.json:
-        payload = {"reports": [rep.to_json() for rep in reports]}
-        _write_json(args.json, payload)
+        _write_json(args.json, {"reports": reports})
     return 4 if failed else 0
 
 

@@ -324,40 +324,6 @@ class Classification:
     dw: DWPoint | None
     translation: complex | None
 
-    def to_json(self) -> dict:
-        def cpx(z):
-            if z is None:
-                return None
-            if is_infinity(z):
-                return "infinity"
-            return [z.real, z.imag]
-
-        fps = None
-        if self.fixed_points is not None:
-            fps = [
-                {
-                    "location": cpx(p.location),
-                    "multiplicity": p.multiplicity,
-                    "derivative": cpx(p.derivative),
-                }
-                for p in self.fixed_points.points
-            ]
-        dw = None
-        if self.dw is not None:
-            dw = {
-                "location": cpx(self.dw.location),
-                "derivative": cpx(self.dw.derivative),
-                "boundary": self.dw.boundary,
-            }
-        return {
-            "class": self.map_class.value,
-            "borderline": self.borderline,
-            "notes": list(self.notes),
-            "fixed_points": fps,
-            "denjoy_wolff": dw,
-            "translation": cpx(self.translation),
-        }
-
 
 def identity() -> MoebiusMap:
     return MoebiusMap(1.0, 0.0, 0.0, 1.0)

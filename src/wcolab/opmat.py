@@ -41,6 +41,7 @@ from .series import (
     evaluate,
     expr_from_json,
     expr_to_json,
+    has_disk_singularity,
     tail_diagnostics,
     taylor,
 )
@@ -71,7 +72,8 @@ class OperatorSpec:
     weight is evaluated once over WEIGHT_GRID, a circle of radius just
     under one; a pole on the grid, or a value above the cap or not finite
     (an overflow), is rejected, which catches honest mistakes but is not a
-    boundedness proof.
+    boundedness proof.  Then a weight in which `has_disk_singularity` finds a
+    pole or a branch point in the closed disk is rejected exactly.
     """
 
     weight: AnalyticExpr
@@ -118,6 +120,8 @@ def _check_weight_bounded(weight: AnalyticExpr) -> None:
         raise UnboundedWeightError(f"weight has a pole near the unit circle: {exc}")
     if not np.all(v <= WEIGHT_BOUND_CAP):  # an overflow gives inf or nan
         raise UnboundedWeightError(f"weight exceeds {WEIGHT_BOUND_CAP:g} on the sample circle")
+    if has_disk_singularity(weight, 1.0 + BOUNDARY_TOUCH_TOL):
+        raise UnboundedWeightError("weight has a pole or a branch point in the closed disk")
 
 
 def composition(symbol: MoebiusMap) -> OperatorSpec:

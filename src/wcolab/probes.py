@@ -171,21 +171,6 @@ class DefectReport:
     unitary_defect: float
     flags: tuple[str, ...]
 
-    def to_json(self) -> dict:
-        ev = self.hyponormality
-        return {
-            "min_eig_selfcomm": ev.min_eig,
-            "norm_selfcomm": ev.norm,
-            "quasinormal_defect": self.quasinormal_defect,
-            "selfadjoint_defect": self.selfadjoint_defect,
-            "unitary_defect": self.unitary_defect,
-            "N": ev.N,
-            "M": ev.M,
-            "tail_bound": ev.tail_bound if math.isfinite(ev.tail_bound) else None,
-            "flags": list(self.flags),
-            "hyponormality_certificate": ev.certificate,
-        }
-
 
 def defect_report(
     op: OperatorSpec, space: SpaceSpec, N: int, M: int | None = None

@@ -151,16 +151,6 @@ class CheckResult:
     source: str  # "exact" | "analytic" | "oracle"
     details: dict = field(default_factory=dict)
 
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "value": self.value,
-            "threshold": self.threshold,
-            "passed": self.passed,
-            "source": self.source,
-            "details": self.details,
-        }
-
 
 @dataclass(frozen=True)
 class ScenarioReport:
@@ -171,17 +161,6 @@ class ScenarioReport:
     spaces: tuple[str, ...]
     orders: dict
     runtime_s: float
-
-    def to_json(self) -> dict:
-        return {
-            "scenario_id": self.scenario_id,
-            "claim": self.claim,
-            "verdict": self.verdict,
-            "spaces": list(self.spaces),
-            "orders": self.orders,
-            "checks": [c.to_json() for c in self.checks],
-            "runtime_s": self.runtime_s,
-        }
 
     def check(self, name: str) -> CheckResult:
         """The check called name."""
@@ -207,6 +186,13 @@ def _ge(name, value, limit, source, **details) -> CheckResult:
     return CheckResult(
         name, float(value), f">= {limit:.12g}", bool(value >= limit), source, details
     )
+
+
+def _norm_cap(name, norm) -> CheckResult:
+    """||C|| <= 1 for a contraction word C, read from a compression: its norm
+    only bounds ||C|| from below, so a pass does not show ||C|| <= 1."""
+    note = "norm of an order-N compression of C: a lower bound of ||C||, not an upper one"
+    return _le(name, norm, 1.0 + 1e-8, "analytic", note=note)
 
 
 def _flag(name, ok, description, source, **details) -> CheckResult:
@@ -458,14 +444,14 @@ def _s7(ov: Overrides) -> tuple[list[CheckResult], dict]:
         )
     )
     checks.append(_ge("contraction-norm-final", norms[-1][1], 0.90, "analytic"))
-    checks.append(_le("contraction-norm-cap", norms[-1][1], 1.0 + 1e-8, "analytic"))
+    checks.append(_norm_cap("contraction-norm-cap", norms[-1][1]))
 
     ev = hyponormality_probe(SADRAOUI, sp, ov.order(16), max(M, 160))
     tail = _finite_or_none(ev.tail_bound)
     checks.append(_ge("selfcommutator-min-eig", ev.min_eig, -1e-6, "analytic", tail_bound=tail))
 
     checks.append(_le("douglas-residual", dw.residual, 1e-6, "analytic"))
-    checks.append(_le("douglas-norm", dw.norm_estimate, 1.0 + 1e-8, "analytic"))
+    checks.append(_norm_cap("douglas-norm", dw.norm_estimate))
     return checks, {"N": N, "M": M}
 
 
@@ -515,7 +501,7 @@ def _s8(ov: Overrides) -> tuple[list[CheckResult], dict]:
         )
         dw = douglas_witness(contraction, op, sp, N, M)
         checks.append(_le(f"douglas-residual.{label}", dw.residual, 1e-6, "analytic"))
-        checks.append(_le(f"douglas-norm.{label}", dw.norm_estimate, 1.0 + 1e-8, "analytic"))
+        checks.append(_norm_cap(f"douglas-norm.{label}", dw.norm_estimate))
     sanity = projective_distance(sigma_inv.compose(sigma), identity())
     checks.append(_le("sigma-inverse-sanity", sanity, 1e-12, "exact"))
     return checks, {"N": N, "M": M, "M_quasinormal": Mq}

@@ -39,6 +39,9 @@ SLOW_DECAY_RATIO = 0.95
 #: Least order M (rows c_0 .. c_M) whose tail `tail_diagnostics` judges.
 TAIL_MIN_ORDER = 16
 
+#: Relative distance at which a numerator root cancels a denominator root.
+_ROOT_MATCH_TOL = 1e-6  # np.roots finds a double root to about 1e-8
+
 
 def _as_coeff_tuple(coeffs) -> tuple[complex, ...]:
     out = tuple(complex(c) for c in coeffs)
@@ -457,6 +460,42 @@ def _eliminate(e: AnalyticExpr, maps: tuple[MoebiusMap, ...]) -> AnalyticExpr:
     if isinstance(e, Scale):
         return Scale(e.factor, _eliminate(e.inner, maps))
     raise InputError(f"unknown expression node {type(e).__name__}")
+
+
+def has_disk_singularity(e: AnalyticExpr, radius: float) -> bool:
+    """True when e, its precompositions eliminated, has a Rational leaf with an
+    uncancelled pole in |z| <= radius, or a Power, with exponent not a
+    nonnegative integer, of a Poly or Rational base with an uncancelled zero
+    there.  Other nodes are only walked through, so False proves nothing."""
+    return _singular(_eliminate(e, ()), radius)
+
+
+def _singular(e: AnalyticExpr, radius: float) -> bool:
+    if isinstance(e, Rational):
+        return _disk_roots(e.den, e.num, radius)
+    if isinstance(e, Power):
+        b, natural = e.base, e.exponent >= 0 and e.exponent.is_integer()
+        num, den = (b.num, b.den) if isinstance(b, Rational) else (b, constant(1.0))
+        if not natural and isinstance(b, (Poly, Rational)) and _disk_roots(num, den, radius):
+            return True
+        return _singular(b, radius)
+    if isinstance(e, (Exp, Scale)):
+        return _singular(e.arg if isinstance(e, Exp) else e.inner, radius)
+    if isinstance(e, (Sum, Product)):
+        return any(_singular(x, radius) for x in (e.terms if isinstance(e, Sum) else e.factors))
+    return False
+
+
+def _disk_roots(p: Poly, cancel: Poly, radius: float) -> bool:
+    """True when p has a root in |z| <= radius that no root of `cancel`
+    matches to _ROOT_MATCH_TOL, roots counted with multiplicity."""
+    left, roots = list(np.roots(cancel.coeffs[::-1])), np.roots(p.coeffs[::-1])
+    for r in roots[np.abs(roots) <= radius]:
+        near = [k for k, q in enumerate(left) if abs(q - r) <= _ROOT_MATCH_TOL * max(1.0, abs(r))]
+        if not near:
+            return True
+        left.pop(near[0])
+    return False
 
 
 def _substitute_poly(coeffs, m: MoebiusMap, D: int) -> np.ndarray:

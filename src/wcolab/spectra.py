@@ -148,13 +148,6 @@ class RotationSpectrum:
     points: tuple[complex, ...]
     lam: complex
 
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "lam": [self.lam.real, self.lam.imag],
-            "points": [[p.real, p.imag] for p in self.points],
-        }
-
 
 def rotation_spectrum(lam: complex) -> RotationSpectrum:
     """Spectrum of C_{lam z} on any of the spaces here, |lam| <= 1.

@@ -39,3 +39,42 @@ def test_first_cli_requests_check_out(tmp_path):
     ops = wl.run_pass()
     assert len(ops) == 32
     assert all(op.ok for op in ops), [op for op in ops if not op.ok]
+
+
+def _bindings(modules) -> dict:
+    """Every name bound in the modules and in the classes they define."""
+    out = {}
+    for mod in modules:
+        for attr, value in vars(mod).items():
+            out[(mod.__name__, attr)] = value
+            if isinstance(value, type) and value.__module__ == mod.__name__:
+                out.update({(value, a): v for a, v in vars(value).items()})
+    return out
+
+
+def test_tracer_reads_the_suite_and_the_kernel_probe_and_restores_them():
+    import numpy.linalg
+    from tracer import LAYERS, Tracer
+
+    from wcolab import probes, scenarios
+    from wcolab.opmat import weighted
+    from wcolab.space import hardy
+
+    modules = [sys.modules[f"wcolab.{m}"] for m in LAYERS] + [numpy.linalg]
+    before = _bindings(modules)
+    op = weighted(scenarios.s6_weight(hardy()), scenarios.HYPERBOLIC_AUTO)
+    grid = probes.default_kernel_grid()
+    tr = Tracer()
+    tr.install()
+    try:
+        assert scenarios.run_scenario("S6-unitary-weight").verdict == "PASS"
+        points = probes.kernel_condition_probe(op, hardy(), grid)
+    finally:
+        tr.uninstall()
+    m = tr.metrics()
+    assert m["series.taylor.coeffs"] > 0
+    assert m["probes.kernel_condition_probe.calls"] == 1
+    assert m["probes.kernel_condition_probe.points"] == len(grid) == len(points)
+    after = _bindings(modules)
+    assert after.keys() == before.keys()
+    assert all(after[k] is before[k] for k in before)

@@ -22,6 +22,12 @@ PSI_JSON = (
     '"den":{"type":"poly","coeffs":[[2,0],[-1,0]]}}'
 )
 
+# 1/(1-2z), with a pole at 1/2
+POLE_HALF_JSON = (
+    '{"type":"rational","num":{"type":"poly","coeffs":[[1,0]]},'
+    '"den":{"type":"poly","coeffs":[[1,0],[-2,0]]}}'
+)
+
 # exp((1+z)/(1-z)), unbounded on the disk
 EXP_CAYLEY_JSON = (
     '{"type":"exp","arg":{"type":"rational",'
@@ -242,6 +248,17 @@ def test_probe_constraint_violation_exit_code(capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert "constraint" in err
+
+
+def test_probe_rejects_a_pole_inside_the_disk(tmp_path, capsys):
+    # 1/(1 - 2z) stays finite on the sample circle |z| = 0.999; its pole at
+    # 1/2 is found exactly, before any block is built or JSON written
+    out = tmp_path / "probe.json"
+    code = run_cli(["probe", "--weight", POLE_HALF_JSON, "--order", "6", "--json", str(out)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "closed disk" in captured.err and captured.out == ""
+    assert not out.exists()
 
 
 def test_probe_bad_orders_exit_code(capsys):

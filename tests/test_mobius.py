@@ -1,8 +1,11 @@
 """Tests for the linear fractional map layer."""
 
+import json
+
 import numpy as np
 import pytest
 
+from wcolab import cli
 from wcolab.errors import (
     DegenerateMapError,
     InputError,
@@ -316,8 +319,12 @@ def test_json_roundtrip():
     assert again.a == m.a and again.d == m.d
 
 
-def test_classification_json_has_core_fields():
-    rec = classify(parabolic_from(1.0, 1.0)).to_json()
+def test_classification_json_has_core_fields(tmp_path, capsys):
+    path = tmp_path / "cls.json"
+    argv = ["classify", "--map", json.dumps(parabolic_from(1.0, 1.0).to_json())]
+    assert cli.main(argv + ["--json", str(path)]) == 0
+    capsys.readouterr()
+    rec = json.loads(path.read_text())["classification"]
     assert rec["class"] == "parabolic-non-automorphism"
     assert rec["translation"] is not None
     assert rec["denjoy_wolff"]["boundary"] is True

@@ -46,6 +46,7 @@ from wcolab.scenarios import ETA, PARABOLIC_ONE, QUARTER_SHRINK, TAU, THREE_POIN
 from wcolab.series import (
     Exp,
     Poly,
+    Power,
     PrecomposeMoebius,
     Product,
     Rational,
@@ -342,6 +343,36 @@ def test_word_block_is_the_compression_of_the_full_product(word, N, extra, sp):
     assert np.max(np.abs(got - expected)) <= 1e-14 * scale
 
 
+@st.composite
+def rational_weights(draw):
+    """num/den with deg num <= 2 and every root of den at modulus 1.2 to 3."""
+    den = np.array([1.0 + 0j])
+    for _ in range(draw(st.integers(1, 2))):
+        rho = cmath.rect(draw(st.floats(1.2, 3.0)), draw(st.floats(0.0, 2 * math.pi)))
+        den = np.convolve(den, [1.0, -1.0 / rho])
+    parts = st.floats(-1.0, 1.0)
+    num = [complex(draw(parts), draw(parts)) for _ in range(draw(st.integers(1, 3)))]
+    return Rational(Poly(tuple(num)), Poly(tuple(den)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    symbol=self_maps(),
+    weight=rational_weights(),
+    k=st.tuples(st.floats(0.05, 20.0), st.floats(0.0, 2 * math.pi)),
+    rows=st.integers(0, 48),
+    cols=st.integers(0, 16),
+    sp=st.sampled_from(ALL_SPACES),
+)
+def test_blocks_do_not_depend_on_how_the_map_is_scaled(symbol, weight, k, rows, cols, sp):
+    # (a, b, c, d) and k (a, b, c, d) are one map, so they give one block
+    k = cmath.rect(*k)
+    scaled = MoebiusMap(k * symbol.a, k * symbol.b, k * symbol.c, k * symbol.d)
+    want = _columns(weighted(weight, symbol), sp, rows, cols)
+    got = _columns(weighted(weight, scaled), sp, rows, cols)
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * np.linalg.norm(want, 2)
+
+
 def _exact_raw_coefficients(symbol, num, den, order):
     """Raw coefficients F[n, j] of weight * symbol**j, n, j <= order, exact.
 
@@ -560,6 +591,35 @@ def test_operator_spec_validation():
     # an exact pole at the sample point 0.999
     with pytest.raises(UnboundedWeightError):
         toeplitz(Rational(Poly((1,)), Poly((0.999, -1))))
+
+
+@pytest.mark.parametrize(
+    "weight",
+    (
+        Rational(Poly((1,)), Poly((1, -2))),  # pole at 1/2, unseen by the sample circle
+        Rational(Poly((1,)), Poly((1, -1))),  # pole at 1, ~1e3 on the sample circle
+        Power(Poly((1, -2)), 0.5),  # branch point at 1/2
+        Power(Poly((1, -1)), -1),  # pole at 1
+        PrecomposeMoebius(Rational(Poly((1,)), Poly((1, -4))), AFFINE_HALF),  # pole at -1/2
+        Rational(Poly((1, -2)), Poly((1, -4, 4))),  # (1 - 2z)/(1 - 2z)^2: one pole left
+    ),
+)
+def test_weights_with_a_singularity_in_the_disk_are_rejected_exactly(weight):
+    with pytest.raises(UnboundedWeightError, match="closed disk"):
+        toeplitz(weight)
+    with pytest.raises(UnboundedWeightError):
+        weighted(weight, INTERIOR_MAP)
+
+
+def test_cancelled_poles_and_integer_powers_are_accepted():
+    cancelled = Rational(Poly((1, -2)), Poly((1, -2)))
+    assert np.allclose(build_block(toeplitz(cancelled), hardy(), 4, 8).entries, np.eye(9, 5))
+    toeplitz(Rational(Poly((1, -4, 4)), Poly((1, -4, 4))))
+    square = build_block(toeplitz(Power(Poly((1, -2)), 2)), hardy(), 4, 8).entries
+    assert np.allclose(square[:3, 0], [1, -4, 4])
+    # a zero of the base only matters for a negative or fractional power
+    toeplitz(Power(Poly((1, -2)), 3))
+    toeplitz(Power(Poly((1, 0.5)), -2.5))
 
 
 def test_operator_spec_json_roundtrip():

@@ -1,11 +1,13 @@
 """Tests for the normality-class probes."""
 
+import json
+
 import numpy as np
 import pytest
 
 from wcolab.errors import OrderPolicyError
 from wcolab.mobius import MoebiusMap, rotation
-from wcolab import opmat, probes, scenarios
+from wcolab import cli, opmat, probes, scenarios
 from wcolab.opmat import (
     adjoint_block,
     adjoint_letter,
@@ -174,13 +176,18 @@ def test_normality_defect_matches_selfcommutator_norm():
     assert ev.min_eig == np.linalg.eigvalsh(h)[0]
 
 
-def test_defect_report_carries_hyponormality_evidence():
+def test_defect_report_carries_hyponormality_evidence(tmp_path, capsys):
+    path = tmp_path / "probe.json"
     for op in (composition(AFFINE_HALF), weighted(PSI_HALF, HALF_SHIFT), toeplitz(Poly((1, 1)))):
         for sp in (hardy(), bergman(1.0)):
             rep = defect_report(op, sp, 10, 160)
             ev = rep.hyponormality
             assert ev == hyponormality_probe(op, sp, 10, 160)
-            out = rep.to_json()
+            # the CLI writes the report's flat keys
+            argv = ["probe", "--op", json.dumps(op.to_json()), "--space", sp.label()]
+            assert cli.main(argv + ["--order", "10", "--tail", "160", "--json", str(path)]) == 0
+            capsys.readouterr()
+            out = json.loads(path.read_text())
             assert (out["min_eig_selfcomm"], out["N"], out["M"]) == (ev.min_eig, 10, 160)
             assert out["tail_bound"] == ev.tail_bound
             assert out["norm_selfcomm"] == ev.norm

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from wcolab.cli import _write_json
 from wcolab.errors import UnknownScenarioError
 from wcolab.probes import KERNEL_PROBE_MAX_ORDER, KernelProbePoint
 from wcolab.scenarios import (
@@ -31,6 +32,13 @@ EXPECTED_IDS = [
     "S10-hyperbolic-nonauto",
     "S11-parabolic-kernel-weight",
 ]
+
+
+def written(obj, tmp_path):
+    """obj as the CLI writes it (strict JSON: no NaN or Infinity), read back."""
+    path = tmp_path / "out.json"
+    _write_json(str(path), obj)
+    return json.loads(path.read_text())
 
 
 def strip_runtime(report_json):
@@ -71,9 +79,9 @@ def test_exploratory_scenario_reports_without_gating(suite):
     assert len(rep.checks) > 0
 
 
-def test_reports_are_deterministic():
-    a = strip_runtime(run_scenario("S4-nonparabolic-defect").to_json())
-    b = strip_runtime(run_scenario("S4-nonparabolic-defect").to_json())
+def test_reports_are_deterministic(tmp_path):
+    a = strip_runtime(written(run_scenario("S4-nonparabolic-defect"), tmp_path))
+    b = strip_runtime(written(run_scenario("S4-nonparabolic-defect"), tmp_path))
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
@@ -91,10 +99,10 @@ def test_check_sources_are_tagged(suite):
             assert c.threshold
 
 
-def test_report_json_shape(suite):
+def test_report_json_shape(suite, tmp_path):
     assert [rep.scenario_id for rep in suite.reports.values()] == EXPECTED_IDS
     for report in suite.reports.values():
-        rep = report.to_json()
+        rep = written(report, tmp_path)
         assert rep["scenario_id"] == report.scenario_id
         assert rep["verdict"] in ("PASS", "REPORT")
         assert isinstance(rep["claim"], str) and rep["claim"]
@@ -103,20 +111,20 @@ def test_report_json_shape(suite):
             assert set(c) == {"name", "value", "threshold", "passed", "source", "details"}
 
 
-def test_whole_reports_are_strict_json(suite):
-    json.dumps([rep.to_json() for rep in suite.reports.values()], allow_nan=False)
+def test_whole_reports_are_strict_json(suite, tmp_path):
+    written(list(suite.reports.values()), tmp_path)
 
 
-def test_an_infinite_tail_bound_is_reported_as_null():
+def test_an_infinite_tail_bound_is_reported_as_null(tmp_path):
     # at N = 40 from 160 rows the Gram pair's tail bound is infinite
     for sid in ("S7-sadraoui", "S8-thm38"):
         rep = run_scenario(sid, Overrides(N=40, M=160))
-        json.dumps(rep.to_json(), allow_nan=False)
-        bounds = [c.details["tail_bound"] for c in rep.checks if "tail_bound" in c.details]
+        checks = written(rep, tmp_path)["checks"]
+        bounds = [c["details"]["tail_bound"] for c in checks if "tail_bound" in c["details"]]
         assert bounds and all(b is None for b in bounds)
 
 
-def test_kernel_witness_counts_only_points_not_slow_at_the_cap():
+def test_kernel_witness_counts_only_points_not_slow_at_the_cap(tmp_path):
     slow = KernelProbePoint(0.9 + 0j, -1.0, KERNEL_PROBE_MAX_ORDER, True)
     fast = KernelProbePoint(0.1 + 0j, -1e-3, 512, False)
     check = _kernel_witness("kernel-witness-min-chi.x", [slow, fast])
@@ -125,17 +133,17 @@ def test_kernel_witness_counts_only_points_not_slow_at_the_cap():
     # nothing certified: the check fails and the report stays strict JSON
     check = _kernel_witness("kernel-witness-min-chi.x", [slow, slow])
     assert check.passed is False and check.value is None
-    json.dumps(check.to_json(), allow_nan=False)
+    assert written(check, tmp_path)["value"] is None
 
 
-def test_an_unpinned_oracle_key_fails_and_keeps_its_value():
+def test_an_unpinned_oracle_key_fails_and_keeps_its_value(tmp_path):
     floor = _above_floor("quasinormal-defect.x", 1.5, "S4.unpinned.x")
     assert (floor.passed, floor.value, floor.threshold) == (False, 1.5, ">= nan")
     assert floor.source == "oracle" and floor.details == {"key": "S4.unpinned.x"}
     ceiling = _below_ceiling("selfcommutator-min-eig.x", -0.5, "S9.unpinned.x", certificate=True)
     assert (ceiling.passed, ceiling.value, ceiling.threshold) == (False, -0.5, "<= nan")
     assert ceiling.details == {"key": "S9.unpinned.x", "certificate": True}
-    json.dumps(ceiling.to_json(), allow_nan=False)
+    written(ceiling, tmp_path)
     # a pinned key reads its committed floor
     pinned = load_thresholds()["quasinormal_floors"]["S4.hardy.psi-one"]["floor"]
     assert _above_floor("q", 1e9, "S4.hardy.psi-one").threshold == f">= {pinned:.12g}"
