@@ -129,7 +129,8 @@ class MoebiusMap:
                 raise InputError("derivative at infinity requires an affine map")
             return self.d / self.a
         den = self.c * z + self.d
-        if abs(den) <= _ZERO_REL * self.coeff_scale() * max(1.0, abs(z)):
+        # relative to the terms of den, so a far fixed point is no pole
+        if abs(den) <= _ZERO_REL * (abs(self.c * z) + abs(self.d)):
             raise InputError("derivative requested at a pole")
         return self.determinant() / (den * den)
 
@@ -219,36 +220,12 @@ class MoebiusMap:
         return FixedPointData(data, borderline=abs(disc) <= 10.0 * tol)
 
     def denjoy_wolff(self, tol: float = DEFAULT_TOL) -> "DWPoint":
-        """Attracting fixed point in the closed disk, with its derivative.
-
-        Defined for self-maps that are neither the identity nor an elliptic
-        automorphism; those two are rejected.
-        """
-        if not self.is_self_map(tol):
-            raise NotSelfMapError("Denjoy-Wolff point requires a self-map of the disk")
-        if self.is_identity(tol):
-            raise InputError("the identity has no distinguished fixed point")
-        fps = self.fixed_points(tol)
-        finite = [p for p in fps.points if not is_infinity(p.location)]
-        if self.is_automorphism(tol) and any(
-            abs(p.location) < 1.0 - tol for p in finite
-        ):
-            raise InputError("an elliptic automorphism has no attracting fixed point")
-        candidates = [p for p in finite if abs(p.location) <= 1.0 + tol]
-        if not candidates:
-            raise NotSelfMapError("no fixed point in the closed disk")
-        best = min(candidates, key=lambda p: abs(p.derivative))
-        if abs(best.derivative) > 1.0 + max(tol, 1e-9):
-            raise NotSelfMapError("candidate fixed point is repelling")
-        loc = best.location
-        deriv = best.derivative
-        boundary = abs(abs(loc) - 1.0) <= tol
-        if boundary:
-            # angular derivative of a self-map at its boundary Denjoy-Wolff
-            # point is a positive real; discard rounding in the imaginary part
-            loc = loc / abs(loc)
-            deriv = complex(deriv.real, 0.0) if abs(deriv.imag) <= 1e-9 else deriv
-        return DWPoint(loc, deriv, boundary)
+        """Attracting fixed point in the closed disk, with its derivative, as
+        `classify` finds it; the identity and elliptic automorphisms have none."""
+        dw = classify(self, tol).dw
+        if dw is None:
+            raise InputError("no attracting fixed point: identity or elliptic automorphism")
+        return dw
 
     # -- normal forms ------------------------------------------------------
 
@@ -384,30 +361,44 @@ def parabolic_from(zeta: complex, t: complex) -> MoebiusMap:
     return MoebiusMap(2.0 - t, t * zeta, -t * zeta.conjugate(), 2.0 + t)
 
 
-def translation_number(
-    m: MoebiusMap, zeta: complex | None = None, tol: float = DEFAULT_TOL
-) -> complex:
-    """Translation number t of a parabolic self-map.
+def translation_number(m: MoebiusMap, tol: float = DEFAULT_TOL) -> complex:
+    """Translation number t of a parabolic self-map, as `classify` finds it.
 
     In the half-plane chart at the double fixed point zeta the map acts as
     w -> w + t; concretely t = tau(m(0)) - 1 with tau as in parabolic_from.
     Re t >= 0 always; Re t == 0 exactly for automorphisms.
     """
-    if not m.is_self_map(tol):
-        raise NotSelfMapError("translation number requires a self-map")
-    fps = m.fixed_points(tol)
-    double = [p for p in fps.points if p.multiplicity == 2 and not is_infinity(p.location)]
-    if not double:
-        raise NotParabolicError("map has no double fixed point in the plane")
-    point = double[0].location
-    if abs(abs(point) - 1.0) > 1e-6:
-        raise NotParabolicError("double fixed point is not on the unit circle")
-    point = point / abs(point)
-    if zeta is not None:
-        zeta = complex(zeta)
-        if abs(point - zeta / abs(zeta)) > 1e-6:
-            raise NotParabolicError("map does not fix the requested boundary point")
-        point = zeta / abs(zeta)
+    c = classify(m, tol)
+    if c.map_class is MapClass.IDENTITY:
+        raise InputError("every point is fixed: the map is the identity")
+    if c.translation is None:
+        raise NotParabolicError(f"a {c.map_class.value} map has no translation number")
+    return c.translation
+
+
+def _attracting(fps: FixedPointData, tol: float) -> DWPoint:
+    """Denjoy-Wolff point of a self-map, not the identity nor an elliptic
+    automorphism, with fixed points fps: the finite one in the closed disk
+    with least |derivative|, snapped onto the circle within tol of it."""
+    finite = (p for p in fps.points if not is_infinity(p.location))
+    candidates = [p for p in finite if abs(p.location) <= 1.0 + tol]
+    if not candidates:
+        raise NotSelfMapError("no fixed point in the closed disk")
+    best = min(candidates, key=lambda p: abs(p.derivative))
+    if abs(best.derivative) > 1.0 + max(tol, 1e-9):
+        raise NotSelfMapError("candidate fixed point is repelling")
+    loc, deriv = best.location, best.derivative
+    boundary = abs(abs(loc) - 1.0) <= tol
+    if boundary:
+        # angular derivative of a self-map at its boundary Denjoy-Wolff
+        # point is a positive real; discard rounding in the imaginary part
+        loc = loc / abs(loc)
+        deriv = complex(deriv.real, 0.0) if abs(deriv.imag) <= 1e-9 else deriv
+    return DWPoint(loc, deriv, boundary)
+
+
+def _translation(m: MoebiusMap, point: complex) -> complex:
+    """t = tau(m(0)) - 1 in the half-plane chart at the boundary point `point`."""
     w = m.apply(0.0)
     t = (1.0 + point.conjugate() * w) / (1.0 - point.conjugate() * w) - 1.0
     if t.real < 0.0 and abs(t.real) <= 1e-12 * max(1.0, abs(t)):
@@ -416,7 +407,8 @@ def translation_number(
 
 
 def classify(m: MoebiusMap, tol: float = DEFAULT_TOL) -> Classification:
-    """Sort a self-map into its dynamical class.
+    """Sort a self-map into its dynamical class, with its Denjoy-Wolff point
+    and, for a parabolic map, its translation number.
 
     Near a dividing line (discriminant, derivative, or boundary distance
     within tol) the result is resolved toward the parabolic side and the
@@ -428,61 +420,30 @@ def classify(m: MoebiusMap, tol: float = DEFAULT_TOL) -> Classification:
         return Classification(MapClass.IDENTITY, False, (), None, None, None)
 
     fps = m.fixed_points(tol)
-    notes: list[str] = []
-    borderline = fps.borderline
-    if borderline:
-        notes.append("fixed-point discriminant within tolerance of zero")
+    notes = ["fixed-point discriminant within tolerance of zero"] if fps.borderline else []
+    finite = [p for p in fps.points if not is_infinity(p.location)]
+    interior = [p for p in finite if abs(p.location) < 1.0 - tol]
     auto = m.is_automorphism(tol)
-
-    if auto:
-        finite = [p for p in fps.points if not is_infinity(p.location)]
-        interior = [p for p in finite if abs(p.location) < 1.0 - tol]
-        if interior:
-            if any(1.0 - abs(p.location) <= 10.0 * tol for p in interior):
-                borderline = True
-                notes.append("interior fixed point close to the unit circle")
-            return Classification(
-                MapClass.ELLIPTIC_AUTOMORPHISM, borderline, tuple(notes), fps, None, None
-            )
-        if len(fps.points) == 1 and fps.points[0].multiplicity == 2:
-            dw = m.denjoy_wolff(tol)
-            t = translation_number(m, dw.location, tol)
-            return Classification(
-                MapClass.PARABOLIC_AUTOMORPHISM, borderline, tuple(notes), fps, dw, t
-            )
-        dw = m.denjoy_wolff(tol)
-        return Classification(
-            MapClass.HYPERBOLIC_AUTOMORPHISM, borderline, tuple(notes), fps, dw, None
-        )
-
-    dw = m.denjoy_wolff(tol)
-    if dw.boundary:
-        deriv = dw.derivative.real
-        if abs(deriv - 1.0) <= tol:
-            if deriv != 1.0:
-                borderline = True
-                notes.append("boundary derivative within tolerance of one")
-            t = translation_number(m, dw.location, tol)
-            return Classification(
-                MapClass.PARABOLIC_NON_AUTOMORPHISM, borderline, tuple(notes), fps, dw, t
-            )
-        return Classification(
-            MapClass.HYPERBOLIC_TYPE, borderline, tuple(notes), fps, dw, None
-        )
-
-    others = [
-        p
-        for p in fps.points
-        if not is_infinity(p.location) and abs(p.location - dw.location) > tol
-    ]
-    has_boundary = any(abs(abs(p.location) - 1.0) <= tol for p in others)
-    near = [p for p in others if tol < abs(abs(p.location) - 1.0) <= 10.0 * tol]
-    if near:
-        borderline = True
-        notes.append("second fixed point close to the unit circle")
-    cls = (
-        MapClass.INTERIOR_WITH_BOUNDARY_FIXED
-        if has_boundary
-        else MapClass.INTERIOR_NO_BOUNDARY_FIXED
-    )
-    return Classification(cls, borderline, tuple(notes), fps, dw, None)
+    dw = None if auto and interior else _attracting(fps, tol)
+    parabolic = False
+    if dw is None:
+        cls = MapClass.ELLIPTIC_AUTOMORPHISM
+        if any(1.0 - abs(p.location) <= 10.0 * tol for p in interior):
+            notes.append("interior fixed point close to the unit circle")
+    elif auto:
+        parabolic = len(fps.points) == 1 and fps.points[0].multiplicity == 2
+        cls = MapClass.PARABOLIC_AUTOMORPHISM if parabolic else MapClass.HYPERBOLIC_AUTOMORPHISM
+    elif dw.boundary:
+        parabolic = abs(dw.derivative.real - 1.0) <= tol
+        if parabolic and dw.derivative.real != 1.0:
+            notes.append("boundary derivative within tolerance of one")
+        cls = MapClass.PARABOLIC_NON_AUTOMORPHISM if parabolic else MapClass.HYPERBOLIC_TYPE
+    else:
+        gaps = [abs(abs(p.location) - 1.0) for p in finite if abs(p.location - dw.location) > tol]
+        if any(tol < g <= 10.0 * tol for g in gaps):
+            notes.append("second fixed point close to the unit circle")
+        cls = MapClass.INTERIOR_NO_BOUNDARY_FIXED
+        if any(g <= tol for g in gaps):
+            cls = MapClass.INTERIOR_WITH_BOUNDARY_FIXED
+    t = _translation(m, dw.location / abs(dw.location)) if parabolic else None
+    return Classification(cls, bool(notes), tuple(notes), fps, dw, t)

@@ -90,6 +90,12 @@ def s8_operator(f) -> OperatorSpec:
     return weighted(Product((f, PSI_HALF)), HALF_SHIFT)
 
 
+def s8_exp_defects() -> dict[int, float]:
+    """S8's f-exp defect on H^2 at N = 12, 16, 20, 24 with M = 320: the stability study."""
+    op = s8_operator(next(f for label, f, _, _ in S8_CASES if label == "f-exp"))
+    return {n: quasinormality_defect(op, hardy(), n, 320) for n in (12, 16, 20, 24)}
+
+
 #: S9's symbols: composition operators with a negative self-commutator.
 S9_SYMBOLS = (("affine-half", AFFINE_HALF), ("three-point", THREE_POINT))
 

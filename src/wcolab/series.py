@@ -463,22 +463,25 @@ def _eliminate(e: AnalyticExpr, maps: tuple[MoebiusMap, ...]) -> AnalyticExpr:
 
 
 def has_disk_singularity(e: AnalyticExpr, radius: float) -> bool:
-    """True when e, its precompositions eliminated, has a Rational leaf with an
-    uncancelled pole in |z| <= radius, or a Power, with exponent not a
-    nonnegative integer, of a Poly or Rational base with an uncancelled zero
-    there.  Other nodes are only walked through, so False proves nothing."""
+    """True when e, its precompositions eliminated, has a rational part with
+    an uncancelled pole in |z| <= radius, or a Power, with exponent not a
+    nonnegative integer, of a rational base with an uncancelled zero there.
+    A rational part is a subtree of Poly and Rational leaves under Scale, Sum
+    and Product, taken as one quotient, so a pole may cancel across leaves.
+    Other nodes are only walked through, so False proves nothing."""
     return _singular(_eliminate(e, ()), radius)
 
 
 def _singular(e: AnalyticExpr, radius: float) -> bool:
-    if isinstance(e, Rational):
-        return _disk_roots(e.den, e.num, radius)
+    folded = _fold(e)
+    if folded is not None:  # a zero numerator cancels every pole
+        return bool(np.any(folded[0])) and _disk_roots(folded[1], folded[0], radius)
     if isinstance(e, Power):
-        b, natural = e.base, e.exponent >= 0 and e.exponent.is_integer()
-        num, den = (b.num, b.den) if isinstance(b, Rational) else (b, constant(1.0))
-        if not natural and isinstance(b, (Poly, Rational)) and _disk_roots(num, den, radius):
+        natural = e.exponent >= 0 and e.exponent.is_integer()
+        base = _fold(e.base)
+        if not natural and base is not None and _disk_roots(*base, radius):
             return True
-        return _singular(b, radius)
+        return _singular(e.base, radius)
     if isinstance(e, (Exp, Scale)):
         return _singular(e.arg if isinstance(e, Exp) else e.inner, radius)
     if isinstance(e, (Sum, Product)):
@@ -486,16 +489,44 @@ def _singular(e: AnalyticExpr, radius: float) -> bool:
     return False
 
 
-def _disk_roots(p: Poly, cancel: Poly, radius: float) -> bool:
-    """True when p has a root in |z| <= radius that no root of `cancel`
-    matches to _ROOT_MATCH_TOL, roots counted with multiplicity."""
-    left, roots = list(np.roots(cancel.coeffs[::-1])), np.roots(p.coeffs[::-1])
+def _fold(e: AnalyticExpr) -> tuple[np.ndarray, np.ndarray] | None:
+    """Numerator and denominator coefficients, highest degree first, of e as
+    one quotient when every leaf is a Poly or a Rational under Scale, Sum and
+    Product; else None."""
+    if isinstance(e, (Poly, Rational)):
+        return tuple(np.asarray(c)[::-1] for c in _num_den(e, 0))
+    if isinstance(e, Scale):
+        e = Product((constant(e.factor), e.inner))
+    if not isinstance(e, (Sum, Product)):
+        return None
+    parts = [_fold(x) for x in (e.terms if isinstance(e, Sum) else e.factors)]
+    if any(p is None for p in parts):
+        return None
+    num, den = parts[0]
+    for n, d in parts[1:]:
+        if isinstance(e, Sum):
+            num = np.polyadd(np.convolve(num, d), np.convolve(n, den))
+        else:
+            num = np.convolve(num, n)
+        den = np.convolve(den, d)
+    return num, den
+
+
+def _disk_roots(p: np.ndarray, cancel: np.ndarray, radius: float) -> bool:
+    """True when the polynomial p has a root in |z| <= radius that no root of
+    `cancel` matches to _ROOT_MATCH_TOL, roots counted with multiplicity."""
+    left, roots = list(_roots(cancel)), _roots(p)
     for r in roots[np.abs(roots) <= radius]:
         near = [k for k, q in enumerate(left) if abs(q - r) <= _ROOT_MATCH_TOL * max(1.0, abs(r))]
         if not near:
             return True
         left.pop(near[0])
     return False
+
+
+def _roots(p: np.ndarray) -> np.ndarray:
+    """Roots of p but those near infinity from top coefficients below _ZERO_REL."""
+    return np.roots(p[np.flatnonzero(np.abs(p) > _ZERO_REL * np.max(np.abs(p)))[0] :])
 
 
 def _substitute_poly(coeffs, m: MoebiusMap, D: int) -> np.ndarray:

@@ -13,13 +13,14 @@ import time
 import numpy as np
 
 from wcolab.opmat import composition
-from wcolab.probes import hyponormality_probe, quasinormality_defect
+from wcolab.probes import hyponormality_probe
 from wcolab.scenarios import (
     PARABOLIC_ONE,
     S8_CASES,
     SADRAOUI,
     THREE_SPACES,
     load_thresholds,
+    s8_exp_defects,
     s8_operator,
 )
 from wcolab.space import hardy
@@ -97,9 +98,7 @@ def test_criterion_4_quasinormal_defect_stable_above_committed_delta():
     data = load_thresholds()
     stab = data["stability"]["S8.hardy.f-exp"]
     delta = float(stab["delta"])
-    sp = hardy()
-    op = s8_operator(next(f for label, f, _, _ in S8_CASES if label == "f-exp"))
-    values = [quasinormality_defect(op, sp, n, 320) for n in (12, 16, 20, 24)]
+    values = list(s8_exp_defects().values())
     spread = max(values) / min(values)
     ok = all(v >= delta for v in values) and spread <= 1.10
     report(

@@ -261,6 +261,18 @@ def test_probe_rejects_a_pole_inside_the_disk(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_probe_accepts_a_pole_that_cancels_across_terms(tmp_path, capsys):
+    # 1/(1 - 2z) - 1/(1 - 2z) + 1 is 1, so the probed operator is the identity
+    minus = f'{{"type":"scale","factor":[-1,0],"inner":{POLE_HALF_JSON}}}'
+    one = '{"type":"poly","coeffs":[[1,0]]}'
+    weight = f'{{"type":"sum","terms":[{POLE_HALF_JSON},{minus},{one}]}}'
+    out = tmp_path / "probe.json"
+    code = run_cli(["probe", "--weight", weight, "--order", "6", "--json", str(out)])
+    capsys.readouterr()
+    assert code == 0
+    assert json.loads(out.read_text())["unitary_defect"] <= 1e-14
+
+
 def test_probe_bad_orders_exit_code(capsys):
     code = run_cli(["probe", "--map", HALF_SHIFT_JSON, "--order", "2"])
     assert code == 2

@@ -1,9 +1,13 @@
 """Tests for the linear fractional map layer."""
 
+import cmath
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wcolab import cli
 from wcolab.errors import (
@@ -213,6 +217,21 @@ def test_classify_elliptic_automorphism():
     assert classify_class(conj) is MapClass.ELLIPTIC_AUTOMORPHISM
 
 
+def test_classify_elliptic_automorphism_with_a_far_fixed_point():
+    # a rotation moved by an automorphism at p ~ 1.7e-14: its second fixed
+    # point 1/conj(p) ~ 6e13 is far, but no pole
+    m = MoebiusMap(
+        0.4161468365471424 - 0.9092974268256817j,
+        -1.4161468365471423e-14 + 9.092974268256818e-15j,
+        1.4161468365471423e-14 - 9.092974268256818e-15j,
+        -1 + 9.092974268256817e-29j,
+    )
+    result = classify(m)
+    assert result.map_class is MapClass.ELLIPTIC_AUTOMORPHISM
+    assert abs(result.fixed_points.points[0].location) < 1e-13
+    assert abs(abs(result.fixed_points.points[1].derivative) - 1.0) < 1e-12
+
+
 def test_classify_hyperbolic_automorphism():
     m = MoebiusMap(2, 1, 1, 2)  # fixes -1 and 1 with derivatives 3 and 1/3
     assert m.is_automorphism()
@@ -257,6 +276,81 @@ def test_classify_borderline_near_parabolic():
         MapClass.PARABOLIC_AUTOMORPHISM,
     )
     assert result.borderline
+
+
+@st.composite
+def classed_maps(draw):
+    """A map from one of six families that cover the seven non-identity
+    classes between them."""
+    angle = st.floats(0.0, 2 * math.pi)
+    family = draw(st.integers(0, 5))
+    if family == 0:  # hyperbolic type: Denjoy-Wolff point 1, derivative s
+        s = draw(st.floats(0.05, 0.95))
+        return MoebiusMap(s, 1 - s, 0, 1)
+    if family == 1:  # hyperbolic automorphism fixing -1 and 1
+        r = draw(st.floats(0.05, 0.95))
+        return MoebiusMap(1, r, r, 1)
+    if family == 2:  # elliptic automorphism: a rotation moved to fix a point p
+        aut = disk_automorphism(cmath.rect(draw(st.floats(0.0, 0.8)), draw(angle)))
+        spin = rotation(cmath.rect(1.0, draw(st.floats(0.1, 2 * math.pi - 0.1))))
+        return aut.compose(spin).compose(aut.inverse())
+    if family == 3:  # parabolic, an automorphism exactly when Re t = 0
+        if draw(st.booleans()):
+            t = complex(0.0, draw(st.floats(0.1, 3.0)) * draw(st.sampled_from((-1, 1))))
+        else:
+            t = complex(draw(st.floats(0.1, 2.0)), draw(st.floats(-3.0, 3.0)))
+        return parabolic_from(cmath.rect(1.0, draw(angle)), t)
+    if family == 4:  # c z / (1 - (1 - c) z): fixes 0 and 1
+        c = draw(st.floats(0.05, 0.95))
+        return MoebiusMap(c, 0, c - 1, 1)
+    # affine with an interior fixed point; the other one is infinity
+    a = cmath.rect(draw(st.floats(0.05, 0.6)), draw(angle))
+    return MoebiusMap(a, cmath.rect(draw(st.floats(0.0, 0.3)), draw(angle)), 0, 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    m=classed_maps(),
+    k=st.tuples(st.floats(0.05, 20.0), st.floats(0.0, 2 * math.pi)),
+    turn=st.floats(0.0, 2 * math.pi),
+)
+def test_classification_is_one_pass_and_invariant(m, k, turn):
+    # k (rho a, rho^2 b, c, rho d) is rho o m o rho^-1 for the rotation rho
+    k, rho = cmath.rect(*k), cmath.rect(1.0, turn)
+    moved = MoebiusMap(k * m.a, k * m.b * rho, k * m.c * rho.conjugate(), k * m.d)
+    calls = []
+
+    def counting(self, tol=1e-10):
+        calls.append(self)
+        return fixed_points(self, tol)
+
+    fixed_points = MoebiusMap.fixed_points
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(MoebiusMap, "fixed_points", counting)
+        before, after = classify(m), classify(moved)
+    assert calls == [m, moved]
+
+    assert after.map_class is before.map_class
+    if before.translation is None:
+        assert (after.borderline, after.notes) == (before.borderline, before.notes)
+    else:
+        # a parabolic map's flags read the rounding of its discriminant and
+        # of its boundary derivative, which the scaling moves
+        assert abs(after.translation - before.translation) <= 1e-12
+    if before.dw is None:
+        assert before.map_class is MapClass.ELLIPTIC_AUTOMORPHISM
+        with pytest.raises(InputError):
+            moved.denjoy_wolff()
+    else:
+        assert abs(after.dw.location - rho * before.dw.location) <= 1e-12
+        assert abs(after.dw.derivative - before.dw.derivative) <= 1e-12
+        assert after.dw.boundary is before.dw.boundary
+        assert moved.denjoy_wolff() == after.dw
+    if after.translation is None:
+        with pytest.raises(NotParabolicError):
+            translation_number(moved)
+    else:
+        assert translation_number(moved) == after.translation
 
 
 def test_parabolic_from_translation_roundtrip():

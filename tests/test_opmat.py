@@ -50,10 +50,13 @@ from wcolab.series import (
     PrecomposeMoebius,
     Product,
     Rational,
+    Scale,
+    Sum,
+    constant,
     tail_diagnostics,
     taylor,
 )
-from wcolab.space import bergman, hardy
+from wcolab.space import bergman, hardy, kernel_expr
 from wcolab.spectra import spectral_radius_estimate
 
 HALF_SHIFT = MoebiusMap(1, 0, -1, 2)   # z/(2-z)
@@ -62,6 +65,7 @@ INTERIOR_MAP = MoebiusMap(0.5, 0, 0, 1)  # z/2, image well inside the disk
 PSI_HALF = Rational(Poly((2,)), Poly((2, -1)))  # 2/(2-z)
 
 ALL_SPACES = (hardy(), bergman(0.0), bergman(1.0))
+POLE_HALF = Rational(Poly((1,)), Poly((1, -2)))  # 1/(1 - 2z)
 
 
 def compose_poly_with_map(p_coeffs, m, order):
@@ -602,6 +606,9 @@ def test_operator_spec_validation():
         Power(Poly((1, -1)), -1),  # pole at 1
         PrecomposeMoebius(Rational(Poly((1,)), Poly((1, -4))), AFFINE_HALF),  # pole at -1/2
         Rational(Poly((1, -2)), Poly((1, -4, 4))),  # (1 - 2z)/(1 - 2z)^2: one pole left
+        Sum((POLE_HALF, constant(1))),  # (2 - 2z)/(1 - 2z): the sum keeps the pole
+        Product((POLE_HALF, Exp(Poly((0, 1))))),  # exp is no rational leaf
+        Product((Power(Poly((1, -2)), 0.5),) * 2),  # each factor has its branch point
     ),
 )
 def test_weights_with_a_singularity_in_the_disk_are_rejected_exactly(weight):
@@ -609,6 +616,23 @@ def test_weights_with_a_singularity_in_the_disk_are_rejected_exactly(weight):
         toeplitz(weight)
     with pytest.raises(UnboundedWeightError):
         weighted(weight, INTERIOR_MAP)
+
+
+@pytest.mark.parametrize(
+    "weight, equal",
+    (
+        (Product((Poly((1, -2)), POLE_HALF)), constant(1.0)),
+        (Sum((POLE_HALF, Scale(-1.0, POLE_HALF), constant(1.0))), constant(1.0)),
+        (
+            Product((Rational(Poly((2, -1)), Poly((1, -2))), Rational(Poly((1, -2)), Poly((3, -1))))),
+            Rational(Poly((2, -1)), Poly((3, -1))),
+        ),
+    ),
+)
+def test_poles_that_cancel_across_leaves_are_accepted(weight, equal):
+    got = build_block(toeplitz(weight), hardy(), 6, 12).entries
+    want = build_block(toeplitz(equal), hardy(), 6, 12).entries
+    assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def test_cancelled_poles_and_integer_powers_are_accepted():
@@ -620,6 +644,8 @@ def test_cancelled_poles_and_integer_powers_are_accepted():
     # a zero of the base only matters for a negative or fractional power
     toeplitz(Power(Poly((1, -2)), 3))
     toeplitz(Power(Poly((1, 0.5)), -2.5))
+    # a subnormal kernel point: the base's root is far beyond the disk
+    toeplitz(kernel_expr(hardy(), 1e-310))
 
 
 def test_operator_spec_json_roundtrip():

@@ -1,12 +1,16 @@
 """Tests for the normality-class probes."""
 
+import cmath
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wcolab.errors import OrderPolicyError
-from wcolab.mobius import MoebiusMap, rotation
+from wcolab.mobius import MoebiusMap, disk_automorphism, rotation
 from wcolab import cli, opmat, probes, scenarios
 from wcolab.opmat import (
     adjoint_block,
@@ -370,6 +374,29 @@ def test_kernel_probe_zero_for_unitary_and_negative_for_bad_map():
 
     pts2 = kernel_condition_probe(composition(AFFINE_HALF), hardy())
     assert min(p.chi for p in pts2) < -1e-3
+
+
+def disk_point(radius):
+    return st.builds(cmath.rect, st.floats(0.0, radius), st.floats(0.0, 2 * math.pi))
+
+
+@settings(max_examples=90, deadline=None)
+@given(
+    a=disk_point(0.6),
+    turn=st.floats(0.0, 2 * math.pi),
+    sp=st.sampled_from(ALL_SPACES),
+    ws=st.lists(disk_point(0.7), min_size=12, max_size=12),
+)
+def test_unitary_weighted_automorphisms_have_zero_chi(a, turn, sp, ws):
+    # (1 - |a|^2)^(gamma/2) K_a C_phi is unitary for phi = lam (a - z)/(1 - conj(a) z);
+    # S6's operator is the case a = -1/2, lam = -1
+    weight = Product((constant((1.0 - abs(a) ** 2) ** (sp.gamma / 2.0)), kernel_expr(sp, a)))
+    op = weighted(weight, disk_automorphism(a, cmath.rect(1.0, turn)))
+    assert unitary_defect(op, sp, 12, 160) <= 1e-10
+    pts = kernel_condition_probe(op, sp, ws)
+    assert not any(p.slow_decay for p in pts)
+    # chi(w) is a difference of squared norms of size ||K_w||^2 = (1 - |w|^2)^(-gamma)
+    assert max(abs(p.chi) * (1.0 - abs(p.w) ** 2) ** sp.gamma for p in pts) <= 1e-10
 
 
 def test_kernel_grid_stays_inside_disk():

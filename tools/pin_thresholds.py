@@ -20,9 +20,7 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from wcolab.probes import quasinormality_defect
-from wcolab.scenarios import S8_CASES, run_all, s8_operator
-from wcolab.space import hardy
+from wcolab.scenarios import run_all, s8_exp_defects
 
 OUT = pathlib.Path(__file__).resolve().parents[1] / "src" / "wcolab" / "data" / "thresholds.json"
 
@@ -73,8 +71,7 @@ def s8_stability() -> dict:
     """Stability of the exponential-weight defect across compression orders,
     used by the acceptance gate: committed delta = 0.9 * min over N.  S8's
     `quasinormal-defect.f-exp` check reads the same defect at N = 16."""
-    op = s8_operator(next(f for label, f, _, _ in S8_CASES if label == "f-exp"))
-    observed = {str(n): quasinormality_defect(op, hardy(), n, 320) for n in (12, 16, 20, 24)}
+    observed = {str(n): v for n, v in s8_exp_defects().items()}
     return {"observed": observed, "delta": 0.9 * min(observed.values())}
 
 
