@@ -84,7 +84,8 @@ class MoebiusMap:
         x = np.atleast_1d(zs)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             den = self.c * x + self.d
-            pole = np.abs(den) <= _ZERO_REL * self.coeff_scale() * np.maximum(1.0, np.abs(x))
+            # relative to the terms of den, so a far finite point is no pole
+            pole = np.abs(den) <= _ZERO_REL * (np.abs(self.c * x) + abs(self.d))
             out = np.where(pole, INFINITY, (self.a * x + self.b) / den)
         at_infinity = INFINITY if self._c_is_zero() else self.a / self.c
         out = np.where(np.isfinite(x), out, at_infinity)

@@ -25,6 +25,8 @@ an array of points.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -614,9 +616,29 @@ def _cpx_json(z: complex) -> list[float]:
 
 def _cpx_from(obj) -> complex:
     try:
-        return complex(obj[0], obj[1])
+        z = complex(obj[0], obj[1])
     except (TypeError, IndexError) as exc:
         raise InputError(f"complex values must be [re, im] pairs: {exc}")
+    except OverflowError:
+        z = complex(math.inf)
+    if not cmath.isfinite(z):
+        raise InputError(f"complex values must be finite, got {obj!r}")
+    return z
+
+
+def _finite_exponent(x):
+    """x as it is, unless it reads as a number beyond the finite floats;
+    `Power` reports what reads as no number."""
+    if isinstance(x, (int, float, str)):
+        try:
+            finite = math.isfinite(float(x))
+        except ValueError:
+            return x
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise InputError(f"power exponent must be finite, got {x!r}")
+    return x
 
 
 def expr_to_json(e: AnalyticExpr) -> dict:
@@ -653,7 +675,7 @@ def expr_from_json(obj: dict) -> AnalyticExpr:
                 raise InputError("rational num/den must be polynomials")
             return Rational(num, den)
         if kind == "power":
-            return Power(expr_from_json(obj["base"]), obj["exponent"])
+            return Power(expr_from_json(obj["base"]), _finite_exponent(obj["exponent"]))
         if kind == "exp":
             return Exp(expr_from_json(obj["arg"]))
         if kind == "sum":

@@ -1,11 +1,17 @@
 """Tests for the command-line interface and its exit-code contract."""
 
+import dataclasses
 import json
+import math
+import pathlib
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from wcolab import cli, spectra
 from wcolab.mobius import MoebiusMap
@@ -37,6 +43,17 @@ EXP_CAYLEY_JSON = (
 
 # a power whose exponent is no number
 POWER_X_JSON = '{"type":"power","base":{"type":"poly","coeffs":[[1,0]]},"exponent":"x"}'
+
+NAN_POLY_JSON = '{"type":"poly","coeffs":[[NaN,0]]}'
+NAN_SCALE_JSON = '{"type":"scale","factor":[NaN,0],"inner":{"type":"poly","coeffs":[[1,0]]}}'
+
+
+def _power_json(exponent):
+    return '{"type":"power","base":{"type":"poly","coeffs":[[1,0],[0.5,0]]},"exponent":%s}' % exponent
+
+
+def _half_shift_op(weight):
+    return '{"weight":%s,"symbol":%s}' % (weight, HALF_SHIFT_JSON)
 
 
 def run_cli(args):
@@ -524,6 +541,12 @@ def test_cli_flag_overrides_config(tmp_path, capsys):
         (["block", "--map", HALF_SHIFT_JSON, "--order", "16", "--tail", "10000000000000000000"], 3),
         (["spectrum", "--t", "1", "--order", "10000000000000000000"], 3),
         (["spectrum", "--t", "1", "--samples", "10000000000000000000"], 2),
+        # a number in weight JSON that is not finite is invalid input; a
+        # finite exponent that overflows the weight stays a violation
+        (["block", "--op", _half_shift_op(NAN_POLY_JSON), "--order", "8", "--tail", "64"], 2),
+        (["block", "--op", _half_shift_op(NAN_SCALE_JSON), "--order", "8", "--tail", "64"], 2),
+        (["block", "--op", _half_shift_op(_power_json("NaN")), "--order", "8", "--tail", "64"], 2),
+        (["block", "--op", _half_shift_op(_power_json("1e300")), "--order", "8", "--tail", "64"], 3),
     ],
 )
 def test_malformed_option_values_are_input_errors(argv, code, tmp_path, capsys):
@@ -536,6 +559,19 @@ def test_malformed_option_values_are_input_errors(argv, code, tmp_path, capsys):
     assert "internal error" not in err
 
 
+def test_cli_digest_tool_agrees_with_itself():
+    # two runs of the byte-identity tool on the first requests of one seed
+    # print the same digest lines, four per request
+    tool = pathlib.Path(__file__).resolve().parents[1] / "tools" / "cli_digest.py"
+    argv = [sys.executable, str(tool), "--limit", "6", "--no-scenarios", "1/0"]
+    runs = [subprocess.Popen(argv, stdout=subprocess.PIPE, text=True) for _ in range(2)]
+    outs = [run.communicate()[0] for run in runs]
+    assert [run.returncode for run in runs] == [0, 0]
+    assert outs[0] == outs[1]
+    parts = [line.split()[-1] for line in outs[0].splitlines()]
+    assert parts == ["code", "stdout", "stderr", "json"] * 6
+
+
 def test_entry_point_runs_as_module():
     proc = subprocess.run(
         [sys.executable, "-m", "wcolab.cli", "classify", "--map", AFFINE_JSON],
@@ -544,3 +580,100 @@ def test_entry_point_runs_as_module():
     )
     assert proc.returncode == 0
     assert "hyperbolic-type-non-automorphism" in proc.stdout
+
+
+# -- the JSON writer against json.dumps ----------------------------------------
+
+
+def _dumps(x):
+    return json.dumps(x, indent=2, sort_keys=True, allow_nan=False, default=cli._json_default)
+
+
+def _outcome(encode, x):
+    try:
+        return encode(x)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@dataclasses.dataclass(frozen=True)
+class _Record:
+    name: str
+    value: object
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, 1e16, 1e308]
+)
+TEXT = st.text() | st.sampled_from(["", "\u00e9\u2028\U0001f600", "\x00\x1f\n\t\"\\"])
+ARRAY_DTYPES = ("float64", "float32", "complex128", "complex64", "int64", "bool")
+
+
+@st.composite
+def arrays(draw, finite=True):
+    dtype = np.dtype(draw(st.sampled_from(ARRAY_DTYPES)))
+    shape = draw(hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4))
+    limits = {"allow_nan": False, "allow_infinity": False} if dtype.kind in "fc" else {}
+    a = draw(hnp.arrays(dtype, shape, elements=hnp.from_dtype(dtype, **limits)))
+    if not finite:
+        a = a.astype(np.result_type(a, np.float64)).reshape(-1)
+        a = np.append(a, draw(st.sampled_from([math.nan, math.inf, -math.inf])))
+    return a
+
+
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(2**63, 2**80).flatmap(lambda n: st.sampled_from([n, -n])),
+    FINITE,
+    FINITE.map(np.float64),
+    st.complex_numbers(allow_nan=False, allow_infinity=False),
+    st.complex_numbers(allow_nan=False, allow_infinity=False).map(np.complex128),
+    TEXT,
+    arrays(),
+)
+KEYS = st.sampled_from([TEXT, st.integers(), FINITE, st.booleans(), st.none()])
+
+JSON_VALUES = st.recursive(
+    SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        KEYS.flatmap(lambda keys: st.dictionaries(keys, children, max_size=4)),
+        st.builds(_Record, TEXT, children),
+    ),
+    max_leaves=12,
+)
+
+#: What json cannot write: numbers that are not finite, as scalars and in
+#: arrays, a float32 scalar, and types and keys it has no rule for.
+UNWRITABLE = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.sampled_from([math.nan, math.inf]).map(np.float64),
+    arrays(finite=False),
+    st.floats(width=32, allow_nan=False, allow_infinity=False).map(np.float32),
+    st.sampled_from([object(), {1, 2}, {(1, 2): 0}, {1: 0, "1": 0}]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(JSON_VALUES)
+@example(np.zeros((3, 0)))
+@example(np.zeros((0, 3), dtype=complex))
+@example(np.array(1.5))
+@example(np.array(1 - 2j))
+@example({"entries": np.arange(24.0).reshape(2, 3, 4) * (1 + 1j) / 7})
+def test_encoder_writes_what_json_dumps_writes(value):
+    assert cli._encode(value) == _dumps(value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(JSON_VALUES, UNWRITABLE, st.booleans())
+def test_encoder_raises_what_json_dumps_raises(value, bad, in_dict):
+    # the unwritable value sits after a writable one, so both writers reach
+    # it, and raise there with one type and one message
+    value = {"a": value, "b": bad} if in_dict else [value, bad]
+    expected = _outcome(_dumps, value)
+    assert isinstance(expected, tuple)
+    assert _outcome(cli._encode, value) == expected

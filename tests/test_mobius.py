@@ -32,6 +32,14 @@ from wcolab.mobius import (
 
 HALF_SHIFT = MoebiusMap(1, 0, -1, 2)  # z/(2-z)
 AFFINE_HALF = MoebiusMap(1, 1, 0, 2)  # (z+1)/2
+# a rotation moved by an automorphism at p ~ 1.7e-14: its second fixed point
+# 1/conj(p) ~ 6e13 is far, but no pole
+FAR_FIXED_POINT_MAP = MoebiusMap(
+    0.4161468365471424 - 0.9092974268256817j,
+    -1.4161468365471423e-14 + 9.092974268256818e-15j,
+    1.4161468365471423e-14 - 9.092974268256818e-15j,
+    -1 + 9.092974268256817e-29j,
+)
 
 
 def random_map(rng):
@@ -63,6 +71,18 @@ def test_apply_matches_formula():
     scalars = [HALF_SHIFT.apply(z) for z in zs[finite]]
     np.testing.assert_allclose(values[finite], scalars, rtol=1e-15, atol=0)
     assert values[3] == -1.0  # INFINITY goes to a/c
+
+
+def test_apply_sends_far_finite_points_to_finite_values():
+    # a pole is judged against the terms of c z + d, not against |z|: the far
+    # fixed point stays fixed and 2z doubles 1e15, as a scalar and in an array
+    far = classify(FAR_FIXED_POINT_MAP).fixed_points.points[1].location
+    doubling = MoebiusMap(2, 0, 0, 1)
+    for m, z, want in ((FAR_FIXED_POINT_MAP, far, far), (doubling, 1e15, 2e15)):
+        assert abs(m.apply(z) - want) <= 1e-12 * abs(want)
+        values = m.apply(np.array([z, 0.25]))
+        assert abs(values[0] - want) <= 1e-12 * abs(want)
+        assert values[1] == m.apply(0.25)
 
 
 def test_compose_matches_pointwise():
@@ -218,14 +238,7 @@ def test_classify_elliptic_automorphism():
 
 
 def test_classify_elliptic_automorphism_with_a_far_fixed_point():
-    # a rotation moved by an automorphism at p ~ 1.7e-14: its second fixed
-    # point 1/conj(p) ~ 6e13 is far, but no pole
-    m = MoebiusMap(
-        0.4161468365471424 - 0.9092974268256817j,
-        -1.4161468365471423e-14 + 9.092974268256818e-15j,
-        1.4161468365471423e-14 - 9.092974268256818e-15j,
-        -1 + 9.092974268256817e-29j,
-    )
+    m = FAR_FIXED_POINT_MAP
     result = classify(m)
     assert result.map_class is MapClass.ELLIPTIC_AUTOMORPHISM
     assert abs(result.fixed_points.points[0].location) < 1e-13

@@ -377,6 +377,57 @@ def test_blocks_do_not_depend_on_how_the_map_is_scaled(symbol, weight, k, rows, 
     assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * np.linalg.norm(want, 2)
 
 
+def _rescaled(letter, k):
+    """The letter with its symbol's coefficients times k, one map."""
+    m = letter.op.symbol
+    if m is None:
+        return letter
+    scaled = MoebiusMap(k * m.a, k * m.b, k * m.c, k * m.d)
+    return dataclasses.replace(letter, op=dataclasses.replace(letter.op, symbol=scaled))
+
+
+@st.composite
+def rational_letters(draw):
+    """A Toeplitz, composition or weighted-composition letter with a rational
+    weight, plain or adjoint."""
+    kind = draw(st.sampled_from(("toeplitz", "composition", "weighted")))
+    if kind == "toeplitz":
+        op = toeplitz(draw(rational_weights()))
+    elif kind == "composition":
+        op = composition(draw(self_maps()))
+    else:
+        op = weighted(draw(rational_weights()), draw(self_maps()))
+    return adjoint_letter(op) if draw(st.booleans()) else plain(op)
+
+
+SCALE_FACTORS = st.builds(cmath.rect, st.floats(0.05, 20.0), st.floats(0.0, 2 * math.pi))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    word=st.lists(rational_letters(), min_size=1, max_size=3) | self_maps(),
+    ks=st.lists(SCALE_FACTORS, min_size=4, max_size=4),
+    N=st.integers(0, 8),
+    extra=st.integers(0, 24),
+    sp=st.sampled_from(ALL_SPACES),
+)
+def test_word_blocks_do_not_depend_on_how_the_maps_are_scaled(word, ks, N, extra, sp):
+    # a self-map stands for the Cowen adjoint word of it, built once from the
+    # map and once from the map times ks[-1]; every letter's symbol is then
+    # scaled by its own k, which leaves every letter's operator as it is
+    if isinstance(word, MoebiusMap):
+        k = ks[-1]
+        scaled_map = MoebiusMap(k * word.a, k * word.b, k * word.c, k * word.d)
+        word, scaled = cowen_adjoint_word(word, sp), cowen_adjoint_word(scaled_map, sp)
+    else:
+        scaled = word
+    scaled = [_rescaled(w, k) for w, k in zip(scaled, ks)]
+    M = 2 * N + extra
+    want = word_block(word, sp, N, M).entries
+    got = word_block(scaled, sp, N, M).entries
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.linalg.norm(want, 2)
+
+
 def _exact_raw_coefficients(symbol, num, den, order):
     """Raw coefficients F[n, j] of weight * symbol**j, n, j <= order, exact.
 
