@@ -32,7 +32,15 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .errors import ConstraintError, InputError, WcolabError
-from .mobius import DEFAULT_TOL, Classification, MoebiusMap, classify, is_infinity, parabolic_from
+from .mobius import (
+    DEFAULT_TOL,
+    Classification,
+    MoebiusMap,
+    classify,
+    is_infinity,
+    number_from_json,
+    parabolic_from,
+)
 from .opmat import (
     OperatorSpec,
     build_block,
@@ -83,16 +91,13 @@ def _load_json_arg(text: str, what: str):
 
 
 def _parse_complex_arg(obj, what: str) -> complex:
-    if isinstance(obj, (int, float)):
-        return complex(obj)
-    if isinstance(obj, list) and len(obj) == 2:
-        return complex(obj[0], obj[1])
-    if isinstance(obj, str):
-        try:
-            return complex(obj.replace(" ", ""))
-        except ValueError:
-            pass
-    raise InputError(f"{what} must be a number, a [re, im] pair, or a complex literal")
+    """A complex literal, or a JSON number or [re, im] pair from --config."""
+    if not isinstance(obj, str):
+        return complex(number_from_json(obj, isinstance(obj, list), what))
+    try:
+        return complex(obj.replace(" ", ""))
+    except ValueError:
+        raise InputError(f"{what} must be a number, a [re, im] pair, or a complex literal")
 
 
 def _json_default(x):
@@ -233,10 +238,12 @@ def _write_csv(path: str, header: str, table: np.ndarray) -> None:
 
 def _int_arg(value, flag: str, default: int | None = None) -> int | None:
     """An option's value as an integer, or the default when it is unset; a
-    malformed one is an InputError."""
+    malformed one, a float with a fractional part too, is an InputError."""
     if value is None:
         return default
     try:
+        if isinstance(value, float) and not value.is_integer():
+            raise ValueError
         return int(value)
     except (TypeError, ValueError, OverflowError):
         raise InputError(f"{flag} must be an integer, got {value!r}")

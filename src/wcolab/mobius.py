@@ -43,6 +43,29 @@ def is_infinity(z: complex) -> bool:
     return not (math.isfinite(z.real) and math.isfinite(z.imag))
 
 
+def number_from_json(obj, pair: bool, what: str) -> complex | float:
+    """The JSON number obj as a finite float, or with `pair` the [re, im] pair
+    obj, a list of exactly two JSON numbers, as a finite complex.  Anything
+    else (a string, a bool, a number beyond the finite floats) is an InputError."""
+    parts = obj if pair else [obj]
+    if not (isinstance(parts, list) and len(parts) == 1 + pair) or any(
+        isinstance(x, bool) or not isinstance(x, (int, float)) for x in parts
+    ):
+        raise InputError(f"{what} must be {'a [re, im] pair' if pair else 'a number'}, got {obj!r}")
+    try:
+        z = complex(*parts)
+    except OverflowError:
+        z = INFINITY
+    if not cmath.isfinite(z):
+        raise InputError(f"{what} must be finite, got {obj!r}")
+    return z if pair else z.real
+
+
+def pair_to_json(z: complex) -> list[float]:
+    """The [re, im] pair `number_from_json` reads back as z."""
+    return [z.real, z.imag]
+
+
 @dataclass(frozen=True)
 class MoebiusMap:
     """The map z -> (a*z + b)/(c*z + d), coefficients stored unnormalized."""
@@ -246,20 +269,16 @@ class MoebiusMap:
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> dict:
-        return {
-            "a": [self.a.real, self.a.imag],
-            "b": [self.b.real, self.b.imag],
-            "c": [self.c.real, self.c.imag],
-            "d": [self.d.real, self.d.imag],
-        }
+        return {k: pair_to_json(getattr(self, k)) for k in "abcd"}
 
     @staticmethod
     def from_json(obj: dict) -> "MoebiusMap":
         try:
-            vals = {k: complex(obj[k][0], obj[k][1]) for k in ("a", "b", "c", "d")}
-        except (KeyError, TypeError, IndexError) as exc:
+            pairs = [obj[k] for k in "abcd"]
+        except (KeyError, TypeError) as exc:
             raise InputError(f"map JSON needs keys a,b,c,d as [re, im] pairs: {exc}")
-        return MoebiusMap(**vals)
+        coeffs = [number_from_json(p, True, f"map coefficient {k}") for k, p in zip("abcd", pairs)]
+        return MoebiusMap(*coeffs)
 
 
 @dataclass(frozen=True)

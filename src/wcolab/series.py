@@ -12,9 +12,11 @@ composition is ever performed.  Then:
     whose length depends only on deg(N), deg(D) and, for an integer power,
     the exponent (`rational_series`: D f = N, also for (N/D)^k = N^k / D^k;
     N D f' = gamma (N'D - N D') f for a non-integer gamma;
-    D^2 f' = (N'D - N D') f for the exponential).  A base or argument that
-    is not a polynomial or rational function, say the Exp in Power(Exp(...)),
-    is its own series through the requested order over D = 1, so there the
+    D^2 f' = (N'D - N D') f for the exponential).  A base or argument whose
+    leaves are all polynomials and rational functions, under sums, products
+    and scalar multiples, is first folded into one quotient N/D (`_fold`).
+    One with any other leaf, say the Exp in Power(Sum((Poly, Exp(...)))), is
+    its own series through the requested order over D = 1, so there the
     recurrence has full length (K = M),
   * products by Cauchy convolution.
 
@@ -25,15 +27,13 @@ an array of points.
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
 from .errors import BranchError, InputError, PoleAtOriginError
-from .mobius import _ZERO_REL, MoebiusMap
+from .mobius import _ZERO_REL, MoebiusMap, number_from_json, pair_to_json
 
 #: Half-power ratio above which a truncation is flagged as slowly decaying.
 SLOW_DECAY_RATIO = 0.95
@@ -58,10 +58,6 @@ class Poly:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "coeffs", _as_coeff_tuple(self.coeffs))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
 
 
 @dataclass(frozen=True)
@@ -274,13 +270,16 @@ def _taylor(e: AnalyticExpr, M: int) -> np.ndarray:
 
 
 def _num_den(e: AnalyticExpr, M: int) -> tuple:
-    """Numerator and denominator of a rational node; any other node is its
-    own series through z**M over 1."""
-    if isinstance(e, Poly):
-        return e.coeffs, (1 + 0j,)
-    if isinstance(e, Rational):
-        return e.num.coeffs, e.den.coeffs
-    return _taylor(e, M), (1 + 0j,)
+    """Numerator and denominator of e folded into one quotient (`_fold`).  Any
+    other node is its own series through z**M over 1, and so is a fold of
+    several leaves whose denominator vanishes in the closed disk: the pole
+    cancels there, and a recurrence along it would grow rounding errors."""
+    folded = _fold(e)
+    if folded is None or (
+        not isinstance(e, (Poly, Rational)) and np.any(np.abs(_roots(folded[1])) <= 1.0)
+    ):
+        return _taylor(e, M), (1 + 0j,)
+    return folded
 
 
 def _poly_mul(a: np.ndarray, b: np.ndarray, M: int | None = None) -> np.ndarray:
@@ -492,11 +491,13 @@ def _singular(e: AnalyticExpr, radius: float) -> bool:
 
 
 def _fold(e: AnalyticExpr) -> tuple[np.ndarray, np.ndarray] | None:
-    """Numerator and denominator coefficients, highest degree first, of e as
-    one quotient when every leaf is a Poly or a Rational under Scale, Sum and
-    Product; else None."""
-    if isinstance(e, (Poly, Rational)):
-        return tuple(np.asarray(c)[::-1] for c in _num_den(e, 0))
+    """Numerator and denominator coefficients of e as one quotient when every
+    leaf is a Poly or a Rational under Scale, Sum and Product, else None: the
+    one reader of a rational subtree."""
+    if isinstance(e, Poly):
+        return np.asarray(e.coeffs), np.ones(1, dtype=np.complex128)
+    if isinstance(e, Rational):
+        return np.asarray(e.num.coeffs), np.asarray(e.den.coeffs)
     if isinstance(e, Scale):
         e = Product((constant(e.factor), e.inner))
     if not isinstance(e, (Sum, Product)):
@@ -507,7 +508,8 @@ def _fold(e: AnalyticExpr) -> tuple[np.ndarray, np.ndarray] | None:
     num, den = parts[0]
     for n, d in parts[1:]:
         if isinstance(e, Sum):
-            num = np.polyadd(np.convolve(num, d), np.convolve(n, den))
+            short, num = sorted((np.convolve(num, d), np.convolve(n, den)), key=len)
+            num[: len(short)] += short
         else:
             num = np.convolve(num, n)
         den = np.convolve(den, d)
@@ -528,7 +530,8 @@ def _disk_roots(p: np.ndarray, cancel: np.ndarray, radius: float) -> bool:
 
 def _roots(p: np.ndarray) -> np.ndarray:
     """Roots of p but those near infinity from top coefficients below _ZERO_REL."""
-    return np.roots(p[np.flatnonzero(np.abs(p) > _ZERO_REL * np.max(np.abs(p)))[0] :])
+    top = np.flatnonzero(np.abs(p) > _ZERO_REL * np.max(np.abs(p)))[-1]
+    return np.roots(p[top::-1])  # np.roots wants the highest degree first
 
 
 def _substitute_poly(coeffs, m: MoebiusMap, D: int) -> np.ndarray:
@@ -554,13 +557,12 @@ def _substitute_poly(coeffs, m: MoebiusMap, D: int) -> np.ndarray:
 
 
 def _substitute(e: Poly | Rational, m: MoebiusMap) -> Poly | Rational:
-    """The leaf e(m(z)) as a rational function, a polynomial being one over
-    1; a constant stays as it is."""
-    num, den = (e.num, e.den) if isinstance(e, Rational) else (e, constant(1.0))
-    D = max(num.degree, den.degree)
+    """The leaf e(m(z)) as a rational function; a constant stays as it is."""
+    num, den = _fold(e)
+    D = max(len(num), len(den)) - 1
     if D == 0:
         return e
-    return Rational(*(Poly(tuple(_substitute_poly(p.coeffs, m, D))) for p in (num, den)))
+    return Rational(*(Poly(tuple(_substitute_poly(p, m, D))) for p in (num, den)))
 
 
 # -- tail diagnostics ---------------------------------------------------------
@@ -610,40 +612,9 @@ def tail_diagnostics(coeffs: np.ndarray) -> TailDiagnostics:
 # -- serialization ------------------------------------------------------------
 
 
-def _cpx_json(z: complex) -> list[float]:
-    return [z.real, z.imag]
-
-
-def _cpx_from(obj) -> complex:
-    try:
-        z = complex(obj[0], obj[1])
-    except (TypeError, IndexError) as exc:
-        raise InputError(f"complex values must be [re, im] pairs: {exc}")
-    except OverflowError:
-        z = complex(math.inf)
-    if not cmath.isfinite(z):
-        raise InputError(f"complex values must be finite, got {obj!r}")
-    return z
-
-
-def _finite_exponent(x):
-    """x as it is, unless it reads as a number beyond the finite floats;
-    `Power` reports what reads as no number."""
-    if isinstance(x, (int, float, str)):
-        try:
-            finite = math.isfinite(float(x))
-        except ValueError:
-            return x
-        except OverflowError:
-            finite = False
-        if not finite:
-            raise InputError(f"power exponent must be finite, got {x!r}")
-    return x
-
-
 def expr_to_json(e: AnalyticExpr) -> dict:
     if isinstance(e, Poly):
-        return {"type": "poly", "coeffs": [_cpx_json(c) for c in e.coeffs]}
+        return {"type": "poly", "coeffs": [pair_to_json(c) for c in e.coeffs]}
     if isinstance(e, Rational):
         return {"type": "rational", "num": expr_to_json(e.num), "den": expr_to_json(e.den)}
     if isinstance(e, Power):
@@ -655,7 +626,7 @@ def expr_to_json(e: AnalyticExpr) -> dict:
     if isinstance(e, Product):
         return {"type": "product", "factors": [expr_to_json(f) for f in e.factors]}
     if isinstance(e, Scale):
-        return {"type": "scale", "factor": _cpx_json(e.factor), "inner": expr_to_json(e.inner)}
+        return {"type": "scale", "factor": pair_to_json(e.factor), "inner": expr_to_json(e.inner)}
     if isinstance(e, PrecomposeMoebius):
         return {"type": "precompose", "inner": expr_to_json(e.inner), "map": e.map.to_json()}
     raise InputError(f"unknown expression node {type(e).__name__}")
@@ -667,7 +638,7 @@ def expr_from_json(obj: dict) -> AnalyticExpr:
     kind = obj["type"]
     try:
         if kind == "poly":
-            return Poly(tuple(_cpx_from(c) for c in obj["coeffs"]))
+            return Poly(tuple(number_from_json(c, True, "poly coefficient") for c in obj["coeffs"]))
         if kind == "rational":
             num = expr_from_json(obj["num"])
             den = expr_from_json(obj["den"])
@@ -675,7 +646,8 @@ def expr_from_json(obj: dict) -> AnalyticExpr:
                 raise InputError("rational num/den must be polynomials")
             return Rational(num, den)
         if kind == "power":
-            return Power(expr_from_json(obj["base"]), _finite_exponent(obj["exponent"]))
+            base = expr_from_json(obj["base"])
+            return Power(base, number_from_json(obj["exponent"], False, "power exponent"))
         if kind == "exp":
             return Exp(expr_from_json(obj["arg"]))
         if kind == "sum":
@@ -683,7 +655,8 @@ def expr_from_json(obj: dict) -> AnalyticExpr:
         if kind == "product":
             return Product(tuple(expr_from_json(f) for f in obj["factors"]))
         if kind == "scale":
-            return Scale(_cpx_from(obj["factor"]), expr_from_json(obj["inner"]))
+            factor = number_from_json(obj["factor"], True, "scale factor")
+            return Scale(factor, expr_from_json(obj["inner"]))
         if kind == "precompose":
             return PrecomposeMoebius(expr_from_json(obj["inner"]), MoebiusMap.from_json(obj["map"]))
     except KeyError as exc:

@@ -47,6 +47,9 @@ POWER_X_JSON = '{"type":"power","base":{"type":"poly","coeffs":[[1,0]]},"exponen
 NAN_POLY_JSON = '{"type":"poly","coeffs":[[NaN,0]]}'
 NAN_SCALE_JSON = '{"type":"scale","factor":[NaN,0],"inner":{"type":"poly","coeffs":[[1,0]]}}'
 
+#: An integer of 401 digits, beyond the range of a float.
+HUGE_INT = 10**400
+
 
 def _power_json(exponent):
     return '{"type":"power","base":{"type":"poly","coeffs":[[1,0],[0.5,0]]},"exponent":%s}' % exponent
@@ -547,6 +550,21 @@ def test_cli_flag_overrides_config(tmp_path, capsys):
         (["block", "--op", _half_shift_op(NAN_SCALE_JSON), "--order", "8", "--tail", "64"], 2),
         (["block", "--op", _half_shift_op(_power_json("NaN")), "--order", "8", "--tail", "64"], 2),
         (["block", "--op", _half_shift_op(_power_json("1e300")), "--order", "8", "--tail", "64"], 3),
+        # every JSON number goes through one decoder: an integer beyond float
+        # range, a pair of another length or with a string or bool, and an
+        # exponent that is a string are invalid input
+        (["classify", "--map", '{"a":[1,0],"b":[%d,0],"c":[0,0],"d":[2,0]}' % HUGE_INT], 2),
+        (["spectrum", "--config", {"t": HUGE_INT}], 2),
+        (["spectrum", "--config", {"t": [HUGE_INT, 0]}], 2),
+        (["spectrum", "--config", {"t": ["a", 1]}], 2),
+        (["spectrum", "--config", {"t": True}], 2),
+        (["classify", "--map", '{"a":[1,0],"b":[true,0],"c":[0,0],"d":[2,0]}'], 2),
+        (["classify", "--map", '{"a":[1,0,5],"b":[0,0],"c":[-1,0],"d":[2,0]}'], 2),
+        (["block", "--op", _half_shift_op('{"type":"poly","coeffs":[[1,0,5]]}'), "--order", "8"], 2),
+        (["block", "--op", _half_shift_op(_power_json('"2"')), "--order", "8", "--tail", "64"], 2),
+        # a config integer with a fractional part is no integer
+        (["block", "--map", HALF_SHIFT_JSON, "--config", {"order": 8.5}], 2),
+        (["spectrum", "--t", "1", "--config", {"samples": 16.7}], 2),
     ],
 )
 def test_malformed_option_values_are_input_errors(argv, code, tmp_path, capsys):

@@ -20,6 +20,7 @@ from wcolab.series import (
     Rational,
     Scale,
     Sum,
+    _num_den,
     constant,
     eliminate_precompose,
     evaluate,
@@ -321,10 +322,25 @@ def test_rational_recurrences_match_cauchy_integral(m, w, gamma):
     composed = eliminate_precompose(PrecomposeMoebius(kernel, m))
     assert isinstance(composed, Power) and isinstance(composed.base, Rational)
     shifted = Exp(Rational(Poly((gamma * m.b, gamma * m.a)), Poly((m.d, m.c))))
+    # a base and an argument that are a Sum, Product or Scale of leaves are
+    # folded into one quotient, of degree 1 and 2 here, before the recurrence
+    phi_leaf = Rational(Poly((m.b, m.a)), Poly((m.d, m.c)))
+    base = Sum((Poly((1,)), Product((Poly((-wc,)), phi_leaf))))
+    arg = Sum((Scale(gamma, phi_leaf), Poly((0, 0.3))))
+    for inner, degree in ((base, 1), (arg, 2)):
+        num, den = _num_den(inner, 40)
+        assert (len(num), len(den)) == (degree + 1, 2)
+    # a pole that cancels across leaves inside the disk stays in the fold,
+    # so that base is its own series: no recurrence runs along the pole 1/2
+    half = Rational(Poly((1,)), Poly((1, -2)))
+    cancelled = Sum((half, Scale(-1, half), Poly((1, -wc))))
     cases = (
         (kernel, lambda z: (1 - wc * z) ** -gamma),
         (composed, lambda z: (1 - wc * phi(z)) ** -gamma),
         (shifted, lambda z: cmath.exp(gamma * phi(z))),
+        (Power(base, -gamma), lambda z: (1 - wc * phi(z)) ** -gamma),
+        (Exp(arg), lambda z: cmath.exp(gamma * phi(z) + 0.3 * z)),
+        (Power(cancelled, -gamma), lambda z: (1 - wc * z) ** -gamma),
     )
     for expr, fn in cases:
         assert_series_close(taylor(expr, 40).coeffs, dft_coeffs(fn, 40), 1e-9)
