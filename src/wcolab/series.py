@@ -3,21 +3,20 @@
 Expressions are built from polynomials, rational functions, principal-branch
 powers, exponentials, sums, products, scalar multiples, and precomposition
 with a linear fractional map.  `taylor` turns an expression into coefficients
-to a requested order.  It first eliminates every precomposition: a linear
-fractional substitution turns polynomial and rational leaves into new
-rational leaves and pushes through every other node, so no numerical
-composition is ever performed.  Then:
+to a requested order.  It first brings it to its rational normal form
+(`eliminate_precompose`): a linear fractional substitution turns polynomial
+and rational leaves into new rational leaves and pushes through every other
+node, so no numerical composition is ever performed, and each rational part
+(a Poly or Rational leaf, an integer Power of one, or a Scale, Sum or
+Product of them) becomes one leaf N/D with no root shared.  Then:
 
-  * a rational function N/D, and every Power or Exp, by a short recurrence
-    whose length depends only on deg(N), deg(D) and, for an integer power,
-    the exponent (`rational_series`: D f = N, also for (N/D)^k = N^k / D^k;
-    N D f' = gamma (N'D - N D') f for a non-integer gamma;
-    D^2 f' = (N'D - N D') f for the exponential).  A base or argument whose
-    leaves are all polynomials and rational functions, under sums, products
-    and scalar multiples, is first folded into one quotient N/D (`_fold`).
-    One with any other leaf, say the Exp in Power(Sum((Poly, Exp(...)))), is
-    its own series through the requested order over D = 1, so there the
-    recurrence has full length (K = M),
+  * a rational leaf N/D, and every Power or Exp, by a short recurrence
+    whose length depends only on deg(N) and deg(D) (`rational_series`:
+    D f = N; N D f' = gamma (N'D - N D') f for a non-integer gamma;
+    D^2 f' = (N'D - N D') f for the exponential).  A base or argument that
+    is no leaf, say the Sum in Power(Sum((Poly, Exp(...)))), is its own
+    series through the requested order over D = 1, so there the recurrence
+    has full length (K = M),
   * products by Cauchy convolution.
 
 All constant-term constraints (nonzero denominators and power bases, branch
@@ -28,6 +27,7 @@ an array of points.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Union
 
 import numpy as np
@@ -45,11 +45,6 @@ TAIL_MIN_ORDER = 16
 _ROOT_MATCH_TOL = 1e-6  # np.roots finds a double root to about 1e-8
 
 
-def _as_coeff_tuple(coeffs) -> tuple[complex, ...]:
-    out = tuple(complex(c) for c in coeffs)
-    return out if out else (0j,)
-
-
 @dataclass(frozen=True)
 class Poly:
     """Polynomial sum(coeffs[k] * z**k)."""
@@ -57,7 +52,7 @@ class Poly:
     coeffs: tuple[complex, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", _as_coeff_tuple(self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs) or (0j,))
 
 
 @dataclass(frozen=True)
@@ -68,12 +63,11 @@ class Rational:
     den: Poly
 
     def __post_init__(self) -> None:
-        num = self.num if isinstance(self.num, Poly) else Poly(self.num)
-        den = self.den if isinstance(self.den, Poly) else Poly(self.den)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-        scale = max(abs(c) for c in den.coeffs)
-        if scale == 0.0 or abs(den.coeffs[0]) <= _ZERO_REL * scale:
+        for name in ("num", "den"):
+            p = getattr(self, name)
+            object.__setattr__(self, name, p if isinstance(p, Poly) else Poly(p))
+        scale = max(abs(c) for c in self.den.coeffs)
+        if scale == 0.0 or abs(self.den.coeffs[0]) <= _ZERO_REL * scale:
             raise InputError("rational denominator vanishes at the expansion point 0")
 
 
@@ -203,10 +197,7 @@ def _evaluate(e: AnalyticExpr, z: np.ndarray) -> np.ndarray:
     if isinstance(e, Sum):
         return sum(_evaluate(t, z) for t in e.terms)
     if isinstance(e, Product):
-        acc = 1 + 0j
-        for f in e.factors:
-            acc = acc * _evaluate(f, z)
-        return acc
+        return reduce(lambda a, b: a * b, (_evaluate(f, z) for f in e.factors), 1 + 0j)
     if isinstance(e, Scale):
         return e.factor * _evaluate(e.inner, z)
     if isinstance(e, PrecomposeMoebius):
@@ -244,8 +235,7 @@ def taylor(e: AnalyticExpr, order: int) -> PowerSeries:
 def _taylor(e: AnalyticExpr, M: int) -> np.ndarray:
     if isinstance(e, Poly):
         out = np.zeros(M + 1, dtype=np.complex128)
-        take = min(M + 1, len(e.coeffs))
-        out[:take] = e.coeffs[:take]
+        out[: len(e.coeffs)] = e.coeffs[: M + 1]
         return out
     if isinstance(e, Rational):
         return rational_series("quotient", e.num.coeffs, e.den.coeffs, M)
@@ -254,32 +244,26 @@ def _taylor(e: AnalyticExpr, M: int) -> np.ndarray:
     if isinstance(e, Exp):
         return rational_series("exp", *_num_den(e.arg, M), M)
     if isinstance(e, Sum):
-        out = np.zeros(M + 1, dtype=np.complex128)
-        for t in e.terms:
-            out += _taylor(t, M)
-        return out
+        return sum(_taylor(t, M) for t in e.terms)
     if isinstance(e, Product):
-        acc = None
-        for f in e.factors:
-            part = _taylor(f, M)
-            acc = part if acc is None else np.convolve(acc, part)[: M + 1]
-        return acc
+        return reduce(lambda a, b: np.convolve(a, b)[: M + 1], (_taylor(f, M) for f in e.factors))
     if isinstance(e, Scale):
         return e.factor * _taylor(e.inner, M)
     raise InputError(f"unknown expression node {type(e).__name__}")
 
 
 def _num_den(e: AnalyticExpr, M: int) -> tuple:
-    """Numerator and denominator of e folded into one quotient (`_fold`).  Any
-    other node is its own series through z**M over 1, and so is a fold of
-    several leaves whose denominator vanishes in the closed disk: the pole
-    cancels there, and a recurrence along it would grow rounding errors."""
-    folded = _fold(e)
-    if folded is None or (
-        not isinstance(e, (Poly, Rational)) and np.any(np.abs(_roots(folded[1])) <= 1.0)
-    ):
-        return _taylor(e, M), (1 + 0j,)
-    return folded
+    """Numerator and denominator of a leaf; another node is its series over 1."""
+    return _quotient(e) or (_taylor(e, M), (1 + 0j,))
+
+
+def _quotient(e: AnalyticExpr) -> tuple[np.ndarray, np.ndarray] | None:
+    """Coefficients of the numerator and denominator of a leaf, else None."""
+    if isinstance(e, Poly):
+        return np.asarray(e.coeffs), np.ones(1, dtype=np.complex128)
+    if isinstance(e, Rational):
+        return np.asarray(e.num.coeffs), np.asarray(e.den.coeffs)
+    return None
 
 
 def _poly_mul(a: np.ndarray, b: np.ndarray, M: int | None = None) -> np.ndarray:
@@ -297,11 +281,11 @@ def _poly_mul(a: np.ndarray, b: np.ndarray, M: int | None = None) -> np.ndarray:
     return out
 
 
-def _poly_pow(a: np.ndarray, k: int, M: int) -> np.ndarray:
-    """a**k for polynomials along axis 0, truncated after z**M."""
+def _poly_pow(a: np.ndarray, k: int, M: int | None = None) -> np.ndarray:
+    """a**k for polynomials along axis 0, through z**M when M is given."""
     out = np.ones((1, a.shape[1]), dtype=np.complex128)
     for _ in range(k):
-        out = _poly_mul(out, a, M)
+        out = _poly_mul(a, out, M)
     return out
 
 
@@ -347,14 +331,11 @@ def rational_series(kind: str, num, den, M: int, exponent: float = 1.0) -> np.nd
     true series' decay as well.  The Python loop runs M times whatever the
     batch length.
     """
-    num = np.asarray(num, dtype=np.complex128)
-    den = np.asarray(den, dtype=np.complex128)
+    num, den = (np.asarray(p, dtype=np.complex128) for p in (num, den))
     batched = num.ndim == 2 or den.ndim == 2
-    num = num.reshape(len(num), -1)
-    den = den.reshape(len(den), -1)
+    num, den = (p.reshape(len(p), -1) for p in (num, den))
     G = max(num.shape[1], den.shape[1])
-    num = np.broadcast_to(num, (len(num), G))
-    den = np.broadcast_to(den, (len(den), G))
+    num, den = (np.broadcast_to(p, (len(p), G)) for p in (num, den))
     if np.any(den[0] == 0.0):
         raise InputError("rational denominator vanishes at the expansion point 0")
     if kind == "power":
@@ -369,8 +350,7 @@ def rational_series(kind: str, num, den, M: int, exponent: float = 1.0) -> np.nd
     rhs = np.zeros((M + 1, G), dtype=np.complex128)
     if kind == "quotient":
         f0 = num[0] / den[0]
-        take = min(M + 1, len(num))
-        rhs[:take] = num[:take]
+        rhs[: len(num)] = num[: M + 1]
         K = len(den) - 1
         rev = np.broadcast_to(-den[1:], (M, K, G))[:, ::-1]
         lead_n = np.broadcast_to(den[0], (M, G))
@@ -421,9 +401,7 @@ def _power_constant(b0: np.ndarray, gamma: float) -> np.ndarray:
     if float(gamma).is_integer():
         return b0 ** int(gamma)
     if ((b0.real < 0.0) & (np.abs(b0.imag) <= _ZERO_REL * np.abs(b0))).any():
-        raise BranchError(
-            "non-integer power of a base whose constant term lies on the branch cut"
-        )
+        raise BranchError("non-integer power of a base whose constant term lies on the branch cut")
     return np.exp(gamma * np.log(b0))
 
 
@@ -431,107 +409,126 @@ def _power_constant(b0: np.ndarray, gamma: float) -> np.ndarray:
 
 
 def eliminate_precompose(e: AnalyticExpr) -> AnalyticExpr:
-    """Equivalent expression with every PrecomposeMoebius node removed.
+    """Rational normal form of e: an equivalent expression with no
+    PrecomposeMoebius node, and each rational part (a Poly or Rational leaf,
+    an integer Power of one, or a Scale, Sum or Product of them) one leaf
+    whose numerator and denominator share no root (`_normalize`).
 
     A linear fractional substitution z -> (az+b)/(cz+d) sends a polynomial of
     degree D to sum(p_k P^k Q^(D-k)) / Q^D with P = b + a z, Q = d + c z, and
     a rational function to a quotient of two such sums; all other nodes
-    commute with substitution.
-    """
+    commute with substitution."""
     return _eliminate(e, ())
 
 
 def _eliminate(e: AnalyticExpr, maps: tuple[MoebiusMap, ...]) -> AnalyticExpr:
-    """One walk down the tree carrying the substitutions pending on e,
-    innermost first; they are made at the polynomial and rational leaves."""
+    """One walk down the tree carrying the substitutions pending on e, innermost
+    first, made at the leaves; each node is normalized once its parts are."""
     if isinstance(e, PrecomposeMoebius):
         return _eliminate(e.inner, (e.map,) + maps)
+    if isinstance(e, Exp):
+        return Exp(_eliminate(e.arg, maps))
     if isinstance(e, (Poly, Rational)):
         for m in maps:
             e = _substitute(e, m)
+    elif isinstance(e, (Sum, Product)):
+        e = type(e)(tuple(_eliminate(x, maps) for x in _parts(e)))
+    elif isinstance(e, Power):
+        e = Power(_eliminate(e.base, maps), e.exponent)
+    elif isinstance(e, Scale):
+        e = Scale(e.factor, _eliminate(e.inner, maps))
+    else:
+        raise InputError(f"unknown expression node {type(e).__name__}")
+    return _normalize(e)
+
+
+_PART_FIELDS = {Power: "base", Exp: "arg", Sum: "terms", Product: "factors", Scale: "inner"}
+
+
+def _parts(e: AnalyticExpr) -> tuple:
+    """The subexpressions of a node, none for a leaf."""
+    part = getattr(e, _PART_FIELDS.get(type(e), ""), ())
+    return part if isinstance(part, tuple) else (part,)
+
+
+def _normalize(e: AnalyticExpr) -> AnalyticExpr:
+    """e as one leaf when it is a leaf, an integer Power of one, or a Scale,
+    Sum or Product of leaves, else e.  Top coefficients below _ZERO_REL of the
+    largest are dropped, and roots shared by numerator and denominator to
+    _ROOT_MATCH_TOL cancel, with multiplicity; a zero numerator cancels every
+    pole.  A leaf with no shared root is returned as it is, series and all."""
+    if isinstance(e, Poly):
         return e
+    quotients = [_quotient(x) for x in _parts(e) or (e,)]
+    if None in quotients or (isinstance(e, Power) and not e.exponent.is_integer()):
+        return e
+    # columns, the layout of `_poly_mul`
+    (num, den), *rest = [(n[:, None], d[:, None]) for n, d in quotients]
     if isinstance(e, Power):
-        return Power(_eliminate(e.base, maps), e.exponent)
-    if isinstance(e, Exp):
-        return Exp(_eliminate(e.arg, maps))
-    if isinstance(e, Sum):
-        return Sum(tuple(_eliminate(t, maps) for t in e.terms))
-    if isinstance(e, Product):
-        return Product(tuple(_eliminate(f, maps) for f in e.factors))
-    if isinstance(e, Scale):
-        return Scale(e.factor, _eliminate(e.inner, maps))
-    raise InputError(f"unknown expression node {type(e).__name__}")
+        k = int(e.exponent)
+        num, den = (_poly_pow(p, abs(k)) for p in ((num, den) if k >= 0 else (den, num)))
+    elif isinstance(e, Scale):
+        num = e.factor * num
+    for n, d in rest:
+        if isinstance(e, Sum):
+            short, num = sorted((_poly_mul(num, d), _poly_mul(n, den)), key=len)
+            num[: len(short)] += short
+        else:
+            num = _poly_mul(num, n)
+        den = _poly_mul(den, d)
+    num, den = num[:, 0], _trim(den[:, 0])
+    if not np.any(num):
+        return constant(0.0)
+    num = _trim(num)
+    roots = _roots(num) if min(len(num), len(den)) > 1 else ()
+    left, kept = list(_roots(den)) if len(roots) else [], []
+    for r in roots:
+        near = [i for i, q in enumerate(left) if abs(q - r) <= _ROOT_MATCH_TOL * max(1.0, abs(r))]
+        if near:
+            left.pop(near[0])
+        else:
+            kept.append(r)
+    if len(kept) < len(roots):  # rebuild both from the roots left
+        num, den = (p[-1] * np.atleast_1d(np.poly(r))[::-1] for p, r in ((num, kept), (den, left)))
+    elif isinstance(e, (Poly, Rational)):
+        return e
+    if len(den) == 1:
+        return Poly(tuple(num / den[0]))
+    return Rational(Poly(tuple(num)), Poly(tuple(den)))
 
 
 def has_disk_singularity(e: AnalyticExpr, radius: float) -> bool:
-    """True when e, its precompositions eliminated, has a rational part with
-    an uncancelled pole in |z| <= radius, or a Power, with exponent not a
-    nonnegative integer, of a rational base with an uncancelled zero there.
-    A rational part is a subtree of Poly and Rational leaves under Scale, Sum
-    and Product, taken as one quotient, so a pole may cancel across leaves.
-    Other nodes are only walked through, so False proves nothing."""
+    """True when the normal form of e has a leaf with a pole in |z| <= radius,
+    or a Power of a leaf (its exponent no integer) whose numerator has a root
+    there.  Leaves of the normal form are reduced, so a pole may cancel across
+    leaves.  Other nodes are only walked through, so False proves nothing."""
     return _singular(_eliminate(e, ()), radius)
 
 
 def _singular(e: AnalyticExpr, radius: float) -> bool:
-    folded = _fold(e)
-    if folded is not None:  # a zero numerator cancels every pole
-        return bool(np.any(folded[0])) and _disk_roots(folded[1], folded[0], radius)
-    if isinstance(e, Power):
-        natural = e.exponent >= 0 and e.exponent.is_integer()
-        base = _fold(e.base)
-        if not natural and base is not None and _disk_roots(*base, radius):
-            return True
-        return _singular(e.base, radius)
-    if isinstance(e, (Exp, Scale)):
-        return _singular(e.arg if isinstance(e, Exp) else e.inner, radius)
-    if isinstance(e, (Sum, Product)):
-        return any(_singular(x, radius) for x in (e.terms if isinstance(e, Sum) else e.factors))
-    return False
+    leaf = _quotient(e)
+    base = _quotient(e.base) if isinstance(e, Power) else None
+    if leaf is None and base is None:
+        return any(_singular(x, radius) for x in _parts(e))
+    # a root of a leaf's denominator is a pole, of a base a pole or branch point
+    return any(np.any(np.abs(_roots(p)) <= radius) for p in (base or leaf[1:]))
 
 
-def _fold(e: AnalyticExpr) -> tuple[np.ndarray, np.ndarray] | None:
-    """Numerator and denominator coefficients of e as one quotient when every
-    leaf is a Poly or a Rational under Scale, Sum and Product, else None: the
-    one reader of a rational subtree."""
-    if isinstance(e, Poly):
-        return np.asarray(e.coeffs), np.ones(1, dtype=np.complex128)
-    if isinstance(e, Rational):
-        return np.asarray(e.num.coeffs), np.asarray(e.den.coeffs)
-    if isinstance(e, Scale):
-        e = Product((constant(e.factor), e.inner))
-    if not isinstance(e, (Sum, Product)):
-        return None
-    parts = [_fold(x) for x in (e.terms if isinstance(e, Sum) else e.factors)]
-    if any(p is None for p in parts):
-        return None
-    num, den = parts[0]
-    for n, d in parts[1:]:
-        if isinstance(e, Sum):
-            short, num = sorted((np.convolve(num, d), np.convolve(n, den)), key=len)
-            num[: len(short)] += short
-        else:
-            num = np.convolve(num, n)
-        den = np.convolve(den, d)
-    return num, den
-
-
-def _disk_roots(p: np.ndarray, cancel: np.ndarray, radius: float) -> bool:
-    """True when the polynomial p has a root in |z| <= radius that no root of
-    `cancel` matches to _ROOT_MATCH_TOL, roots counted with multiplicity."""
-    left, roots = list(_roots(cancel)), _roots(p)
-    for r in roots[np.abs(roots) <= radius]:
-        near = [k for k, q in enumerate(left) if abs(q - r) <= _ROOT_MATCH_TOL * max(1.0, abs(r))]
-        if not near:
-            return True
-        left.pop(near[0])
-    return False
+def _trim(p: np.ndarray) -> np.ndarray:
+    """p without its top coefficients below _ZERO_REL of the largest."""
+    return p[: np.flatnonzero(np.abs(p) > _ZERO_REL * np.abs(p).max())[-1] + 1]
 
 
 def _roots(p: np.ndarray) -> np.ndarray:
-    """Roots of p but those near infinity from top coefficients below _ZERO_REL."""
-    top = np.flatnonzero(np.abs(p) > _ZERO_REL * np.max(np.abs(p)))[-1]
-    return np.roots(p[top::-1])  # np.roots wants the highest degree first
+    """Roots of p but those near infinity from top coefficients below _ZERO_REL;
+    each is the mean of those within _ROOT_MATCH_TOL of it, since np.roots
+    spreads a double root over a cluster about 1e-8 wide, whose mean is accurate."""
+    p = _trim(p)
+    if len(p) <= 2:  # one division, where np.roots takes some 20 us
+        return -p[:-1] / p[-1]
+    r = np.roots(p[::-1])  # np.roots wants the highest degree first
+    near = np.abs(r[:, None] - r) <= _ROOT_MATCH_TOL * np.maximum(1.0, np.abs(r))[:, None]
+    return near @ r / near.sum(axis=1)
 
 
 def _substitute_poly(coeffs, m: MoebiusMap, D: int) -> np.ndarray:
@@ -543,10 +540,8 @@ def _substitute_poly(coeffs, m: MoebiusMap, D: int) -> np.ndarray:
     """
     c = np.asarray(coeffs, dtype=np.complex128)
     x = c.reshape(len(c), -1)
-    P = np.array([m.b, m.a], dtype=np.complex128)
-    Q = np.array([m.d, m.c], dtype=np.complex128)
-    Ppow = [np.array([1.0 + 0j])]
-    Qpow = [np.array([1.0 + 0j])]
+    P, Q = (np.array(pair, dtype=np.complex128) for pair in ((m.b, m.a), (m.d, m.c)))
+    Ppow, Qpow = [np.array([1.0 + 0j])], [np.array([1.0 + 0j])]
     for _ in range(D):
         Ppow.append(np.convolve(Ppow[-1], P))
         Qpow.append(np.convolve(Qpow[-1], Q))
@@ -558,7 +553,7 @@ def _substitute_poly(coeffs, m: MoebiusMap, D: int) -> np.ndarray:
 
 def _substitute(e: Poly | Rational, m: MoebiusMap) -> Poly | Rational:
     """The leaf e(m(z)) as a rational function; a constant stays as it is."""
-    num, den = _fold(e)
+    num, den = _quotient(e)
     D = max(len(num), len(den)) - 1
     if D == 0:
         return e
@@ -638,10 +633,10 @@ def expr_from_json(obj: dict) -> AnalyticExpr:
     kind = obj["type"]
     try:
         if kind == "poly":
-            return Poly(tuple(number_from_json(c, True, "poly coefficient") for c in obj["coeffs"]))
+            coeffs = _json_list(obj, "coeffs")
+            return Poly(tuple(number_from_json(c, True, "poly coefficient") for c in coeffs))
         if kind == "rational":
-            num = expr_from_json(obj["num"])
-            den = expr_from_json(obj["den"])
+            num, den = (expr_from_json(obj[k]) for k in ("num", "den"))
             if not isinstance(num, Poly) or not isinstance(den, Poly):
                 raise InputError("rational num/den must be polynomials")
             return Rational(num, den)
@@ -651,9 +646,9 @@ def expr_from_json(obj: dict) -> AnalyticExpr:
         if kind == "exp":
             return Exp(expr_from_json(obj["arg"]))
         if kind == "sum":
-            return Sum(tuple(expr_from_json(t) for t in obj["terms"]))
+            return Sum(tuple(expr_from_json(t) for t in _json_list(obj, "terms")))
         if kind == "product":
-            return Product(tuple(expr_from_json(f) for f in obj["factors"]))
+            return Product(tuple(expr_from_json(f) for f in _json_list(obj, "factors")))
         if kind == "scale":
             factor = number_from_json(obj["factor"], True, "scale factor")
             return Scale(factor, expr_from_json(obj["inner"]))
@@ -663,3 +658,8 @@ def expr_from_json(obj: dict) -> AnalyticExpr:
         raise InputError(f"expression JSON missing key {exc}")
     raise InputError(f"unknown expression type {kind!r}")
 
+
+def _json_list(obj: dict, key: str) -> list:
+    if not isinstance(obj[key], list):
+        raise InputError(f"expression JSON {key!r} must be a list")
+    return obj[key]

@@ -565,6 +565,11 @@ def test_cli_flag_overrides_config(tmp_path, capsys):
         # a config integer with a fractional part is no integer
         (["block", "--map", HALF_SHIFT_JSON, "--config", {"order": 8.5}], 2),
         (["spectrum", "--t", "1", "--config", {"samples": 16.7}], 2),
+        # an expression's list of coefficients, terms or factors must be a list
+        (["block", "--weight", '{"type":"poly","coeffs":5}', "--order", "8"], 2),
+        (["block", "--weight", '{"type":"poly","coeffs":true}', "--order", "8"], 2),
+        (["block", "--weight", '{"type":"sum","terms":5}', "--order", "8"], 2),
+        (["block", "--weight", '{"type":"product","factors":null}', "--order", "8"], 2),
     ],
 )
 def test_malformed_option_values_are_input_errors(argv, code, tmp_path, capsys):

@@ -39,6 +39,7 @@ from wcolab.opmat import (
 from wcolab.probes import (
     defect_report,
     douglas_witness,
+    hyponormality_probe,
     quasinormality_defect,
     selfadjoint_defect,
 )
@@ -678,12 +679,20 @@ def test_weights_with_a_singularity_in_the_disk_are_rejected_exactly(weight):
             Product((Rational(Poly((2, -1)), Poly((1, -2))), Rational(Poly((1, -2)), Poly((3, -1))))),
             Rational(Poly((2, -1)), Poly((3, -1))),
         ),
+        # one leaf: (2 - z)(1 - 2z) / ((1 - 2z)(3 - z))
+        (Rational(Poly((2, -5, 2)), Poly((3, -7, 2))), Rational(Poly((2, -1)), Poly((3, -1)))),
     ),
 )
 def test_poles_that_cancel_across_leaves_are_accepted(weight, equal):
-    got = build_block(toeplitz(weight), hardy(), 6, 12).entries
-    want = build_block(toeplitz(equal), hardy(), 6, 12).entries
-    assert np.max(np.abs(got - want)) <= 1e-12
+    # also at the CLI's default orders, where a series run along the
+    # cancelled pole 1/2 would have grown by 2^160
+    for N, M in ((6, 12), (16, 160)):
+        got = build_block(toeplitz(weight), hardy(), N, M).entries
+        want = build_block(toeplitz(equal), hardy(), N, M).entries
+        assert np.max(np.abs(got - want)) <= 1e-12
+    assert np.max(np.abs(taylor(weight, 64).coeffs - taylor(equal, 64).coeffs)) <= 1e-14
+    # an analytic Toeplitz operator is hyponormal
+    assert hyponormality_probe(toeplitz(weight), hardy(), 16).min_eig >= -1e-12
 
 
 def test_cancelled_poles_and_integer_powers_are_accepted():

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from wcolab.errors import BranchError, InputError, PoleAtOriginError
 from wcolab.mobius import MoebiusMap
-from wcolab.opmat import build_block, composition
+from wcolab.opmat import build_block, composition, cowen_adjoint_word
+from wcolab.scenarios import THREE_POINT, THREE_SPACES, s6_weight, s10_weights, s11_operator
 from wcolab.series import (
     Exp,
     Poly,
@@ -30,7 +31,7 @@ from wcolab.series import (
     tail_diagnostics,
     taylor,
 )
-from wcolab.space import bergman, hardy
+from wcolab.space import bergman, hardy, kernel_expr
 
 HALF_SHIFT = MoebiusMap(1, 0, -1, 2)  # z/(2-z)
 
@@ -186,6 +187,77 @@ def test_eliminate_precompose_nested():
     assert_series_close(s.coeffs, dft_coeffs(direct, 25), 1e-10)
 
 
+def test_normal_form_makes_each_rational_weight_one_leaf():
+    for sp in THREE_SPACES:
+        # S4's and S10's psi-kernel is K_0, the constant 1
+        assert eliminate_precompose(kernel_expr(sp, 0.0)) == constant(1.0)
+        g, _, h = (letter.op.weight for letter in cowen_adjoint_word(THREE_POINT, sp))
+        weights = [s6_weight(sp), g, h, *(w for _, w in s10_weights(sp))]
+        weights += [s11_operator(sp, t)[0].weight for t in (1.0, 2.0)]
+        for w in weights:
+            assert isinstance(eliminate_precompose(w), (Poly, Rational))
+    # a leaf with nothing to cancel comes back as it is, so its series is unchanged
+    leaf = Rational(Poly((2,)), Poly((2, -1)))
+    assert eliminate_precompose(leaf) is leaf
+    # a non-integer power stays a Power, of a reduced leaf
+    base = Product((Poly((1, -2)), Rational(Poly((3, 1)), Poly((1, -2)))))
+    flat = eliminate_precompose(Power(base, 0.5))
+    assert isinstance(flat, Power) and isinstance(flat.base, Poly)
+    np.testing.assert_allclose(flat.base.coeffs, (3, 1), rtol=1e-14, atol=0)
+
+
+def _factors(draw, count):
+    """Product of `count` factors (1 - z / rho), with rho on a grid in
+    0.5 <= |rho| <= 3, so two roots are equal or far apart: the normal form
+    takes roots closer than _ROOT_MATCH_TOL as one."""
+    out = np.ones(1, dtype=complex)
+    for _ in range(count):
+        r = draw(st.sampled_from((0.5, 0.8, 1.5, 3.0)))
+        rho = cmath.rect(r, draw(st.integers(0, 7)) * math.pi / 4)
+        out = np.convolve(out, [1.0, -1.0 / rho])
+    return out
+
+
+@st.composite
+def rational_parts(draw, depth=2):
+    """A rational part whose factors have their roots in 0.5 <= |z| <= 3; each
+    leaf and each Product may hold a factor shared by a numerator and a
+    denominator, which the normal form cancels."""
+    shared = _factors(draw, draw(st.integers(0, 1)))
+    if depth == 0 or draw(st.booleans()):
+        c = draw(st.complex_numbers(min_magnitude=0.5, max_magnitude=2.0))
+        num, den = (np.convolve(_factors(draw, draw(st.integers(0, 2))), shared) for _ in "nd")
+        return Rational(Poly(c * num), Poly(den))
+    kind = draw(st.sampled_from(("sum", "product", "scale", "power")))
+    parts = [draw(rational_parts(depth - 1)) for _ in range(draw(st.integers(2, 3)))]
+    if kind == "sum":
+        return Sum(tuple(parts))
+    if kind == "product":
+        cancelling = (Rational(Poly(shared), Poly((1,))), Rational(Poly((2,)), Poly(shared)))
+        return Product((*parts, *cancelling))
+    if kind == "scale":
+        return Scale(draw(st.complex_numbers(min_magnitude=0.5, max_magnitude=2.0)), parts[0])
+    # a negative power only of a leaf, which has no root in |z| < 0.5; a sum
+    # may vanish at 0, where no power is taken
+    k = draw(st.integers(-2, 3))
+    base = parts[0] if k >= 0 and evaluate(parts[0], 0.0) != 0 else draw(rational_parts(0))
+    return Power(base, float(k))
+
+
+@settings(max_examples=60, deadline=None)
+@given(e=rational_parts())
+def test_normal_form_is_one_reduced_leaf_of_the_same_function(e):
+    flat = eliminate_precompose(e)
+    assert isinstance(flat, (Poly, Rational))
+    zs = 0.3 * np.exp(2j * np.pi * np.arange(16) / 16)
+    want = evaluate(e, zs)
+    # a sum may cancel to rounding, so the error is not relative to |want| alone
+    assert np.max(np.abs(evaluate(flat, zs) - want)) <= 1e-9 * max(1.0, np.max(np.abs(want)))
+    if isinstance(flat, Rational):
+        rn, rd = (np.roots(p.coeffs[::-1]) for p in (flat.num, flat.den))
+        assert all(np.min(np.abs(rd - r), initial=np.inf) > 1e-6 * max(1.0, abs(r)) for r in rn)
+
+
 def test_taylor_handles_precompose_directly():
     e = PrecomposeMoebius(Power(Poly((1, -0.5)), -1.0), HALF_SHIFT)
     s = taylor(e, 25)
@@ -320,18 +392,25 @@ def test_rational_recurrences_match_cauchy_integral(m, w, gamma):
     wc = w.conjugate()
     kernel = Power(Poly((1, -wc)), -gamma)
     composed = eliminate_precompose(PrecomposeMoebius(kernel, m))
-    assert isinstance(composed, Power) and isinstance(composed.base, Rational)
+    # the composed kernel is one leaf for an integer gamma, else a Power of one
+    if gamma.is_integer():
+        assert isinstance(composed, (Poly, Rational))
+    else:
+        assert isinstance(composed, Power) and isinstance(composed.base, (Poly, Rational))
     shifted = Exp(Rational(Poly((gamma * m.b, gamma * m.a)), Poly((m.d, m.c))))
-    # a base and an argument that are a Sum, Product or Scale of leaves are
-    # folded into one quotient, of degree 1 and 2 here, before the recurrence
+    # a base and an argument that are a Sum, Product or Scale of leaves
+    # normalize to one quotient, of degree at most 1 and 2 here, before the
+    # recurrence; at w = 0 the base is the constant 1
     phi_leaf = Rational(Poly((m.b, m.a)), Poly((m.d, m.c)))
     base = Sum((Poly((1,)), Product((Poly((-wc,)), phi_leaf))))
     arg = Sum((Scale(gamma, phi_leaf), Poly((0, 0.3))))
     for inner, degree in ((base, 1), (arg, 2)):
-        num, den = _num_den(inner, 40)
-        assert (len(num), len(den)) == (degree + 1, 2)
-    # a pole that cancels across leaves inside the disk stays in the fold,
-    # so that base is its own series: no recurrence runs along the pole 1/2
+        num, den = _num_den(eliminate_precompose(inner), 40)
+        assert len(num) <= degree + 1 and len(den) <= 2
+    if w == 0:
+        assert eliminate_precompose(base) == constant(1.0)
+    # a pole that cancels across leaves inside the disk cancels in the normal
+    # form, so no recurrence runs along the pole 1/2
     half = Rational(Poly((1,)), Poly((1, -2)))
     cancelled = Sum((half, Scale(-1, half), Poly((1, -wc))))
     cases = (

@@ -8,8 +8,9 @@ The calls are:
   2/0 3/1): the 256 requests `wcbench/workloads.cli_requests` draws for
   pass p of seed s, each run in process.  Its exit code, stdout, stderr and
   JSON file get one line each;
-* `wcolab scenario run --all --json`, whose exit code, stdout without the
-  timings and JSON without any "runtime_s" line get one line each.
+* `wcolab scenario run --all --json`, and the same with `--order-scale 2`,
+  whose exit code, stdout without the timings and JSON without any
+  "runtime_s" line get one line each.
 
 BLAS runs on one thread, as in the benchmark, and every call runs in one
 scratch directory, so no path in an output differs between runs.
@@ -74,25 +75,25 @@ def request_lines(seed: str, limit: int | None):
         yield from lines(f"{seed} {i:03d} {cmd}", *call(argv))
 
 
-def scenario_lines():
-    code, stdout, stderr, written = call(["scenario", "run", "--all", "--json", OUT])
+def scenario_lines(flags: list[str]):
+    code, stdout, stderr, written = call(["scenario", "run", "--all", *flags, "--json", OUT])
     stdout = TIMING.sub("", stdout)
     written = None if written is None else RUNTIME.sub("", written.decode()).encode()
-    yield from lines("scenario --all", code, stdout, stderr, written)
+    yield from lines(" ".join(["scenario --all", *flags]), code, stdout, stderr, written)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("seeds", nargs="*", default=DEFAULT_SEEDS, help="seeds s/p")
     parser.add_argument("--limit", type=int, help="first requests of each seed only")
-    parser.add_argument("--no-scenarios", action="store_true", help="skip the scenario suite")
+    parser.add_argument("--no-scenarios", action="store_true", help="skip both scenario runs")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as scratch, contextlib.chdir(scratch):
         for seed in args.seeds:
             for line in request_lines(seed, args.limit):
                 print(line)
-        if not args.no_scenarios:
-            for line in scenario_lines():
+        for flags in () if args.no_scenarios else ([], ["--order-scale", "2"]):
+            for line in scenario_lines(flags):
                 print(line)
     return 0
 
