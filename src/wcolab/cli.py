@@ -15,9 +15,10 @@ Numeric output is printed with 12 significant digits.  Map, operator, and
 expression JSON schemas are the ones produced by the corresponding
 ``to_json`` methods, so every emitted JSON document re-parses; a value
 that is not finite is written as null, never as NaN or Infinity.  Every
-other record, complex number and array becomes JSON in `_write_json` alone,
-whose encoder `_encode` writes the bytes of `json.dumps(indent=2,
-sort_keys=True, allow_nan=False)` and writes a float array in one pass.
+other record, complex number and array becomes JSON in `_write_json` alone:
+one line from json's C encoder, keys sorted, each float as its repr, so it
+reads back bit for bit (`python -m json.tool` indents it).  A file that
+cannot be read or written is invalid input.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import dataclasses
 import json
 import math
 import sys
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -82,7 +82,7 @@ def _load_json_arg(text: str, what: str):
                 return json.load(fh)
         except OSError as exc:
             raise InputError(f"cannot read {what} file {text[1:]!r}: {exc}")
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise InputError(f"bad JSON in {what} file {text[1:]!r}: {exc}")
     try:
         return json.loads(text)
@@ -111,129 +111,30 @@ def _json_default(x):
     raise TypeError(f"cannot write {type(x).__name__} as JSON")
 
 
-def _float_repr(x: float) -> str:
-    if math.isfinite(x):
-        return float.__repr__(x)
-    raise ValueError("Out of range float values are not JSON compliant: " + repr(x))
-
-
-def _key(k) -> str:
-    """A dict key as json writes it."""
-    if isinstance(k, str):
-        return k
-    if isinstance(k, float):
-        return _float_repr(k)
-    if k is True:
-        return "true"
-    if k is False:
-        return "false"
-    if k is None:
-        return "null"
-    if isinstance(k, int):
-        return int.__repr__(k)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
-
-
-def _encode(value, nl: str = "\n") -> str:
-    """`value` as `json.dumps(value, indent=2, sort_keys=True, allow_nan=False,
-    default=_json_default)` writes it, at the indent of the line break `nl`.
-
-    Types are tried in json's order, with json's text and errors.  A
-    nonempty finite float or complex array is written in one pass; any
-    other value json cannot write goes through `_json_default`.
-    """
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return _float_repr(value)
-    inner = nl + "  "
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [
-            encode_basestring_ascii(_key(k)) + ": " + _encode(v, inner)
-            for k, v in sorted(value.items())
-        ]
-        return "{" + inner + ("," + inner).join(items) + nl + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        return "[" + inner + ("," + inner).join([_encode(v, inner) for v in value]) + nl + "]"
-    # not a subclass, whose ravel may keep its shape, nor a long double,
-    # whose tolist keeps numbers json cannot write
-    if (
-        type(value) is np.ndarray
-        and value.dtype.char in "efdFD"
-        and value.size
-        and np.isfinite(value).all()
-    ):
-        return _encode_array(value, nl)
-    return _encode(_json_default(value), nl)
-
-
-def _encode_array(a: np.ndarray, nl: str) -> str:
-    """A finite float or complex array as the nested lists `_json_default`
-    makes of it, complex values as a trailing [re, im] axis.
-
-    The text between two numbers depends only on how many trailing axes
-    roll over there, so the separators of the whole array are built by list
-    repetition and joined with the numbers in one call.
-    """
-    if a.dtype.kind == "c":
-        a = np.stack((a.real, a.imag), -1)
-    numbers = list(map(float.__repr__, a.ravel().tolist()))
-    k = a.ndim
-    if k == 0:
-        return numbers[0]
-    nls = [nl + "  " * d for d in range(k + 1)]
-    # seps[r]: close the r innermost lists, a comma, open r lists again
-    seps = [
-        "".join(nls[k - 1 - j] + "]" for j in range(r))
-        + ","
-        + nls[k - r]
-        + "".join("[" + nls[k - r + 1 + j] for j in range(r))
-        for r in range(k)
-    ]
-    between: list[str] = []
-    for r, n in enumerate(reversed(a.shape)):
-        between = (between + [seps[r]]) * n
-        between.pop()
-    out = [""] * (2 * len(numbers) - 1)
-    out[::2] = numbers
-    out[1::2] = between
-    head = "".join("[" + nls[d] for d in range(1, k + 1))
-    tail = "".join(nls[d] + "]" for d in range(k - 1, -1, -1))
-    return head + "".join(out) + tail
+def _write_text(path: str, text: str) -> None:
+    """Write text to stdout for "-", else to the file path; OSError is InputError."""
+    if path == "-":
+        sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path!r}: {exc}")
 
 
 def _write_json(path: str, payload) -> None:
-    """The one JSON writer: sorted keys, indent 2, no NaN or Infinity."""
-    text = _encode(payload)
-    if path == "-":
-        print(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
+    """The one JSON writer: one line, sorted keys, no NaN or Infinity, and no
+    cycle check, which a payload the CLI builds cannot need."""
+    kw = {"sort_keys": True, "allow_nan": False, "check_circular": False}
+    _write_text(path, json.dumps(payload, default=_json_default, **kw) + "\n")
 
 
 def _write_csv(path: str, header: str, table: np.ndarray) -> None:
     """A float table as CSV under its header line, every value as %.17g, so
     every float reads back exactly."""
     row = ",".join(["%.17g"] * table.shape[1])
-    text = "\n".join([header] + [row % tuple(r) for r in table.tolist()]) + "\n"
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+    _write_text(path, "\n".join([header] + [row % tuple(r) for r in table.tolist()]) + "\n")
 
 
 def _int_arg(value, flag: str, default: int | None = None) -> int | None:

@@ -41,8 +41,13 @@ SLOW_DECAY_RATIO = 0.95
 #: Least order M (rows c_0 .. c_M) whose tail `tail_diagnostics` judges.
 TAIL_MIN_ORDER = 16
 
-#: Relative distance at which a numerator root cancels a denominator root.
+#: Relative distance at which a numerator root matches a denominator root.
 _ROOT_MATCH_TOL = 1e-6  # np.roots finds a double root to about 1e-8
+
+#: Relative change of a quotient's value at 0 within which its matched roots
+#: cancel.  A pair changes it by their relative distance, some 1e-14 for a
+#: shared root, but the roots np.roots spreads around one change it together.
+_CANCEL_REL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -455,8 +460,9 @@ def _normalize(e: AnalyticExpr) -> AnalyticExpr:
     """e as one leaf when it is a leaf, an integer Power of one, or a Scale,
     Sum or Product of leaves, else e.  Top coefficients below _ZERO_REL of the
     largest are dropped, and roots shared by numerator and denominator to
-    _ROOT_MATCH_TOL cancel, with multiplicity; a zero numerator cancels every
-    pole.  A leaf with no shared root is returned as it is, series and all."""
+    _ROOT_MATCH_TOL cancel, with multiplicity, if the value at 0 stays to
+    _CANCEL_REL; a zero numerator cancels every pole.  A leaf with no shared
+    root is returned as it is, series and all."""
     if isinstance(e, Poly):
         return e
     quotients = [_quotient(x) for x in _parts(e) or (e,)]
@@ -489,8 +495,12 @@ def _normalize(e: AnalyticExpr) -> AnalyticExpr:
         else:
             kept.append(r)
     if len(kept) < len(roots):  # rebuild both from the roots left
-        num, den = (p[-1] * np.atleast_1d(np.poly(r))[::-1] for p, r in ((num, kept), (den, left)))
-    elif isinstance(e, (Poly, Rational)):
+        n, d = (p[-1] * np.atleast_1d(np.poly(r))[::-1] for p, r in ((num, kept), (den, left)))
+        if abs(n[0] * den[0] - num[0] * d[0]) <= _CANCEL_REL * abs(num[0] * d[0]):
+            num, den = n, d
+        else:
+            kept = roots
+    if len(kept) == len(roots) and isinstance(e, (Poly, Rational)):
         return e
     if len(den) == 1:
         return Poly(tuple(num / den[0]))
@@ -524,8 +534,8 @@ def _roots(p: np.ndarray) -> np.ndarray:
     each is the mean of those within _ROOT_MATCH_TOL of it, since np.roots
     spreads a double root over a cluster about 1e-8 wide, whose mean is accurate."""
     p = _trim(p)
-    if len(p) <= 2:  # one division, where np.roots takes some 20 us
-        return -p[:-1] / p[-1]
+    if len(p) <= 2:  # one division, not np.roots' 20 us; Python's takes a subnormal divisor
+        return np.array([-complex(c) / complex(p[-1]) for c in p[:-1]], dtype=complex)
     r = np.roots(p[::-1])  # np.roots wants the highest degree first
     near = np.abs(r[:, None] - r) <= _ROOT_MATCH_TOL * np.maximum(1.0, np.abs(r))[:, None]
     return near @ r / near.sum(axis=1)

@@ -1,17 +1,14 @@
 """Tests for the command-line interface and its exit-code contract."""
 
-import dataclasses
 import json
 import math
 import pathlib
+import runpy
 import subprocess
 import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
 from wcolab import cli, spectra
 from wcolab.mobius import MoebiusMap
@@ -31,6 +28,12 @@ PSI_JSON = (
 # 1/(1-2z), with a pole at 1/2
 POLE_HALF_JSON = (
     '{"type":"rational","num":{"type":"poly","coeffs":[[1,0]]},'
+    '"den":{"type":"poly","coeffs":[[1,0],[-2,0]]}}'
+)
+
+# (1 - 1.9999996z)/(1 - 2z), with a pole at 1/2 near a zero at 0.5000001
+NEAR_POLE_HALF_JSON = (
+    '{"type":"rational","num":{"type":"poly","coeffs":[[1,0],[-1.9999996,0]]},'
     '"den":{"type":"poly","coeffs":[[1,0],[-2,0]]}}'
 )
 
@@ -570,6 +573,14 @@ def test_cli_flag_overrides_config(tmp_path, capsys):
         (["block", "--weight", '{"type":"poly","coeffs":true}', "--order", "8"], 2),
         (["block", "--weight", '{"type":"sum","terms":5}', "--order", "8"], 2),
         (["block", "--weight", '{"type":"product","factors":null}', "--order", "8"], 2),
+        # a file that cannot be written, in a missing directory or a
+        # directory itself, is invalid input
+        (["classify", "--map", HALF_SHIFT_JSON, "--json", "/nonexistent/x.json"], 2),
+        (["block", "--map", HALF_SHIFT_JSON, "--order", "8", "--csv", "/nonexistent/x.csv"], 2),
+        (["probe", "--map", HALF_SHIFT_JSON, "--order", "8", "--json", "."], 2),
+        # (1 - 1.9999996z)/(1 - 2z) keeps its pole at 1/2: its numerator root
+        # 0.5000001 is near the pole but is no shared root
+        (["block", "--weight", NEAR_POLE_HALF_JSON, "--order", "8"], 3),
     ],
 )
 def test_malformed_option_values_are_input_errors(argv, code, tmp_path, capsys):
@@ -579,20 +590,45 @@ def test_malformed_option_values_are_input_errors(argv, code, tmp_path, capsys):
         argv = argv[:-1] + [str(cfg)]
     assert run_cli(argv) == code
     err = capsys.readouterr().err
-    assert "internal error" not in err
+    assert err.startswith("error: " if code == 2 else "constraint violation: ")
+
+
+DIGEST_TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / "cli_digest.py"
 
 
 def test_cli_digest_tool_agrees_with_itself():
-    # two runs of the byte-identity tool on the first requests of one seed
-    # print the same digest lines, four per request
-    tool = pathlib.Path(__file__).resolve().parents[1] / "tools" / "cli_digest.py"
-    argv = [sys.executable, str(tool), "--limit", "6", "--no-scenarios", "1/0"]
+    # two runs of the digest tool on the first requests of one seed print the
+    # same digest lines, four per request
+    argv = [sys.executable, str(DIGEST_TOOL), "--limit", "6", "--no-scenarios", "1/0"]
     runs = [subprocess.Popen(argv, stdout=subprocess.PIPE, text=True) for _ in range(2)]
     outs = [run.communicate()[0] for run in runs]
     assert [run.returncode for run in runs] == [0, 0]
     assert outs[0] == outs[1]
     parts = [line.split()[-1] for line in outs[0].splitlines()]
     assert parts == ["code", "stdout", "stderr", "json"] * 6
+
+
+def test_cli_digest_tool_digests_json_by_content(monkeypatch):
+    # loading the tool sets its BLAS thread variables and import path; both
+    # are restored after the test
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    digest = runpy.run_path(str(DIGEST_TOOL))["json_digest"]
+    value = {"b": [0.1, {"runtime_s": 1.5, "x": -2.5e-300}], "a": "\u00e9"}
+    base = digest(json.dumps(value).encode())
+    # the indented layout and other key orders digest equal
+    assert digest(json.dumps(value, indent=2, sort_keys=True).encode()) == base
+    assert digest((json.dumps(value, indent=1) + "\n").encode()) == base
+    # so does another runtime_s, at any depth, or none at all
+    value["b"][1]["runtime_s"] = 0.25
+    assert digest(json.dumps({**value, "runtime_s": 3.0}).encode()) == base
+    del value["b"][1]["runtime_s"]
+    assert digest(json.dumps(value).encode()) == base
+    # a change of one ulp does not
+    value["b"][0] = math.nextafter(0.1, 1.0)
+    assert digest(json.dumps(value).encode()) != base
+    assert digest(None) == "absent"
 
 
 def test_entry_point_runs_as_module():
@@ -605,98 +641,36 @@ def test_entry_point_runs_as_module():
     assert "hyperbolic-type-non-automorphism" in proc.stdout
 
 
-# -- the JSON writer against json.dumps ----------------------------------------
+# -- the JSON writer ------------------------------------------------------------
 
 
-def _dumps(x):
-    return json.dumps(x, indent=2, sort_keys=True, allow_nan=False, default=cli._json_default)
+def test_block_json_reads_back_the_entries_bit_for_bit(tmp_path, capsys):
+    # each float is written as its repr, so the [re, im] pairs read back as
+    # the very complex128 array the block engine built
+    out = tmp_path / "block.json"
+    argv = ["block", "--op", _half_shift_op(PSI_JSON), "--order", "8", "--tail", "64"]
+    assert run_cli(argv + ["--json", str(out)]) == 0
+    capsys.readouterr()
+    text = out.read_text()
+    assert text.count("\n") == 1 and text.endswith("}\n")
+    entries = np.array(_strict_json(text)["entries"]).view(np.complex128)[..., 0]
+    op = OperatorSpec.from_json(json.loads(_half_shift_op(PSI_JSON)))
+    assert np.array_equal(entries, build_block(op, hardy(), 8, 64).entries)
 
 
-def _outcome(encode, x):
-    try:
-        return encode(x)
-    except (TypeError, ValueError) as exc:
-        return type(exc), str(exc)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, np.array([1.0, -math.inf]), 1j * math.nan])
+def test_json_writer_rejects_numbers_that_are_not_finite(bad, tmp_path):
+    out = tmp_path / "bad.json"
+    with pytest.raises(ValueError):
+        cli._write_json(str(out), {"ok": 1.0, "bad": bad})
+    assert not out.exists()
 
 
-@dataclasses.dataclass(frozen=True)
-class _Record:
-    name: str
-    value: object
-
-
-FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
-    [-0.0, 5e-324, 1e16, 1e308]
-)
-TEXT = st.text() | st.sampled_from(["", "\u00e9\u2028\U0001f600", "\x00\x1f\n\t\"\\"])
-ARRAY_DTYPES = ("float64", "float32", "complex128", "complex64", "int64", "bool")
-
-
-@st.composite
-def arrays(draw, finite=True):
-    dtype = np.dtype(draw(st.sampled_from(ARRAY_DTYPES)))
-    shape = draw(hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4))
-    limits = {"allow_nan": False, "allow_infinity": False} if dtype.kind in "fc" else {}
-    a = draw(hnp.arrays(dtype, shape, elements=hnp.from_dtype(dtype, **limits)))
-    if not finite:
-        a = a.astype(np.result_type(a, np.float64)).reshape(-1)
-        a = np.append(a, draw(st.sampled_from([math.nan, math.inf, -math.inf])))
-    return a
-
-
-SCALARS = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.integers(),
-    st.integers(2**63, 2**80).flatmap(lambda n: st.sampled_from([n, -n])),
-    FINITE,
-    FINITE.map(np.float64),
-    st.complex_numbers(allow_nan=False, allow_infinity=False),
-    st.complex_numbers(allow_nan=False, allow_infinity=False).map(np.complex128),
-    TEXT,
-    arrays(),
-)
-KEYS = st.sampled_from([TEXT, st.integers(), FINITE, st.booleans(), st.none()])
-
-JSON_VALUES = st.recursive(
-    SCALARS,
-    lambda children: st.one_of(
-        st.lists(children, max_size=4),
-        st.lists(children, max_size=4).map(tuple),
-        KEYS.flatmap(lambda keys: st.dictionaries(keys, children, max_size=4)),
-        st.builds(_Record, TEXT, children),
-    ),
-    max_leaves=12,
-)
-
-#: What json cannot write: numbers that are not finite, as scalars and in
-#: arrays, a float32 scalar, and types and keys it has no rule for.
-UNWRITABLE = st.one_of(
-    st.sampled_from([math.nan, math.inf, -math.inf]),
-    st.sampled_from([math.nan, math.inf]).map(np.float64),
-    arrays(finite=False),
-    st.floats(width=32, allow_nan=False, allow_infinity=False).map(np.float32),
-    st.sampled_from([object(), {1, 2}, {(1, 2): 0}, {1: 0, "1": 0}]),
-)
-
-
-@settings(max_examples=200, deadline=None)
-@given(JSON_VALUES)
-@example(np.zeros((3, 0)))
-@example(np.zeros((0, 3), dtype=complex))
-@example(np.array(1.5))
-@example(np.array(1 - 2j))
-@example({"entries": np.arange(24.0).reshape(2, 3, 4) * (1 + 1j) / 7})
-def test_encoder_writes_what_json_dumps_writes(value):
-    assert cli._encode(value) == _dumps(value)
-
-
-@settings(max_examples=100, deadline=None)
-@given(JSON_VALUES, UNWRITABLE, st.booleans())
-def test_encoder_raises_what_json_dumps_raises(value, bad, in_dict):
-    # the unwritable value sits after a writable one, so both writers reach
-    # it, and raise there with one type and one message
-    value = {"a": value, "b": bad} if in_dict else [value, bad]
-    expected = _outcome(_dumps, value)
-    assert isinstance(expected, tuple)
-    assert _outcome(cli._encode, value) == expected
+@pytest.mark.parametrize("flag", ["--map", "--config"])
+def test_a_file_that_is_not_utf8_is_an_input_error(flag, tmp_path, capsys):
+    path = tmp_path / "not-utf8.json"
+    path.write_bytes(b'{"a": "\xff"}')
+    value = "@" + str(path) if flag == "--map" else str(path)
+    argv = ["classify", flag, value] + (["--map", HALF_SHIFT_JSON] if flag == "--config" else [])
+    assert run_cli(argv) == 2
+    assert capsys.readouterr().err.startswith("error: bad JSON in")

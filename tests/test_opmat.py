@@ -661,6 +661,9 @@ def test_operator_spec_validation():
         Sum((POLE_HALF, constant(1))),  # (2 - 2z)/(1 - 2z): the sum keeps the pole
         Product((POLE_HALF, Exp(Poly((0, 1))))),  # exp is no rational leaf
         Product((Power(Poly((1, -2)), 0.5),) * 2),  # each factor has its branch point
+        # (1 - 1.9999996z)/(1 - 2z): a zero 2e-7 from the pole, within the root
+        # match, does not cancel it
+        Rational(Poly((1, -1.9999996)), Poly((1, -2))),
     ),
 )
 def test_weights_with_a_singularity_in_the_disk_are_rejected_exactly(weight):

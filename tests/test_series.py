@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wcolab.errors import BranchError, InputError, PoleAtOriginError
@@ -385,6 +385,15 @@ def interior_self_maps(draw):
     w=st.complex_numbers(max_magnitude=0.9),
     gamma=st.sampled_from(KERNEL_GAMMAS),
 )
+# the composed kernel's zero 2 and pole 2 - 1.8e-7 are near, but no shared
+# root: cancelling them dropped the z^k terms, of size 4.5e-8 / 2^k; the same
+# for a double zero and a double pole 1.5e-6 apart; a subnormal w made a
+# root's complex division overflow; and at w = 1e-14 (1 + i) np.roots spreads
+# the double root 1/2 of `cancelled` 1.5e-6 wide, which must still cancel
+@example(m=MoebiusMap(0.5, -0.25, -0.5, 1), w=1.192092896e-07 + 0j, gamma=1.0)
+@example(m=MoebiusMap(0.5, -0.25, -0.5, 1), w=1e-06 + 0j, gamma=2.0)
+@example(m=MoebiusMap(0.5, -0.25, -0.5, 1), w=1.1125369292536007e-308 + 0j, gamma=1.0)
+@example(m=MoebiusMap(0.5, 0, 0, 1), w=1e-14 + 1e-14j, gamma=1.0)
 def test_rational_recurrences_match_cauchy_integral(m, w, gamma):
     def phi(z):
         return (m.a * z + m.b) / (m.c * z + m.d)

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Print a sha256 digest of every output of a fixed set of CLI calls, one
-line each, so that byte identity between two trees is a diff of two runs.
+line each, so that equal output of two trees is a diff of two runs.
 
 The calls are:
 
@@ -10,7 +10,13 @@ The calls are:
   JSON file get one line each;
 * `wcolab scenario run --all --json`, and the same with `--order-scale 2`,
   whose exit code, stdout without the timings and JSON without any
-  "runtime_s" line get one line each.
+  "runtime_s" get one line each.
+
+Exit code, stdout and stderr are digested as bytes.  A JSON file is digested
+by content: parsed, every "runtime_s" key dropped at any depth, and written
+again with sorted keys and json's default layout, so the indented and the
+one-line layout of equal values digest equal.  Every float is written as its
+repr, which reads back exactly, so a change of one ulp still shows.
 
 BLAS runs on one thread, as in the benchmark, and every call runs in one
 scratch directory, so no path in an output differs between runs.
@@ -32,6 +38,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import pathlib
 import re
 import sys
@@ -46,7 +53,6 @@ from wcolab import cli  # noqa: E402
 DEFAULT_SEEDS = ("1/0", "1/1", "2/0", "3/1")
 OUT = "out.json"
 TIMING = re.compile(r"  \(\d+\.\d+s\)$", re.M)
-RUNTIME = re.compile(r'\n *"runtime_s": [^\n]*')
 
 
 def call(argv: list[str]) -> tuple[int, str, str, bytes | None]:
@@ -60,12 +66,28 @@ def call(argv: list[str]) -> tuple[int, str, str, bytes | None]:
     return code, out.getvalue(), err.getvalue(), written
 
 
+def without_runtime(value):
+    """A parsed JSON value without any "runtime_s" key, at any depth."""
+    if isinstance(value, dict):
+        return {k: without_runtime(v) for k, v in value.items() if k != "runtime_s"}
+    if isinstance(value, list):
+        return [without_runtime(v) for v in value]
+    return value
+
+
+def json_digest(written: bytes | None) -> str:
+    """sha256 of a JSON document's content without "runtime_s", or "absent"."""
+    if written is None:
+        return "absent"
+    content = json.dumps(without_runtime(json.loads(written)), sort_keys=True)
+    return hashlib.sha256(content.encode()).hexdigest()
+
+
 def lines(label: str, code: int, stdout: str, stderr: str, written: bytes | None):
     parts = {"code": str(code).encode(), "stdout": stdout.encode(), "stderr": stderr.encode()}
     for part, data in parts.items():
         yield f"{hashlib.sha256(data).hexdigest()}  {label} {part}"
-    digest = "absent" if written is None else hashlib.sha256(written).hexdigest()
-    yield f"{digest}  {label} json"
+    yield f"{json_digest(written)}  {label} json"
 
 
 def request_lines(seed: str, limit: int | None):
@@ -78,7 +100,6 @@ def request_lines(seed: str, limit: int | None):
 def scenario_lines(flags: list[str]):
     code, stdout, stderr, written = call(["scenario", "run", "--all", *flags, "--json", OUT])
     stdout = TIMING.sub("", stdout)
-    written = None if written is None else RUNTIME.sub("", written.decode()).encode()
     yield from lines(" ".join(["scenario --all", *flags]), code, stdout, stderr, written)
 
 
