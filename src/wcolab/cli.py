@@ -51,7 +51,7 @@ from .opmat import (
 )
 from .probes import defect_report
 from .scenarios import Overrides, list_scenarios, run_all, run_scenario
-from .series import TAIL_MIN_ORDER, expr_from_json, tail_diagnostics
+from .series import expr_from_json, tail_diagnostics
 from .space import SpaceSpec
 from .spectra import (
     DEFAULT_BETA_GRID,
@@ -287,13 +287,10 @@ def cmd_block(args) -> int:
     space = _resolve_space(args)
     n, m = _resolve_orders(args, (op,))
     e = build_block(op, space, n, m).entries
-    # the tail judgment: boundary contact or slow decay of some column, and
-    # the largest column bound, unknown below the diagnostics' least order
-    tail_flag, tail_estimate = is_boundary_touching(op), float("nan")
-    if m >= TAIL_MIN_ORDER:
-        td = tail_diagnostics(e)
-        tail_flag = tail_flag or bool(td.slow_decay.any())
-        tail_estimate = float(td.bound.max())
+    # the tail judgment: boundary contact or a slow column, and the largest column bound
+    td = tail_diagnostics(e)
+    tail_flag = is_boundary_touching(op) or bool(td.slow_decay.any())
+    tail_estimate = float(td.bound.max())
     print(f"operator: {op.describe()}  space: {space.label()}")
     print(f"orders: N={n} M={m}")
     print(f"norm estimate: {fmt(np.linalg.norm(e[: n + 1], 2))}")

@@ -34,6 +34,9 @@ DEFAULT_TOL = 1e-10
 # Relative threshold below which a coefficient counts as exactly zero.
 _ZERO_REL = 1e-14
 
+# A discriminant or boundary derivative minus one below this is rounding.
+_ROUNDING_FLOOR = 1e-13
+
 #: Canonical point at infinity on the extended plane.
 INFINITY = complex(math.inf, 0.0)
 
@@ -232,7 +235,7 @@ class MoebiusMap:
         if abs(disc) <= tol:
             root = -B / (2.0 * A)
             pt = FixedPoint(root, 2, m.derivative_at(root))
-            return FixedPointData((pt,), borderline=0.0 < abs(disc))
+            return FixedPointData((pt,), borderline=_ROUNDING_FLOOR <= abs(disc))
         sq = cmath.sqrt(disc)
         if (B.conjugate() * sq).real < 0.0:
             sq = -sq
@@ -291,7 +294,7 @@ class FixedPoint:
 @dataclass(frozen=True)
 class FixedPointData:
     points: tuple[FixedPoint, ...]
-    borderline: bool  # discriminant was within tolerance of zero but not exactly
+    borderline: bool  # discriminant was within tolerance of zero, above rounding
 
 
 @dataclass(frozen=True)
@@ -432,7 +435,7 @@ def classify(m: MoebiusMap, tol: float = DEFAULT_TOL) -> Classification:
 
     Near a dividing line (discriminant, derivative, or boundary distance
     within tol) the result is resolved toward the parabolic side and the
-    `borderline` flag is set.
+    `borderline` flag is set, unless it is rounding (below _ROUNDING_FLOOR).
     """
     if not m.is_self_map(tol):
         raise NotSelfMapError("classification requires a self-map of the disk")
@@ -455,7 +458,7 @@ def classify(m: MoebiusMap, tol: float = DEFAULT_TOL) -> Classification:
         cls = MapClass.PARABOLIC_AUTOMORPHISM if parabolic else MapClass.HYPERBOLIC_AUTOMORPHISM
     elif dw.boundary:
         parabolic = abs(dw.derivative.real - 1.0) <= tol
-        if parabolic and dw.derivative.real != 1.0:
+        if parabolic and abs(dw.derivative - 1.0) >= _ROUNDING_FLOOR:
             notes.append("boundary derivative within tolerance of one")
         cls = MapClass.PARABOLIC_NON_AUTOMORPHISM if parabolic else MapClass.HYPERBOLIC_TYPE
     else:

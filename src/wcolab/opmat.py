@@ -33,10 +33,10 @@ from .errors import (
 )
 from .mobius import MoebiusMap
 from .series import (
-    TAIL_MIN_ORDER,
     AnalyticExpr,
     Poly,
     Power,
+    column_tail_bound,
     constant,
     evaluate,
     expr_from_json,
@@ -352,28 +352,10 @@ def _gram_pair(tall: np.ndarray, wide: np.ndarray) -> GramPair:
     G1 and G2 are symmetrized, so exactly Hermitian."""
     g1 = tall.conj().T @ tall
     g1 = 0.5 * (g1 + g1.conj().T)
-    # the tall block's tail is unknown below the diagnostics' least order
-    bound1 = np.inf if len(tall) <= TAIL_MIN_ORDER else np.sum(tail_diagnostics(tall).bound ** 2)
     g2 = wide @ wide.conj().T
     g2 = 0.5 * (g2 + g2.conj().T)
-    return GramPair(g1, g2, float(bound1) + _wide_tail_bound(np.linalg.norm(wide, axis=0)))
-
-
-def _wide_tail_bound(colnorms: np.ndarray) -> float:
-    """Crude bound on sum of squared column norms beyond the last column,
-    from the decay rate of the final columns."""
-    last = float(colnorms[-1])
-    if last == 0.0:
-        return 0.0
-    k = min(8, len(colnorms) - 1)
-    if k == 0:
-        return float("inf")
-    prev = float(colnorms[-1 - k])
-    if prev <= 0.0 or last >= prev:
-        return float("inf")
-    r = (last / prev) ** (1.0 / k)
-    r2 = r * r
-    return last * last * r2 / (1.0 - r2)
+    bound1 = float(np.sum(tail_diagnostics(tall).bound ** 2))
+    return GramPair(g1, g2, bound1 + column_tail_bound(np.linalg.norm(wide, axis=0)))
 
 
 def cowen_adjoint_word(symbol: MoebiusMap, space: SpaceSpec) -> OperatorWord:

@@ -268,8 +268,8 @@ def kernel_condition_probe(
     series, and the weight's series, computed once per order, is convolved
     into the whole batch, which `tail_diagnostics` then judges column by
     column.  Per point, the order doubles up to the cap while the truncation
-    shows slow decay; only those points are expanded again.  The second
-    term is one array evaluation over the grid.
+    is slow or too short to judge; only those points are expanded again.
+    The second term is one array evaluation over the grid.
     """
     if w_grid is None:
         w_grid = default_kernel_grid()
@@ -280,7 +280,7 @@ def kernel_condition_probe(
     phi = identity() if op.symbol is None else op.symbol
     num = _substitute_poly(bases, phi, 1)
     den = np.array([phi.d, phi.c])
-    m = int(order)
+    m = max(1, int(order))  # an order that doubling can raise
     lhs = np.zeros(len(ws))
     orders = np.zeros(len(ws), dtype=int)
     slow = np.zeros(len(ws), dtype=bool)

@@ -7,7 +7,7 @@ to a requested order.  It first brings it to its rational normal form
 (`eliminate_precompose`): a linear fractional substitution turns polynomial
 and rational leaves into new rational leaves and pushes through every other
 node, so no numerical composition is ever performed, and each rational part
-(a Poly or Rational leaf, an integer Power of one, or a Scale, Sum or
+(a Poly or Rational leaf, a low integer Power of one, or a Scale, Sum or
 Product of them) becomes one leaf N/D with no root shared.  Then:
 
   * a rational leaf N/D, and every Power or Exp, by a short recurrence
@@ -40,6 +40,11 @@ SLOW_DECAY_RATIO = 0.95
 
 #: Least order M (rows c_0 .. c_M) whose tail `tail_diagnostics` judges.
 TAIL_MIN_ORDER = 16
+
+#: Largest |k| of an integer Power of a leaf that the normal form folds into
+#: one leaf; np.roots places a |k|-fold root only to about eps^(1/|k|), so a
+#: higher power stays a node, whose poles are its base's roots.
+_FOLD_MAX_POWER = 3
 
 #: Relative distance at which a numerator root matches a denominator root.
 _ROOT_MATCH_TOL = 1e-6  # np.roots finds a double root to about 1e-8
@@ -231,10 +236,11 @@ class PowerSeries:
 
 
 def taylor(e: AnalyticExpr, order: int) -> PowerSeries:
-    """Taylor coefficients of the expression at 0, through z**order."""
+    """Taylor coefficients of the expression at 0, through z**order (inf on overflow)."""
     if order < 0:
         raise InputError("taylor order must be nonnegative")
-    return PowerSeries(_taylor(eliminate_precompose(e), int(order)))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return PowerSeries(_taylor(eliminate_precompose(e), int(order)))
 
 
 def _taylor(e: AnalyticExpr, M: int) -> np.ndarray:
@@ -287,10 +293,13 @@ def _poly_mul(a: np.ndarray, b: np.ndarray, M: int | None = None) -> np.ndarray:
 
 
 def _poly_pow(a: np.ndarray, k: int, M: int | None = None) -> np.ndarray:
-    """a**k for polynomials along axis 0, through z**M when M is given."""
+    """a**k for polynomials along axis 0, through z**M when M is given, by
+    repeated squaring: O(log k) products, for k <= 3 the repeated product."""
     out = np.ones((1, a.shape[1]), dtype=np.complex128)
-    for _ in range(k):
-        out = _poly_mul(a, out, M)
+    while k:
+        out = _poly_mul(out, a, M) if k & 1 else out
+        k >>= 1
+        a = _poly_mul(a, a, M) if k else a
     return out
 
 
@@ -403,11 +412,11 @@ def _power_constant(b0: np.ndarray, gamma: float) -> np.ndarray:
     """Principal value b0**gamma, rejecting a zero base and the branch cut."""
     if (b0 == 0.0).any():
         raise InputError("power base vanishes at the expansion point 0")
-    if float(gamma).is_integer():
-        return b0 ** int(gamma)
-    if ((b0.real < 0.0) & (np.abs(b0.imag) <= _ZERO_REL * np.abs(b0))).any():
+    integer = float(gamma).is_integer()
+    if not integer and ((b0.real < 0.0) & (np.abs(b0.imag) <= _ZERO_REL * np.abs(b0))).any():
         raise BranchError("non-integer power of a base whose constant term lies on the branch cut")
-    return np.exp(gamma * np.log(b0))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow gives inf
+        return b0 ** int(gamma) if integer else np.exp(gamma * np.log(b0))
 
 
 # -- precomposition elimination ---------------------------------------------
@@ -416,7 +425,7 @@ def _power_constant(b0: np.ndarray, gamma: float) -> np.ndarray:
 def eliminate_precompose(e: AnalyticExpr) -> AnalyticExpr:
     """Rational normal form of e: an equivalent expression with no
     PrecomposeMoebius node, and each rational part (a Poly or Rational leaf,
-    an integer Power of one, or a Scale, Sum or Product of them) one leaf
+    a low integer Power of one, or a Scale, Sum or Product of them) one leaf
     whose numerator and denominator share no root (`_normalize`).
 
     A linear fractional substitution z -> (az+b)/(cz+d) sends a polynomial of
@@ -457,22 +466,22 @@ def _parts(e: AnalyticExpr) -> tuple:
 
 
 def _normalize(e: AnalyticExpr) -> AnalyticExpr:
-    """e as one leaf when it is a leaf, an integer Power of one, or a Scale,
-    Sum or Product of leaves, else e.  Top coefficients below _ZERO_REL of the
-    largest are dropped, and roots shared by numerator and denominator to
-    _ROOT_MATCH_TOL cancel, with multiplicity, if the value at 0 stays to
+    """e as one leaf when it is a leaf, an integer Power of one up to
+    _FOLD_MAX_POWER, or a Scale, Sum or Product of leaves, else e.  Top
+    coefficients below _ZERO_REL of the largest are dropped, and roots shared
+    to _ROOT_MATCH_TOL cancel, with multiplicity, if the value at 0 stays to
     _CANCEL_REL; a zero numerator cancels every pole.  A leaf with no shared
     root is returned as it is, series and all."""
     if isinstance(e, Poly):
         return e
     quotients = [_quotient(x) for x in _parts(e) or (e,)]
-    if None in quotients or (isinstance(e, Power) and not e.exponent.is_integer()):
+    k = e.exponent if isinstance(e, Power) else 1.0
+    if None in quotients or not (k.is_integer() and abs(k) <= _FOLD_MAX_POWER):
         return e
     # columns, the layout of `_poly_mul`
     (num, den), *rest = [(n[:, None], d[:, None]) for n, d in quotients]
     if isinstance(e, Power):
-        k = int(e.exponent)
-        num, den = (_poly_pow(p, abs(k)) for p in ((num, den) if k >= 0 else (den, num)))
+        num, den = (_poly_pow(p, int(abs(k))) for p in ((num, den) if k >= 0 else (den, num)))
     elif isinstance(e, Scale):
         num = e.factor * num
     for n, d in rest:
@@ -509,9 +518,9 @@ def _normalize(e: AnalyticExpr) -> AnalyticExpr:
 
 def has_disk_singularity(e: AnalyticExpr, radius: float) -> bool:
     """True when the normal form of e has a leaf with a pole in |z| <= radius,
-    or a Power of a leaf (its exponent no integer) whose numerator has a root
-    there.  Leaves of the normal form are reduced, so a pole may cancel across
-    leaves.  Other nodes are only walked through, so False proves nothing."""
+    or a Power of a leaf with a pole or a branch point there.  Leaves of the
+    normal form are reduced, so a pole may cancel across leaves.  Other nodes
+    are only walked through, so False proves nothing."""
     return _singular(_eliminate(e, ()), radius)
 
 
@@ -520,7 +529,9 @@ def _singular(e: AnalyticExpr, radius: float) -> bool:
     base = _quotient(e.base) if isinstance(e, Power) else None
     if leaf is None and base is None:
         return any(_singular(x, radius) for x in _parts(e))
-    # a root of a leaf's denominator is a pole, of a base a pole or branch point
+    # a leaf's poles; a base's roots where a power branches or divides by them
+    if base and e.exponent.is_integer():
+        base = base[1:] if e.exponent > 0 else base[:1]
     return any(np.any(np.abs(_roots(p)) <= radius) for p in (base or leaf[1:]))
 
 
@@ -575,28 +586,26 @@ def _substitute(e: Poly | Rational, m: MoebiusMap) -> Poly | Rational:
 
 @dataclass(frozen=True)
 class TailDiagnostics:
-    """Floats for one series, arrays over the batch axis for several."""
+    """Arrays over the batch axis, one entry per series."""
 
-    ratio: float | np.ndarray  # per-coefficient geometric decay from the two halves
-    bound: float | np.ndarray  # crude bound on the l2 mass beyond the truncation
-    slow_decay: bool | np.ndarray
+    ratio: np.ndarray  # per-coefficient geometric decay from the two halves
+    bound: np.ndarray  # crude bound on the l2 mass beyond the truncation
+    slow_decay: np.ndarray
 
 
 def tail_diagnostics(coeffs: np.ndarray) -> TailDiagnostics:
     """Decay ratio, tail bound and slow-decay flag of truncated series.
 
-    `coeffs` holds Taylor coefficients c_0 .. c_M along axis 0, optionally
-    with a trailing batch axis (the convention of `rational_series`), and
-    needs M >= TAIL_MIN_ORDER.  The ratio is the per-coefficient decay of the
-    norms of the two halves; the bound is geometric from the largest of the last
-    eight coefficients, infinite when the ratio is not below one.
+    `coeffs` holds Taylor coefficients c_0 .. c_M along axis 0, with a
+    trailing batch axis (the convention of `rational_series`) or without one,
+    a batch of one.  The ratio is the per-coefficient decay of the norms of
+    the two halves; the bound is geometric from the largest of the last eight
+    coefficients, infinite when the ratio is not below one.  A series of
+    order below TAIL_MIN_ORDER is too short to judge: its ratio is one, so it
+    has no finite bound and is flagged slow.
     """
-    c = np.asarray(coeffs, dtype=np.complex128)
-    rows = len(c)
-    if rows <= TAIL_MIN_ORDER:
-        raise InputError(f"tail diagnostics need order at least {TAIL_MIN_ORDER}")
-    x = c.reshape(rows, -1)
-    h = rows // 2
+    rows = len(coeffs)
+    x, h = np.asarray(coeffs, dtype=np.complex128).reshape(rows, -1), rows // 2
     # column norms of the two halves; einsum on the real and imaginary views
     # makes no temporary the size of x
     front, tail = (
@@ -607,11 +616,25 @@ def tail_diagnostics(coeffs: np.ndarray) -> TailDiagnostics:
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(front == 0.0, 1.0, (tail / front) ** (1.0 / (rows - h)))
         ratio = np.where(tail == 0.0, 0.0, ratio)
+        ratio = np.where(rows > TAIL_MIN_ORDER, ratio, 1.0)
         bound = np.where(ratio < 1.0, last * ratio / np.sqrt(1.0 - ratio * ratio), np.inf)
-    slow = ratio > SLOW_DECAY_RATIO
-    if c.ndim == 1:
-        return TailDiagnostics(float(ratio[0]), float(bound[0]), bool(slow[0]))
-    return TailDiagnostics(ratio, bound, slow)
+    return TailDiagnostics(ratio, bound, ratio > SLOW_DECAY_RATIO)
+
+
+def column_tail_bound(colnorms: np.ndarray) -> float:
+    """Crude bound on the sum of squared column norms beyond the last column,
+    geometric from the decay over the last eight; infinite for one column or
+    for norms that do not decay."""
+    last = float(colnorms[-1])
+    if last == 0.0:
+        return 0.0
+    k = min(8, len(colnorms) - 1)
+    prev = float(colnorms[-1 - k])  # the last itself for one column
+    if last >= prev:
+        return float("inf")
+    r = (last / prev) ** (1.0 / k)
+    r2 = r * r
+    return last * last * r2 / (1.0 - r2)
 
 
 # -- serialization ------------------------------------------------------------

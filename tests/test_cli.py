@@ -6,6 +6,7 @@ import pathlib
 import runpy
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from wcolab.space import hardy
 
 HALF_SHIFT_JSON = '{"a":[1,0],"b":[0,0],"c":[-1,0],"d":[2,0]}'
 AFFINE_JSON = '{"a":[1,0],"b":[1,0],"c":[0,0],"d":[2,0]}'
+INTERIOR_JSON = '{"a":[1,0],"b":[1,0],"c":[0,0],"d":[4,0]}'  # (z + 1)/4
 ROTATION_JSON = '{"a":[0,1],"b":[0,0],"c":[0,0],"d":[1,0]}'
 PSI_JSON = (
     '{"type":"rational","num":{"type":"poly","coeffs":[[2,0]]},'
@@ -177,8 +179,8 @@ def test_operator_norm_estimates(capsys):
 
 
 def test_block_json_is_strict_json_without_a_tail_estimate(capsys):
-    # 13 rows are too few for a tail estimate (NaN), and the half-shift's
-    # columns at 33 rows decay too slowly for one (infinite): both are null
+    # 13 rows are too few to judge a tail, and the half-shift's columns at
+    # 33 rows decay too slowly: both estimates are infinite, written as null
     for order, tail in ((4, 12), (16, 32)):
         argv = ["--order", str(order), "--tail", str(tail), "--json", "-"]
         code = run_cli(["block", "--map", HALF_SHIFT_JSON] + argv)
@@ -206,6 +208,33 @@ def test_block_reports_the_largest_column_tail_bound(capsys):
     blk = build_block(composition(MoebiusMap.from_json(json.loads(HALF_SHIFT_JSON))), hardy(), 4, 40)
     assert payload["tail_estimate"] == tail_diagnostics(blk.entries).bound.max()
     assert f"tail estimate: {cli.fmt(payload['tail_estimate'])}" in out
+
+
+def test_block_below_the_tail_order_is_untrusted(capsys):
+    # 13 rows are too few to judge a tail: the estimate is infinite and the
+    # flag is raised, for an interior map as for one touching the circle
+    for name, symbol in (("half-shift", HALF_SHIFT_JSON), ("interior", INTERIOR_JSON)):
+        argv = ["block", "--map", symbol, "--order", "4", "--tail", "12", "--json", "-"]
+        assert run_cli(argv) == 0, name
+        out = capsys.readouterr().out
+        assert "tail estimate: inf" in out and "warning: " in out
+        payload = _strict_json(out[out.index("{") :])
+        assert (payload["tail_flag"], payload["tail_estimate"]) == (True, None)
+
+
+def test_high_integer_power_weights_finish_without_warnings(capsys):
+    # (0.5 + 0.25z)^1e300 is 0 to rounding and its block is built in
+    # log2(1e300) truncated products; (0.5 + 0.25z)^-3000 overflows on the
+    # sample circle (warnings are errors here, which would exit 1)
+    base = '{"type":"poly","coeffs":[[0.5,0],[0.25,0]]}'
+    weight = '{"type":"power","base":%s,"exponent":%s}'
+    start = time.perf_counter()
+    assert run_cli(["block", "--weight", weight % (base, "1e300"), "--order", "8", "--json", "-"]) == 0
+    assert time.perf_counter() - start < 2.0
+    out = capsys.readouterr().out
+    assert not np.any(_strict_json(out[out.index("{") :])["entries"])
+    assert run_cli(["block", "--weight", weight % (base, "-3000"), "--order", "8"]) == 3
+    assert capsys.readouterr().err.startswith("constraint violation: ")
 
 
 def test_probe_json_is_strict_json_without_a_tail_bound(capsys):
@@ -581,10 +610,17 @@ def test_cli_flag_overrides_config(tmp_path, capsys):
         # (1 - 1.9999996z)/(1 - 2z) keeps its pole at 1/2: its numerator root
         # 0.5000001 is near the pole but is no shared root
         (["block", "--weight", NEAR_POLE_HALF_JSON, "--order", "8"], 3),
+        # a tolerance of zero, a single sample, a config that is no JSON
+        # object, a number that does not parse and a missing map file
+        (["classify", "--map", HALF_SHIFT_JSON, "--tol", "0"], 2),
+        (["spectrum", "--t", "1", "--samples", "1"], 2),
+        (["spectrum", "--t", "1", "--config", [1, 2]], 2),
+        (["spectrum", "--t", "abc"], 2),
+        (["classify", "--map", "@/nonexistent/map.json"], 2),
     ],
 )
 def test_malformed_option_values_are_input_errors(argv, code, tmp_path, capsys):
-    if isinstance(argv[-1], dict):
+    if isinstance(argv[-1], (dict, list)):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(argv[-1]))
         argv = argv[:-1] + [str(cfg)]

@@ -282,13 +282,32 @@ def test_classify_rejects_non_self_map():
 def test_classify_borderline_near_parabolic():
     base = parabolic_from(1.0, 1.0)
     eps = 1e-12
-    wobbled = MoebiusMap(base.a + eps, base.b, base.c, base.d + eps)
+    # eps added to b leaves the parabolic line (eps added to a and d would not:
+    # that adds eps times the identity matrix, and the map stays parabolic)
+    wobbled = MoebiusMap(base.a, base.b + eps, base.c, base.d)
     result = classify(wobbled)
     assert result.map_class in (
         MapClass.PARABOLIC_NON_AUTOMORPHISM,
         MapClass.PARABOLIC_AUTOMORPHISM,
     )
     assert result.borderline
+
+
+def test_parabolic_notes_do_not_depend_on_the_scale():
+    # rounding leaves the discriminant and the boundary derivative of an
+    # exactly parabolic map off 0 and 1 by an amount the scale moves; below
+    # the rounding floor neither is a note
+    rng = np.random.default_rng(29)
+    cases = [(1.0, 1.0, cmath.exp(1j))]  # at the parent: one note, then two
+    for _ in range(1000):
+        zeta, k = np.exp(2j * np.pi * rng.random(2))
+        re_t = rng.uniform(0.0, 2.0) if rng.random() < 0.75 else 0.0  # 0: automorphism
+        cases.append((zeta, complex(re_t, rng.uniform(-3.0, 3.0)), k))
+    for zeta, t, k in cases:
+        m = parabolic_from(zeta, t)
+        scaled = MoebiusMap(k * m.a, k * m.b, k * m.c, k * m.d)
+        assert (classify(m).borderline, classify(m).notes) == (False, ())
+        assert (classify(scaled).borderline, classify(scaled).notes) == (False, ())
 
 
 @st.composite

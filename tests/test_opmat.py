@@ -518,9 +518,9 @@ def test_batched_tail_diagnostics_match_each_column():
         batch = tail_diagnostics(entries)
         for j in range(entries.shape[1]):
             td = tail_diagnostics(entries[:, j])
-            assert bool(batch.slow_decay[j]) == td.slow_decay
-            assert batch.ratio[j] == td.ratio
-            assert batch.bound[j] == td.bound
+            assert batch.slow_decay[j] == td.slow_decay[0]
+            assert batch.ratio[j] == td.ratio[0]
+            assert batch.bound[j] == td.bound[0]
 
 
 def test_word_block_enforces_order_policy():

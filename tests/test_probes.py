@@ -399,6 +399,19 @@ def test_unitary_weighted_automorphisms_have_zero_chi(a, turn, sp, ws):
     assert max(abs(p.chi) * (1.0 - abs(p.w) ** 2) ** sp.gamma for p in pts) <= 1e-10
 
 
+def test_kernel_probe_on_an_empty_grid_has_no_points():
+    assert kernel_condition_probe(composition(AFFINE_HALF), hardy(), []) == []
+
+
+def test_kernel_probe_below_the_tail_order_doubles_until_judged():
+    # a series of order below 16 is too short to judge: it counts as slow
+    op, grid = composition(AFFINE_HALF), default_kernel_grid()[::9]
+    judged = kernel_condition_probe(op, hardy(), grid, order=16)
+    for start in (0, 1, 4):  # doubling from 1, 1 or 4 reaches 16 itself
+        assert kernel_condition_probe(op, hardy(), grid, order=start) == judged
+    assert all(p.order >= 30 for p in kernel_condition_probe(op, hardy(), grid, order=15))
+
+
 def test_kernel_grid_stays_inside_disk():
     grid = default_kernel_grid()
     assert len(grid) > 32
@@ -436,13 +449,13 @@ def _per_point_probe(op, space, w, order):
     m = order
     while True:
         s = taylor(expr, m).coeffs
-        td = tail_diagnostics(s)
-        if not td.slow_decay or m >= KERNEL_PROBE_MAX_ORDER:
+        slow = bool(tail_diagnostics(s).slow_decay[0])
+        if not slow or m >= KERNEL_PROBE_MAX_ORDER:
             break
         m *= 2
     lhs = float(np.sum(np.abs(s) ** 2 * space.basis_norms_sq(m)))
     rhs = abs(evaluate(op.weight, w)) ** 2 * kernel_norm_sq(space, op.symbol.apply(w))
-    return lhs - rhs, lhs, m, td.slow_decay
+    return lhs - rhs, lhs, m, slow
 
 
 def _assert_batched_matches_per_point(op, space, grid, order):

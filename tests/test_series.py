@@ -22,11 +22,15 @@ from wcolab.series import (
     Scale,
     Sum,
     _num_den,
+    _poly_mul,
+    _poly_pow,
+    column_tail_bound,
     constant,
     eliminate_precompose,
     evaluate,
     expr_from_json,
     expr_to_json,
+    has_disk_singularity,
     rational_series,
     tail_diagnostics,
     taylor,
@@ -313,19 +317,20 @@ def test_tail_diagnostics_geometric_decay():
     n = 64
     r = 0.5
     d = tail_diagnostics(r ** np.arange(n + 1, dtype=float) + 0j)
-    assert abs(d.ratio - r) < 0.05
-    assert not d.slow_decay
-    assert d.bound < 1e-8
+    assert abs(d.ratio[0] - r) < 0.05
+    assert not d.slow_decay[0]
+    assert d.bound[0] < 1e-8
 
 
 def test_tail_diagnostics_flags_slow_decay():
     d = tail_diagnostics(0.99 ** np.arange(65, dtype=float) + 0j)
-    assert d.slow_decay
+    assert d.slow_decay[0]
 
 
 def test_tail_diagnostics_needs_enough_coefficients():
-    with pytest.raises(InputError):
-        tail_diagnostics(np.ones(8, dtype=complex))
+    # a series too short to judge is untrusted: no finite bound, flagged slow
+    d = tail_diagnostics(np.ones(8, dtype=complex))
+    assert (d.ratio[0], d.bound[0], d.slow_decay[0]) == (1.0, np.inf, True)
 
 
 def test_expr_json_roundtrip():
@@ -511,3 +516,63 @@ def test_rational_series_rejects_bad_input():
         rational_series("power", (-1, 1), (1,), 8, 0.5)
     with pytest.raises(InputError):
         rational_series("log", (1, 1), (1,), 8)
+
+
+def test_poly_pow_squares_as_the_repeated_product():
+    # repeated squaring rounds like the product a * (a * ... (a * 1)) for
+    # k <= 3 (the kernel exponents), and agrees with it to rounding beyond
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+    one = np.ones((1, 4), dtype=complex)
+    for M in (None, 9):
+        product = one
+        for k in range(9):
+            got = _poly_pow(a, k, M)
+            assert got.shape == product.shape
+            if k <= 3:
+                assert np.array_equal(got, product)
+            np.testing.assert_allclose(got, product, rtol=1e-13, atol=1e-13 * np.abs(product).max())
+            product = _poly_mul(a, product, M)
+
+
+def test_high_integer_powers_expand_truncated():
+    # a power above the fold stays a Power node: 1e300 squarings' worth of
+    # exponent costs log2(1e300) products through z^160, and underflows to 0
+    base = Poly((0.5, 0.25))
+    assert not np.any(taylor(Power(base, 1e300), 160).coeffs)
+    # a power's poles are its base's roots where it divides by them
+    assert not has_disk_singularity(Power(Poly((1, -2)), 100), 1.0)
+    assert has_disk_singularity(Power(Poly((1, -2)), -100), 1.0)
+    assert not has_disk_singularity(Power(Rational(Poly((1, -2)), Poly((3, -1))), 100), 1.0)
+    assert not has_disk_singularity(Power(Rational(Poly((3, -1)), Poly((1, -2))), -100), 1.0)
+    assert has_disk_singularity(Power(Poly((1, -2)), 100.5), 1.0)
+    # and it expands as its factors do
+    for k in (4, 9, -7):
+        factors = Product((base,) * abs(k))
+        expected = taylor(factors if k > 0 else Rational(Poly((1,)), eliminate_precompose(factors)), 40)
+        assert_series_close(taylor(Power(base, k), 40).coeffs, expected.coeffs, 1e-13)
+    # no exponent makes series arithmetic warn: an overflow gives inf
+    for k in (3000, -3000, 1e300, -1e300, 3000.5, -3000.5):
+        for b in (base, Poly((2.0, 0.25))):
+            taylor(Power(b, k), 40)
+
+
+def test_scale_of_a_node_that_is_no_rational_part():
+    inner = Exp(Poly((0, 0.5)))
+    assert np.array_equal(taylor(Scale(2, inner), 30).coeffs, 2 * taylor(inner, 30).coeffs)
+
+
+def test_evaluate_rejects_powers_of_zero():
+    with pytest.raises(InputError, match="negative power of zero"):
+        evaluate(Power(Poly((1, -1)), -2), 1.0)
+    with pytest.raises(InputError, match="fractional power of zero"):
+        evaluate(Power(Poly((1, -1)), 0.5), np.array([0.5, 1.0]))
+
+
+def test_column_tail_bound():
+    assert column_tail_bound(np.array([0.5])) == np.inf  # one column: no decay to read
+    assert column_tail_bound(np.ones(12)) == np.inf  # norms that do not decay
+    assert column_tail_bound(np.array([1.0, 2.0])) == np.inf
+    assert column_tail_bound(np.array([1.0, 0.0])) == 0.0
+    # norms 2^-j: the squares beyond the last sum to 4^-9 / 3
+    assert abs(column_tail_bound(0.5 ** np.arange(10.0)) - 4.0**-9 / 3) <= 1e-15

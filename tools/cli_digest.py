@@ -8,9 +8,15 @@ The calls are:
   2/0 3/1): the 256 requests `wcbench/workloads.cli_requests` draws for
   pass p of seed s, each run in process.  Its exit code, stdout, stderr and
   JSON file get one line each;
+* `wcolab block` and `wcolab probe` at `--order 4 --tail 12`, below the
+  order whose tail the diagnostics judge, for the half-shift z/(2 - z),
+  which touches the unit circle, and for (z + 1)/4, which stays inside it;
 * `wcolab scenario run --all --json`, and the same with `--order-scale 2`,
   whose exit code, stdout without the timings and JSON without any
   "runtime_s" get one line each.
+
+`--no-scenarios` leaves out the calls that follow the requests, the
+short-order ones and both scenario runs.
 
 Exit code, stdout and stderr are digested as bytes.  A JSON file is digested
 by content: parsed, every "runtime_s" key dropped at any depth, and written
@@ -39,6 +45,7 @@ import contextlib
 import hashlib
 import io
 import json
+from itertools import chain
 import pathlib
 import re
 import sys
@@ -51,6 +58,10 @@ import workloads  # noqa: E402
 from wcolab import cli  # noqa: E402
 
 DEFAULT_SEEDS = ("1/0", "1/1", "2/0", "3/1")
+SHORT_ORDER_MAPS = {
+    "half-shift": '{"a":[1,0],"b":[0,0],"c":[-1,0],"d":[2,0]}',
+    "interior": '{"a":[1,0],"b":[1,0],"c":[0,0],"d":[4,0]}',
+}
 OUT = "out.json"
 TIMING = re.compile(r"  \(\d+\.\d+s\)$", re.M)
 
@@ -97,6 +108,13 @@ def request_lines(seed: str, limit: int | None):
         yield from lines(f"{seed} {i:03d} {cmd}", *call(argv))
 
 
+def short_order_lines():
+    for name, symbol in SHORT_ORDER_MAPS.items():
+        for cmd in ("block", "probe"):
+            argv = [cmd, "--map", symbol, "--order", "4", "--tail", "12", "--json", OUT]
+            yield from lines(f"{cmd} {name} --order 4 --tail 12", *call(argv))
+
+
 def scenario_lines(flags: list[str]):
     code, stdout, stderr, written = call(["scenario", "run", "--all", *flags, "--json", OUT])
     stdout = TIMING.sub("", stdout)
@@ -107,14 +125,17 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("seeds", nargs="*", default=DEFAULT_SEEDS, help="seeds s/p")
     parser.add_argument("--limit", type=int, help="first requests of each seed only")
-    parser.add_argument("--no-scenarios", action="store_true", help="skip both scenario runs")
+    parser.add_argument(
+        "--no-scenarios", action="store_true", help="skip the short-order calls and both scenario runs"
+    )
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as scratch, contextlib.chdir(scratch):
         for seed in args.seeds:
             for line in request_lines(seed, args.limit):
                 print(line)
-        for flags in () if args.no_scenarios else ([], ["--order-scale", "2"]):
-            for line in scenario_lines(flags):
+        if not args.no_scenarios:
+            scaled = ["--order-scale", "2"]
+            for line in chain(short_order_lines(), scenario_lines([]), scenario_lines(scaled)):
                 print(line)
     return 0
 
