@@ -36,6 +36,7 @@ from .opmat import (
 from .series import (
     _poly_mul,
     _substitute_poly,
+    eliminate_precompose,
     evaluate,
     rational_series,
     tail_diagnostics,
@@ -298,7 +299,8 @@ def kernel_condition_probe(
         orders[g], slow[g] = m, td.slow_decay[done]
         pending = pending[~done]
         m *= 2
-    chi = lhs - np.abs(evaluate(op.weight, ws)) ** 2 * kernel_norm_sq(space, phi.apply(ws))
+    weight = eliminate_precompose(op.weight)  # the form that `taylor` expands
+    chi = lhs - np.abs(evaluate(weight, ws)) ** 2 * kernel_norm_sq(space, phi.apply(ws))
     return [
         KernelProbePoint(complex(w), float(c), int(o), bool(s))
         for w, c, o, s in zip(ws, chi, orders, slow)

@@ -16,10 +16,19 @@ Threshold provenance is tagged per check:
 
 Reports are deterministic at a fixed BLAS thread count: two runs produce
 identical JSON apart from the runtime field.
+
+A run computes each distinct operator's evidence once: S4's quasinormality
+defects and S9's and S10's hyponormality and kernel probes go through a memo
+keyed by operator value (`_once`), open for one `run_scenario` or for all of
+`run_all`, so S10's `psi-one` and `psi-kernel` cases, both the composition
+with AFFINE_HALF, reuse S9's `affine-half` evidence.  Nothing is kept from
+one run to the next.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import functools
 import importlib.resources
 import json
@@ -56,7 +65,17 @@ from .probes import (
     quasinormality_defect,
     unitary_defect,
 )
-from .series import Exp, Poly, PrecomposeMoebius, Product, Rational, constant, evaluate, taylor
+from .series import (
+    Exp,
+    Poly,
+    PrecomposeMoebius,
+    Product,
+    Rational,
+    constant,
+    eliminate_precompose,
+    evaluate,
+    taylor,
+)
 from .space import bergman, hardy, kernel_expr
 from .spectra import DEFAULT_BETA_GRID, eigen_residual, spiral_curve
 
@@ -254,6 +273,35 @@ def _below_ceiling(name, value, key, **details) -> CheckResult:
     return _le(name, value, ceiling, "oracle", key=key, **details)
 
 
+#: The open run's evidence by key (see `_once`); None outside a run.
+_MEMO: contextvars.ContextVar[dict | None] = contextvars.ContextVar("memo", default=None)
+
+
+@contextlib.contextmanager
+def _run_scope():
+    """Open a memo for the scenarios run inside, unless one is open already;
+    it is dropped on leaving the scope that opened it."""
+    if _MEMO.get() is not None:
+        yield
+        return
+    token = _MEMO.set({})
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
+
+
+def _once(fn, op: OperatorSpec, space, *args):
+    """fn(op, space, *args), computed once in the open run for each key of
+    the function, the weight's normal form, the symbol, the space and args:
+    every input the probes read of the operator."""
+    memo = _MEMO.get()
+    key = (fn, eliminate_precompose(op.weight), op.symbol, space, args)
+    if key not in memo:
+        memo[key] = fn(op, space, *args)
+    return memo[key]
+
+
 # -- scenario bodies ----------------------------------------------------------
 
 
@@ -368,7 +416,7 @@ def _s4(ov: Overrides) -> tuple[list[CheckResult], dict]:
             checks.append(
                 _above_floor(
                     f"quasinormal-defect.{space.label()}.{psi_label}",
-                    quasinormality_defect(op, space, N, M),
+                    _once(quasinormality_defect, op, space, N, M),
                     f"S4.{space.label()}.{psi_label}",
                 )
             )
@@ -519,7 +567,7 @@ def _hyponormality_cases(ov: Overrides, scenario: str, cases) -> tuple[list[Chec
     N, M = ov.order(16), ov.work(320)
     checks = []
     for space, label, op in cases:
-        ev = hyponormality_probe(op, space, N, M)
+        ev = _once(hyponormality_probe, op, space, N, M)
         checks.append(
             _below_ceiling(
                 f"selfcommutator-min-eig.{space.label()}.{label}",
@@ -531,7 +579,7 @@ def _hyponormality_cases(ov: Overrides, scenario: str, cases) -> tuple[list[Chec
         checks.append(
             _kernel_witness(
                 f"kernel-witness-min-chi.{space.label()}.{label}",
-                kernel_condition_probe(op, space),
+                _once(kernel_condition_probe, op, space),
             )
         )
     return checks, {"N": N, "M": M}
@@ -713,7 +761,8 @@ def run_scenario(scenario_id: str, overrides: Overrides | None = None) -> Scenar
     sc = REGISTRY[sid]
     ov = overrides or Overrides()
     start = time.perf_counter()
-    checks, orders = sc.runner(ov)
+    with _run_scope():
+        checks, orders = sc.runner(ov)
     runtime = time.perf_counter() - start
     if sc.exploratory:
         verdict = "REPORT"
@@ -731,4 +780,7 @@ def run_scenario(scenario_id: str, overrides: Overrides | None = None) -> Scenar
 
 
 def run_all(overrides: Overrides | None = None) -> list[ScenarioReport]:
-    return [run_scenario(sid, overrides) for sid, _ in list_scenarios()]
+    """Every scenario in order, in one run: evidence an earlier scenario
+    computed is not computed again, nor counted in a later one's runtime_s."""
+    with _run_scope():
+        return [run_scenario(sid, overrides) for sid, _ in list_scenarios()]

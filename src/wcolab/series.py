@@ -236,9 +236,11 @@ class PowerSeries:
 
 
 def taylor(e: AnalyticExpr, order: int) -> PowerSeries:
-    """Taylor coefficients of the expression at 0, through z**order (inf on overflow)."""
+    """Taylor coefficients of the expression at 0, through z**order; an
+    overflow gives inf or nan (a complex inf times zero is nan)."""
     if order < 0:
         raise InputError("taylor order must be nonnegative")
+    # for the nodes' arithmetic; the normal form and `rational_series` guard their own
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         return PowerSeries(_taylor(eliminate_precompose(e), int(order)))
 
@@ -297,6 +299,8 @@ def _poly_pow(a: np.ndarray, k: int, M: int | None = None) -> np.ndarray:
     repeated squaring: O(log k) products, for k <= 3 the repeated product."""
     out = np.ones((1, a.shape[1]), dtype=np.complex128)
     while k:
+        if not a.any():  # a positive power of zero, as once the squares underflow
+            return np.zeros_like(out)
         out = _poly_mul(out, a, M) if k & 1 else out
         k >>= 1
         a = _poly_mul(a, a, M) if k else a
@@ -312,6 +316,7 @@ def _poly_deriv(a: np.ndarray) -> np.ndarray:
 _BLOCK_ENTRIES = 1 << 14
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # an overflow gives inf or nan
 def rational_series(kind: str, num, den, M: int, exponent: float = 1.0) -> np.ndarray:
     """Taylor coefficients through z**M of a function of the rational r = N/D.
 
@@ -422,6 +427,7 @@ def _power_constant(b0: np.ndarray, gamma: float) -> np.ndarray:
 # -- precomposition elimination ---------------------------------------------
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a fold that overflows stays a node
 def eliminate_precompose(e: AnalyticExpr) -> AnalyticExpr:
     """Rational normal form of e: an equivalent expression with no
     PrecomposeMoebius node, and each rational part (a Poly or Rational leaf,
@@ -491,10 +497,12 @@ def _normalize(e: AnalyticExpr) -> AnalyticExpr:
         else:
             num = _poly_mul(num, n)
         den = _poly_mul(den, d)
-    num, den = num[:, 0], _trim(den[:, 0])
+    num, den = num[:, 0], den[:, 0]
+    if not (np.isfinite(num).all() and np.isfinite(den).all()):
+        return e  # a fold that overflowed is no leaf; e's own series shows the overflow
     if not np.any(num):
         return constant(0.0)
-    num = _trim(num)
+    num, den = _trim(num), _trim(den)
     roots = _roots(num) if min(len(num), len(den)) > 1 else ()
     left, kept = list(_roots(den)) if len(roots) else [], []
     for r in roots:
@@ -521,7 +529,7 @@ def has_disk_singularity(e: AnalyticExpr, radius: float) -> bool:
     or a Power of a leaf with a pole or a branch point there.  Leaves of the
     normal form are reduced, so a pole may cancel across leaves.  Other nodes
     are only walked through, so False proves nothing."""
-    return _singular(_eliminate(e, ()), radius)
+    return _singular(eliminate_precompose(e), radius)
 
 
 def _singular(e: AnalyticExpr, radius: float) -> bool:

@@ -482,6 +482,13 @@ def test_batched_kernel_probe_matches_per_point_path_s9_s10():
             _assert_batched_matches_per_point(op, sp, grid, KERNEL_PROBE_ORDER)
 
 
+def test_kernel_probe_reads_the_weight_through_its_normal_form():
+    # K_0 is the constant 1, so its operator is the composition, bit for bit
+    for sp in ALL_SPACES:
+        kernel = kernel_condition_probe(weighted(kernel_expr(sp, 0.0), AFFINE_HALF), sp)
+        assert kernel == kernel_condition_probe(composition(AFFINE_HALF), sp)
+
+
 def test_batched_kernel_probe_matches_per_point_path_with_doublings():
     grid = [default_kernel_grid()[i] for i in (0, 40, 68, 120)]
     pts = _assert_batched_matches_per_point(_unitary_kernel_operator(0.9), hardy(), grid, 32)

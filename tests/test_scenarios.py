@@ -1,11 +1,13 @@
 """Tests for the scenario registry and its reports."""
 
+import dataclasses
 import json
 
 import pytest
 
+from wcolab import scenarios
 from wcolab.cli import _write_json
-from wcolab.errors import UnknownScenarioError
+from wcolab.errors import InputError, UnknownScenarioError
 from wcolab.probes import KERNEL_PROBE_MAX_ORDER, KernelProbePoint
 from wcolab.scenarios import (
     ALIASES,
@@ -175,3 +177,66 @@ def test_scenarios_reference_existing_threshold_keys(suite):
     ]
     assert len(keys) == 26
     assert set(keys) <= known, set(keys) - known
+
+
+# -- one computation per distinct operator in a run ----------------------------
+
+MEMOIZED = ("kernel_condition_probe", "hyponormality_probe", "quasinormality_defect")
+
+
+def _count_memoized_calls(monkeypatch) -> dict[str, int]:
+    """Counts of the memoized probes' calls from the scenarios module."""
+    counts = dict.fromkeys(MEMOIZED, 0)
+    for name in MEMOIZED:
+        fn = getattr(scenarios, name)
+
+        def counting(*args, _fn=fn, _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(scenarios, name, counting)
+    return counts
+
+
+def _without_runtime(rep):
+    return repr(dataclasses.replace(rep, runtime_s=0.0))
+
+
+def test_scenarios_run_alone_report_what_run_all_reports(suite):
+    for sid in ("S4", "S9", "S10"):
+        (full_id,) = [s for s in REGISTRY if s.split("-")[0] == sid]
+        assert _without_runtime(run_scenario(full_id)) == _without_runtime(suite.reports[sid])
+
+
+def test_run_all_computes_each_distinct_operator_once(suite, monkeypatch):
+    # S10's psi-one and psi-kernel cases are S9's affine-half operator in each
+    # space, and S4's two weights are one operator
+    counts = _count_memoized_calls(monkeypatch)
+    reports = scenarios.run_all()
+    assert counts == {
+        "kernel_condition_probe": 9,
+        "hyponormality_probe": 12,
+        "quasinormality_defect": 8,
+    }
+    assert [_without_runtime(r) for r in reports] == [
+        _without_runtime(r) for r in suite.reports.values()
+    ]
+
+
+def test_each_run_computes_its_own_evidence(monkeypatch):
+    counts = _count_memoized_calls(monkeypatch)
+    for runs in (1, 2):
+        run_scenario("S10-hyperbolic-nonauto")
+        # per space: psi-one and psi-kernel share, psi-one-minus-z is its own
+        assert counts["kernel_condition_probe"] == 6 * runs
+        assert counts["hyponormality_probe"] == 6 * runs
+    assert scenarios._MEMO.get() is None
+
+
+def test_a_scenario_that_raises_leaves_no_run_open():
+    with pytest.raises(InputError):
+        run_scenario("S4-nonparabolic-defect", Overrides(N=-1))
+    assert scenarios._MEMO.get() is None
+    with pytest.raises(InputError):
+        scenarios.run_all(Overrides(N=-1))
+    assert scenarios._MEMO.get() is None

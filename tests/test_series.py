@@ -557,6 +557,43 @@ def test_high_integer_powers_expand_truncated():
             taylor(Power(b, k), 40)
 
 
+def test_a_power_stops_squaring_once_it_underflows(monkeypatch):
+    # (0.5 + 0.25z)^(2^j) is all zero through z^160 after a dozen squarings;
+    # the remaining ~990 bits of the exponent multiply nothing (the
+    # denominator 1 takes its ~1000 one-row products)
+    from wcolab import series
+
+    calls = []
+    mul = series._poly_mul
+    monkeypatch.setattr(series, "_poly_mul", lambda a, *r: calls.append(len(a) > 1) or mul(a, *r))
+    coeffs = taylor(Power(Poly((0.5, 0.25)), 1e300), 160).coeffs
+    assert coeffs.shape == (161,) and not np.any(coeffs)
+    assert sum(calls) < 40
+    zero = np.zeros((3, 1), dtype=complex)
+    assert not np.any(_poly_pow(zero, 5, 8)) and np.array_equal(_poly_pow(zero, 0), [[1]])
+
+
+def test_a_fold_that_overflows_stays_a_node():
+    # (1e200 + z)^3: the folded coefficients 1e600 and 3e400 overflow
+    weight = Power(Poly((1e200, 1)), 3)
+    coeffs = taylor(weight, 8).coeffs
+    assert not np.isfinite(coeffs[:2]).any()
+    assert np.array_equal(coeffs[2:], [3e200, 1, 0, 0, 0, 0, 0])
+    assert not has_disk_singularity(weight, 1.0)
+    assert not has_disk_singularity(Power(Poly((1e200, 1)), -3), 1.0)  # its pole is at -1e200
+    # and quietly, under the test suite's error::RuntimeWarning filter
+    for folded in (Sum((Poly((1e308,)), Poly((1e308, 1)))), Scale(1e300, Poly((1e300, 1)))):
+        assert not has_disk_singularity(folded, 1.0)
+        assert np.isinf(taylor(folded, 3).coeffs[0])
+
+
+def test_rational_series_keeps_its_overflows_quiet():
+    # called directly, as the probes and the spectra do, under the test
+    # suite's error::RuntimeWarning filter
+    assert not np.isfinite(rational_series("power", (0.5, 0.25), (1,), 8, -3000)).all()
+    assert np.isinf(rational_series("exp", (800,), (1,), 4)[0])
+
+
 def test_scale_of_a_node_that_is_no_rational_part():
     inner = Exp(Poly((0, 0.5)))
     assert np.array_equal(taylor(Scale(2, inner), 30).coeffs, 2 * taylor(inner, 30).coeffs)
