@@ -130,18 +130,22 @@ class MoebiusMap:
         return MoebiusMap(self.d, -self.b, -self.c, self.a)
 
     def iterate(self, n: int) -> "MoebiusMap":
-        """n-fold composition with itself, n >= 1, by repeated squaring."""
+        """n-fold composition with itself, n >= 1, by repeated squaring; the
+        base is squared only while a higher bit of n is left to use it, since
+        a square past that may be degenerate to rounding, as the 64th
+        iterate of (z + 1)/2 is."""
         if n < 1:
             raise InputError("iterate requires n >= 1")
         result = None
         base = self.normalized()
-        while n:
+        while True:
             if n & 1:
                 result = base if result is None else result.compose(base)
                 result = result.normalized()
-            base = base.compose(base).normalized()
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base.compose(base).normalized()
 
     def normalized(self) -> "MoebiusMap":
         """Same map with coefficient scale 1 (projective representative)."""

@@ -16,10 +16,20 @@ its letters right to left to the N + 1 columns it reads, each letter built
 with only the rows and columns that the compression reads of it: triangular
 letters at the ends of a word compress exactly and are built at order N,
 and only the letters between them are order-M blocks (see `_apply_word`).
+
+The Gram pair P_N A*A P_N, P_N AA* P_N (`gram_blocks`) reads no block where
+the weight's normal form is one Poly or Rational leaf and the space's
+kernel exponent gamma is an integer: AA* is then the end of gamma chained
+Stein equations in the Toeplitz matrix of the symbol's series, and on the
+Hardy space A*A is one Stein equation in the recurrence of F's rows, each
+solved by Smith doubling with a bound on its exact remainder (`_stein`).
+Any other half reads a block of working order M, A*A the tall block and
+AA* the wide one, with an extrapolated tail bound.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import get_args
 
@@ -31,21 +41,24 @@ from .errors import (
     OrderPolicyError,
     UnboundedWeightError,
 )
-from .mobius import MoebiusMap
+from .mobius import MoebiusMap, identity
 from .series import (
     AnalyticExpr,
     Poly,
     Power,
+    _quotient,
     column_tail_bound,
     constant,
+    eliminate_precompose,
     evaluate,
     expr_from_json,
     expr_to_json,
     has_disk_singularity,
+    rational_series,
     tail_diagnostics,
     taylor,
 )
-from .space import SpaceSpec
+from .space import HARDY, SpaceSpec
 
 _EXPR_TYPES = get_args(AnalyticExpr)
 
@@ -330,32 +343,186 @@ def _apply_word(
 
 @dataclass(frozen=True, eq=False)
 class GramPair:
-    """G1 ~ compression of A*A, G2 ~ compression of AA*, with a crude bound
-    on the truncation error of either."""
+    """G1 ~ compression of A*A, G2 ~ compression of AA*, with a bound on the
+    truncation error of either: the remainder of a Stein solve for a half
+    that `gram_blocks` solves exactly, an extrapolated block tail otherwise."""
 
     g1: np.ndarray
     g2: np.ndarray
     tail_bound: float
 
 
+#: Doublings after which a Stein solve stops, and the remainder factor at or
+#: below which it stops sooner (see `_stein`).
+STEIN_MAX_DOUBLINGS = 64
+STEIN_TOL = 2.0 ** -104
+
+
 def gram_blocks(
     op: OperatorSpec, space: SpaceSpec, N: int, M: int | None = None
 ) -> GramPair:
-    """Order-N compressions of A*A (from the tall block, rows <= M) and AA*
-    (from the wide block, columns <= M).  Requires M >= 2N."""
+    """Order-N compressions of A*A and AA*.  Requires M >= 2N.
+
+    For a weight whose normal form is one Poly or Rational leaf on a space
+    with an integer kernel exponent, AA* comes from a Stein solve with no
+    working order, and so does A*A on the Hardy space (`_stein_weight`);
+    any other half reads a block: A*A the tall block (rows <= M), AA* the
+    wide block (columns <= M)."""
     M = working_order(N, [op], M)
-    return _gram_pair(_columns(op, space, M, N), _columns(op, space, N, M))
+    return _gram(op, space, N, M)
 
 
-def _gram_pair(tall: np.ndarray, wide: np.ndarray) -> GramPair:
-    """Gram pair from the tall block (columns <= N) and the wide block (rows <= N);
-    G1 and G2 are symmetrized, so exactly Hermitian."""
-    g1 = tall.conj().T @ tall
-    g1 = 0.5 * (g1 + g1.conj().T)
-    g2 = wide @ wide.conj().T
-    g2 = 0.5 * (g2 + g2.conj().T)
-    bound1 = float(np.sum(tail_diagnostics(tall).bound ** 2))
-    return GramPair(g1, g2, bound1 + column_tail_bound(np.linalg.norm(wide, axis=0)))
+def _stein_weight(op: OperatorSpec, space: SpaceSpec) -> tuple | None:
+    """Numerator and denominator of the weight's normal form when it is one
+    leaf and the space's kernel exponent is an integer, else None."""
+    if not float(space.gamma).is_integer():
+        return None
+    return _quotient(eliminate_precompose(op.weight))
+
+
+def _reads_blocks(leaf: tuple | None, space: SpaceSpec) -> tuple[bool, bool]:
+    """Whether a Gram pair whose `_stein_weight` is leaf reads the tall block
+    (for A*A) and the wide block (for AA*)."""
+    return leaf is None or space.kind != HARDY, leaf is None
+
+
+def _gram(
+    op: OperatorSpec,
+    space: SpaceSpec,
+    N: int,
+    M: int,
+    tall: np.ndarray | None = None,
+    wide: np.ndarray | None = None,
+) -> GramPair:
+    """The Gram pair of `gram_blocks` at a validated working order M.  A
+    caller that holds the tall block (rows <= M, columns <= N) or the wide
+    one (rows <= N, columns <= M) passes it; a half that needs a block it
+    was not given builds it.  Both G1 and G2 are symmetrized, so exactly
+    Hermitian."""
+    leaf = _stein_weight(op, space)
+    reads_tall, reads_wide = _reads_blocks(leaf, space)
+    phi = identity() if op.symbol is None else op.symbol
+    if reads_tall:
+        tall = _columns(op, space, M, N) if tall is None else tall
+        g1 = tall.conj().T @ tall
+        bound1 = float(np.sum(tail_diagnostics(tall).bound ** 2))
+    else:
+        g1, bound1 = _stein_g1(*leaf, phi, N)
+    if reads_wide:
+        wide = _columns(op, space, N, M) if wide is None else wide
+        g2 = wide @ wide.conj().T
+        bound2 = column_tail_bound(np.linalg.norm(wide, axis=0))
+    else:
+        g2, bound2 = _stein_g2(*leaf, phi, space, N)
+    return GramPair(_hermitian(g1), _hermitian(g2), bound1 + bound2)
+
+
+def _hermitian(x: np.ndarray) -> np.ndarray:
+    return 0.5 * (x + x.conj().T)
+
+
+def _stein_g2(num, den, phi: MoebiusMap, space: SpaceSpec, N: int) -> tuple[np.ndarray, float]:
+    """P_N AA* P_N and the bound on its remainder, for the weight num/den.
+
+    Rows 0..N of column m of F (before the basis scaling) are T^m x0, where T
+    is the lower-triangular Toeplitz matrix of phi's series and x0 holds the
+    weight's, both through z^N: rows 0..N of a lower-triangular product read
+    only rows 0..N.  Column m weighs 1/||z^m||^2 = binom(m + gamma - 1, m),
+    so the unscaled G2 is the end of gamma chained Stein equations.  The
+    basis norms are at most 1, so scaling does not enlarge the bound."""
+    x0 = rational_series("quotient", num, den, N)
+    t = _linear_fractional_series(phi.b, phi.a, phi.d, phi.c, N)
+    x, bound = _stein(_toeplitz(t), np.outer(x0, x0.conj()), int(space.gamma))
+    b = np.sqrt(space.basis_norms_sq(N))
+    return x * np.outer(b, b), bound
+
+
+def _stein_g1(num, den, phi: MoebiusMap, N: int) -> tuple[np.ndarray, float]:
+    """P_N A*A P_N on the Hardy space and the bound on its remainder, for
+    the weight psi = num/den.
+
+    Row n of F, r_n = F[n, 0..N], holds the coefficients of
+    sum_j F[n, j] u^j = [z^n] psi / (1 - u phi), and with h = psi (d + cz),
+    e = 1/(d - bu) and phi~(u) = (au - c)/(d - bu) that is
+    r_n = r_(n-1) Phi + h_n e, Phi the upper-triangular Toeplitz matrix of
+    phi~ (a row times Phi is a product of series in u).  Past the degree n0
+    of h's numerator, h_n follows den's recurrence, so the row and den's
+    last h values form a state s_n = s_(n-1) A, and the rows past n0 add
+    the Stein solution in A* with Q = s_(n0)* s_(n0) to the head rows' Gram.
+    A's spectrum is -c/d (|c/d| < 1 for a self-map) and the reciprocal
+    roots of den, none on or outside the unit circle for a bounded weight."""
+    a, b, c, d = phi.a, phi.b, phi.c, phi.d
+    hnum = np.convolve(num, (d, c))
+    n0 = len(hnum) - 1
+    h = rational_series("quotient", hnum, den, n0)
+    e = _linear_fractional_series(1.0, 0.0, d, -b, N)
+    big_phi = _toeplitz(_linear_fractional_series(-c, a, d, -b, N)).T
+    rows = np.zeros((n0 + 1, N + 1), dtype=np.complex128)
+    r = np.zeros(N + 1, dtype=np.complex128)
+    for n in range(n0 + 1):
+        r = rows[n] = r @ big_phi + h[n] * e
+    # state: the row, then h_n0, h_(n0-1), ..., h_(n0-q+1) (zero below index 0)
+    q = len(den) - 1
+    s = np.concatenate((r, np.concatenate((np.zeros(q), h))[q + n0 - np.arange(q)]))
+    step = np.zeros((N + 1 + q, N + 1 + q), dtype=np.complex128)
+    step[: N + 1, : N + 1] = big_phi
+    if q:
+        ck = -np.asarray(den[1:]) / den[0]  # h_(n+1) = sum_k ck[k-1] h_(n+1-k)
+        step[N + 1 :, : N + 1] = np.outer(ck, e)
+        step[N + 1 :, N + 1] = ck
+        step[N + 1 + np.arange(q - 1), N + 2 + np.arange(q - 1)] = 1.0
+    y, bound = _stein(step.conj().T, np.outer(s.conj(), s), 1)
+    head = rows[:n0]
+    return head.conj().T @ head + y[: N + 1, : N + 1], bound
+
+
+def _linear_fractional_series(p0, p1, q0, q1, n: int) -> np.ndarray:
+    """Series of (p0 + p1 z)/(q0 + q1 z) through z^n, q0 != 0: p0/q0, then
+    (p1 + p0 r) r^(k-1) / q0 with r = -q1/q0, in closed form, since three
+    of them per Gram pair through `rational_series`' per-coefficient loop
+    would cost more than the Stein solves at the scenarios' orders."""
+    r = -q1 / q0
+    out = np.empty(n + 1, dtype=np.complex128)
+    out[0] = p0 / q0
+    out[1:] = (p1 + p0 * r) / q0 * complex(r) ** np.arange(n)
+    return out
+
+
+def _toeplitz(t: np.ndarray) -> np.ndarray:
+    """Lower-triangular Toeplitz matrix with first column t."""
+    k = np.subtract.outer(np.arange(len(t)), np.arange(len(t)))
+    return np.where(k >= 0, t[np.maximum(k, 0)], 0.0)
+
+
+def _stein(a: np.ndarray, q: np.ndarray, steps: int) -> tuple[np.ndarray, float]:
+    """X = sum_m c_m A^m Q A*^m with c_m = binom(m + steps - 1, m), the last
+    of `steps` chained Stein equations X_1 = A X_1 A* + Q and
+    X_(i+1) = A X_(i+1) A* + X_i, by Smith doubling (X += P X P*, P <- P^2;
+    Zhou, Doyle & Glover, Robust and Optimal Control, 1996, ch. 21), and a
+    bound on the spectral norm of what it leaves out.
+
+    Every solve doubles with the same powers A^(2^k), k < K, so each keeps
+    its terms m < L = 2^K.  Any term left out has m >= L, and since
+    c_(m+L) <= c_m c_L, the PSD remainder is at most c_L A^L X A^L*, with
+    X the true solution: so ||X - X_K|| <= rho ||X_K|| / (1 - rho) for
+    rho = c_L ||A^L||^2, bounded here by Frobenius norms.  K is the least
+    count with rho <= STEIN_TOL, at most STEIN_MAX_DOUBLINGS; a remainder
+    factor that is not below one then, or that grows past 1/STEIN_TOL
+    first, leaves an infinite bound."""
+    powers, p = [], a
+    for k in range(STEIN_MAX_DOUBLINGS + 1):
+        L = 2.0 ** k
+        rho = math.prod((L + i) / i for i in range(1, steps)) * float(np.vdot(p, p).real)
+        if not STEIN_TOL < rho < 1.0 / STEIN_TOL or k == STEIN_MAX_DOUBLINGS:
+            break
+        powers.append(p)
+        p = p @ p
+    x = q
+    for _ in range(steps):
+        for p in powers:
+            x = x + p @ x @ p.conj().T
+    bound = rho * float(np.linalg.norm(x)) / (1.0 - rho) if rho < 1.0 else math.inf
+    return x, bound
 
 
 def cowen_adjoint_word(symbol: MoebiusMap, space: SpaceSpec) -> OperatorWord:

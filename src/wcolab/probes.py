@@ -1,8 +1,13 @@
 """Structural probes: self-commutators, normality-class defects, adjoint
 factorization witnesses, and the reproducing-kernel hyponormality test.
 
-All probes work on order-N compressions computed from a larger internal
-order M.  Sign conventions: the self-commutator block is (compression of
+All probes report order-N compressions.  The Gram pair that the
+self-commutator, unitary and sweep probes read comes from
+`opmat.gram_blocks`: for a rational weight on a space with an integer
+kernel exponent its AA* half, and on the Hardy space its A*A half too, is a
+Stein solve with no working order, and only a half that reads a block, like
+the quasinormality commutator and the Douglas witness, depends on the
+internal order M.  Sign conventions: the self-commutator block is (compression of
 A*A) - (compression of AA*), so a hyponormal operator gives a positive
 semidefinite block up to truncation, and a negative eigenvalue beyond the
 tail bound certifies non-hyponormality (compressions of PSD operators are
@@ -28,7 +33,9 @@ from .opmat import (
     OperatorWord,
     _apply_word,
     _columns,
-    _gram_pair,
+    _gram,
+    _reads_blocks,
+    _stein_weight,
     gram_blocks,
     is_boundary_touching,
     working_order,
@@ -139,19 +146,32 @@ def defect_sweep(
     op: OperatorSpec, space: SpaceSpec, orders: list[tuple[int, int | None]]
 ) -> list[tuple[float, HyponormalityEvidence]]:
     """`selfadjoint_defect(op, space, N)` and `hyponormality_probe(op, space,
-    N, M)` at every (N, M) in `orders`, bit for bit, from one tall and one
-    wide block per distinct working order M, each built to the largest N
-    that uses it: every top left sub-block of a block is the smaller block."""
+    N, M)` at every (N, M) in `orders`, bit for bit.  Each order solves its
+    own Gram pair: a slice of a larger order's Stein solution is not the
+    smaller solve.  A half that reads a block slices it from one block per
+    distinct working order M, built to the largest N that uses it, and the
+    self-adjoint defects slice one order-N corner: every top left sub-block
+    of a block is the smaller block."""
+    if not orders:
+        return []
     Ms = [working_order(N, [op], M) for N, M in orders]
-    blocks = {}
-    for M in dict.fromkeys(Ms):
-        top = max(N for (N, _), m in zip(orders, Ms) if m == M)
-        blocks[M] = (_columns(op, space, M, top), _columns(op, space, top, M))
+    top = {M: max(N for (N, _), m in zip(orders, Ms) if m == M) for M in Ms}
+    reads_tall, reads_wide = _reads_blocks(_stein_weight(op, space), space)
+    tall = {M: _columns(op, space, M, n) for M, n in top.items()} if reads_tall else {}
+    wide = {M: _columns(op, space, n, M) for M, n in top.items()} if reads_wide else {}
+    n = max(top.values())
+    corner = _columns(op, space, n, n)
     out = []
     for (N, _), M in zip(orders, Ms):
-        tall, wide = blocks[M]
-        pair = _gram_pair(np.ascontiguousarray(tall[:, : N + 1]), wide[: N + 1])
-        out.append((_selfadjoint_gap(wide[: N + 1, : N + 1]), _selfcomm_evidence(pair, N, M)))
+        pair = _gram(
+            op,
+            space,
+            N,
+            M,
+            np.ascontiguousarray(tall[M][:, : N + 1]) if tall else None,
+            wide[M][: N + 1] if wide else None,
+        )
+        out.append((_selfadjoint_gap(corner[: N + 1, : N + 1]), _selfcomm_evidence(pair, N, M)))
     return out
 
 
@@ -177,13 +197,13 @@ def defect_report(
     op: OperatorSpec, space: SpaceSpec, N: int, M: int | None = None
 ) -> DefectReport:
     """Every defect from one square block of order max(M, 2N + 16): the Gram
-    pair reads its rows <= M and columns <= M, the quasinormality defect all
-    of it, the self-adjoint defect its order-N corner."""
+    pair of `gram_blocks`, where it reads a block, reads its rows <= M and
+    columns <= M, the quasinormality defect all of it, the self-adjoint
+    defect its order-N corner."""
     M = working_order(N, [op], M)
     K = max(M, _quasinormal_least(N))
     s = _columns(op, space, K, K)
-    tall, wide, corner = s[: M + 1, : N + 1], s[: N + 1, : M + 1], s[: N + 1, : N + 1]
-    pair = _gram_pair(tall, wide)
+    pair = _gram(op, space, N, M, s[: M + 1, : N + 1], s[: N + 1, : M + 1])
     ev = _selfcomm_evidence(pair, N, M)
     flags = []
     if is_boundary_touching(op):
@@ -195,7 +215,7 @@ def defect_report(
     return DefectReport(
         hyponormality=ev,
         quasinormal_defect=_quasinormal_commutator_norm(s, N),
-        selfadjoint_defect=_selfadjoint_gap(corner),
+        selfadjoint_defect=_selfadjoint_gap(s[: N + 1, : N + 1]),
         unitary_defect=_unitary_gap(pair),
         flags=tuple(flags),
     )

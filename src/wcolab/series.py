@@ -296,7 +296,13 @@ def _poly_mul(a: np.ndarray, b: np.ndarray, M: int | None = None) -> np.ndarray:
 
 def _poly_pow(a: np.ndarray, k: int, M: int | None = None) -> np.ndarray:
     """a**k for polynomials along axis 0, through z**M when M is given, by
-    repeated squaring: O(log k) products, for k <= 3 the repeated product."""
+    repeated squaring: O(log k) products, for k <= 3 the repeated product.
+    Above that a constant is one scalar power, a real one a real power (so
+    (-1)**k keeps its sign): squaring a constant of modulus 1, such as the
+    denominator 1 of a Poly base, never underflows to stop early."""
+    if len(a) == 1 and k > 3:
+        x = a.real if not a.imag.any() else a
+        return np.power(x, float(k)).astype(np.complex128)
     out = np.ones((1, a.shape[1]), dtype=np.complex128)
     while k:
         if not a.any():  # a positive power of zero, as once the squares underflow

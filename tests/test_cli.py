@@ -46,6 +46,9 @@ EXP_CAYLEY_JSON = (
     '"den":{"type":"poly","coeffs":[[1,0],[-1,0]]}}}'
 )
 
+# exp(z), bounded on the disk
+EXP_Z_JSON = '{"type":"exp","arg":{"type":"poly","coeffs":[[0,0],[1,0]]}}'
+
 # a power whose exponent is no number
 POWER_X_JSON = '{"type":"power","base":{"type":"poly","coeffs":[[1,0]]},"exponent":"x"}'
 
@@ -238,13 +241,22 @@ def test_high_integer_power_weights_finish_without_warnings(capsys):
 
 
 def test_probe_json_is_strict_json_without_a_tail_bound(capsys):
-    # below 17 rows the Gram pair's tail bound is infinite: written as null
-    code = run_cli(["probe", "--map", AFFINE_JSON, "--order", "4", "--tail", "12", "--json", "-"])
+    # an Exp weight's Gram pair reads blocks, and below 17 rows their tail
+    # bound is infinite: written as null
+    exp_op = '{"weight":' + EXP_Z_JSON + ',"symbol":' + AFFINE_JSON + "}"
+    code = run_cli(["probe", "--op", exp_op, "--order", "4", "--tail", "12", "--json", "-"])
     out = capsys.readouterr().out
     assert code == 0
     payload = _strict_json(out[out.index("{") :])
     assert payload["tail_bound"] is None
     assert "tail-bound-unavailable" in payload["flags"]
+    # the composition's pair is two Stein solves, with a finite bound at any M
+    code = run_cli(["probe", "--map", AFFINE_JSON, "--order", "4", "--tail", "12", "--json", "-"])
+    out = capsys.readouterr().out
+    assert code == 0
+    payload = _strict_json(out[out.index("{") :])
+    assert 0.0 <= payload["tail_bound"] < 1e-12
+    assert "tail-bound-unavailable" not in payload["flags"]
 
 
 def test_block_requires_exactly_one_operator(capsys):

@@ -454,3 +454,38 @@ def test_classification_json_has_core_fields(tmp_path, capsys):
     assert rec["class"] == "parabolic-non-automorphism"
     assert rec["translation"] is not None
     assert rec["denjoy_wolff"]["boundary"] is True
+
+
+def _iterate_with_a_last_square(m, n):
+    """`iterate` as it was: the base squared once more after the last bit."""
+    result, base = None, m.normalized()
+    while n:
+        if n & 1:
+            result = base if result is None else result.compose(base)
+            result = result.normalized()
+        base = base.compose(base).normalized()
+        n >>= 1
+    return result
+
+
+def test_iterate_agrees_with_single_compositions_to_n_46():
+    # (z + 1)/2: its 2^k-th iterate has relative determinant 2^-k, so the
+    # square past the last bit of n = 32 (base^64) was degenerate; single
+    # compositions reach n = 46 (2^-46 is above the degeneracy floor)
+    m = AFFINE_HALF
+    single = m.normalized()
+    for n in range(1, 47):
+        if n > 1:
+            single = single.compose(m).normalized()
+        assert projective_distance(m.iterate(n), single) <= 1e-12
+    with pytest.raises(DegenerateMapError):
+        _iterate_with_a_last_square(m, 32)
+
+
+def test_iterate_keeps_s3_iterates_bit_for_bit():
+    # S3 iterates its two parabolic maps to n = 20, where the old loop worked
+    for t in (1.0 + 0j, 1.0 + 1j):
+        phi = parabolic_from(1.0, t)
+        for n in range(1, 21):
+            new, old = phi.iterate(n), _iterate_with_a_last_square(phi, n)
+            assert (new.a, new.b, new.c, new.d) == (old.a, old.b, old.c, old.d)

@@ -349,11 +349,11 @@ def test_word_block_is_the_compression_of_the_full_product(word, N, extra, sp):
 
 
 @st.composite
-def rational_weights(draw):
-    """num/den with deg num <= 2 and every root of den at modulus 1.2 to 3."""
+def rational_weights(draw, least=1.2):
+    """num/den with deg num <= 2 and every root of den at modulus `least` to 3."""
     den = np.array([1.0 + 0j])
     for _ in range(draw(st.integers(1, 2))):
-        rho = cmath.rect(draw(st.floats(1.2, 3.0)), draw(st.floats(0.0, 2 * math.pi)))
+        rho = cmath.rect(draw(st.floats(least, 3.0)), draw(st.floats(0.0, 2 * math.pi)))
         den = np.convolve(den, [1.0, -1.0 / rho])
     parts = st.floats(-1.0, 1.0)
     num = [complex(draw(parts), draw(parts)) for _ in range(draw(st.integers(1, 3)))]
@@ -600,6 +600,126 @@ def test_gram_blocks_converge_with_order():
     assert np.max(np.abs(a.g1 - b.g1)) < 1e-10
     assert np.max(np.abs(a.g2 - b.g2)) < 1e-8
     assert b.tail_bound <= a.tail_bound + 1e-15
+
+
+def _block_pair(op, sp, N, M, hardy_blocks=None):
+    """G1 and G2 from the tall and the wide block at working order M.  A
+    block is the Hardy block scaled by the basis norms, so a dict passed as
+    `hardy_blocks` keeps each operator's Hardy blocks for the other spaces."""
+    if hardy_blocks is None:
+        hardy_blocks = {}
+    if op not in hardy_blocks:
+        hardy_blocks[op] = (_columns(op, hardy(), M, N), _columns(op, hardy(), N, M))
+    b = np.sqrt(sp.basis_norms_sq(M))
+    tall, wide = (x * b[: len(x), None] / b[None, : x.shape[1]] for x in hardy_blocks[op])
+    return tall.conj().T @ tall, wide @ wide.conj().T
+
+
+def _assert_stein_pair_is_the_block_pair(op, sp, N, M, rtol):
+    """The pair of `gram_blocks` against the block pair at order M: each
+    half within rtol in the spectral norm, and its tail bound covering the
+    gap up to that rounding."""
+    pair = gram_blocks(op, sp, N, M)
+    gaps = []
+    for got, want in zip((pair.g1, pair.g2), _block_pair(op, sp, N, M)):
+        scale = np.linalg.norm(want, 2)
+        gaps.append(np.linalg.norm(got - want, 2))
+        assert gaps[-1] <= rtol * scale
+    assert 0.0 <= pair.tail_bound and sum(gaps) <= pair.tail_bound + rtol * scale
+
+
+def _rational_scenario_operators(sp):
+    """Every scenario operator whose Gram pair `gram_blocks` solves on sp,
+    each once: S4's and S10's weights 1 and K_0 are the composition with
+    AFFINE_HALF."""
+    from wcolab import scenarios as sc
+
+    ops = [composition(m) for m in (AFFINE_HALF, THREE_POINT, HALF_SHIFT)]
+    ops += [composition(rotation(lam)) for lam in (1j, 0.5, np.exp(1j * np.pi * np.sqrt(2.0)))]
+    ops += [weighted(Poly((1, -1)), AFFINE_HALF), sc.SADRAOUI, sc.s8_operator(sc.S8_CASES[0][1])]
+    ops += [weighted(sc.s6_weight(sp), sc.HYPERBOLIC_AUTO)]
+    ops += [sc.s11_operator(sp, t)[0] for t in (1.0, 2.0)]
+    return ops
+
+
+def test_stein_solves_match_the_blocks_of_every_rational_scenario_operator():
+    # at M = 4096 the blocks' tails are below rounding for these operators;
+    # each half that is solved (AA*, and A*A on H^2) is checked by itself,
+    # so no A^2_alpha tall block is built twice
+    hardy_blocks = {}
+    for sp in ALL_SPACES:
+        for op in _rational_scenario_operators(sp):
+            leaf = opmat._stein_weight(op, sp)
+            solved = {1: opmat._stein_g2(*leaf, op.symbol, sp, 16)}
+            if sp == hardy():
+                solved[0] = opmat._stein_g1(*leaf, op.symbol, 16)
+            want = _block_pair(op, sp, 16, 4096, hardy_blocks)
+            for half, (got, bound) in solved.items():
+                scale = np.linalg.norm(want[half], 2)
+                gap = np.linalg.norm(0.5 * (got + got.conj().T) - want[half], 2)
+                assert gap <= 1e-12 * scale and gap <= bound + 1e-12 * scale
+
+
+def test_stein_pair_of_the_order_study_operator_at_n_64():
+    _assert_stein_pair_is_the_block_pair(weighted(PSI_HALF, HALF_SHIFT), hardy(), 64, 5120, 1e-12)
+
+
+def test_only_rational_weights_on_integer_gamma_are_solved():
+    # an Exp weight, a Power left a node, and a non-integer kernel exponent
+    # keep both blocks; `gram_blocks` then is the block pair itself
+    cases = [
+        (weighted(Exp(Poly((0, 0.5))), AFFINE_HALF), hardy()),
+        (weighted(Power(Poly((1, 0.5)), 0.5), AFFINE_HALF), hardy()),
+        (weighted(Power(Poly((1, 0.5)), 4), AFFINE_HALF), hardy()),
+        (composition(AFFINE_HALF), bergman(0.5)),
+    ]
+    for op, sp in cases:
+        assert opmat._stein_weight(op, sp) is None
+        pair = gram_blocks(op, sp, 8, 160)
+        g1, g2 = _block_pair(op, sp, 8, 160)
+        assert np.array_equal(pair.g1, 0.5 * (g1 + g1.conj().T))
+        assert np.array_equal(pair.g2, 0.5 * (g2 + g2.conj().T))
+
+
+def test_stein_chains_weigh_powers_binomially_and_bound_what_they_leave():
+    # on a diagonal A the chain's entries are sum_m binom(m + k - 1, m) r^2m
+    # = (1 - r^2)^-k; a slowly converging solve reports its remainder bound,
+    # and one whose powers do not decay an infinite bound
+    r = np.array([0.999999, 0.5, 0.0])
+    for steps in (1, 2, 3):
+        x, bound = opmat._stein(np.diag(r).astype(complex), np.eye(3, dtype=complex), steps)
+        want = (1.0 - r * r) ** -steps
+        np.testing.assert_allclose(np.diag(x).real, want, rtol=1e-9)
+        assert 0.0 <= bound <= 1e-25 * want.max()
+    assert opmat._stein(np.eye(2, dtype=complex), np.eye(2, dtype=complex), 1)[1] == np.inf
+    jordan = np.array([[0.5, 1e20], [0.0, 0.5]], dtype=complex)  # transient past 1/STEIN_TOL
+    x, bound = opmat._stein(jordan, np.eye(2, dtype=complex), 1)
+    assert bound == np.inf and np.isfinite(x).all()
+
+
+@st.composite
+def stein_maps(draw):
+    """z -> c0 + r lam (z - p) / (1 - conj(p) z) with |p| = |c/d| <= 0.8 and
+    |c0| + r <= 0.9, so the blocks' tails fall below rounding by M = 1024."""
+    r = draw(st.floats(0.05, 0.6))
+    p = cmath.rect(draw(st.floats(0.0, 0.8)), draw(st.floats(0.0, 2 * math.pi)))
+    lam = cmath.rect(1.0, draw(st.floats(0.0, 2 * math.pi)))
+    c0 = cmath.rect(draw(st.floats(0.0, 0.9 - r)), draw(st.floats(0.0, 2 * math.pi)))
+    pc = p.conjugate()
+    return MoebiusMap(r * lam - c0 * pc, c0 - r * lam * p, -pc, 1.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    symbol=stein_maps() | st.none(),
+    weight=rational_weights(least=1.5),
+    N=st.integers(0, 8),
+    sp=st.sampled_from(ALL_SPACES),
+)
+def test_stein_pairs_match_the_block_pairs(symbol, weight, N, sp):
+    # no symbol is the analytic Toeplitz operator, solved with phi(z) = z
+    op = toeplitz(weight) if symbol is None else weighted(weight, symbol)
+    _assert_stein_pair_is_the_block_pair(op, sp, N, 1024, 1e-12)
 
 
 def test_boundary_touching_and_order_policy():

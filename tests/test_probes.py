@@ -38,6 +38,7 @@ from wcolab.probes import (
     unitary_defect,
 )
 from wcolab.series import (
+    Exp,
     Poly,
     PrecomposeMoebius,
     Product,
@@ -154,15 +155,30 @@ def test_hyponormality_probe_reports_tail_bound():
 
 
 def test_tail_below_order_16_is_unknown_not_zero():
-    # below 17 rows the tall block's tail cannot be judged, so the pair's
-    # bound is infinite and a negative eigenvalue certifies nothing
-    op = composition(AFFINE_HALF)
+    # an Exp weight's pair reads blocks: below 17 rows the tall block's tail
+    # cannot be judged, so the pair's bound is infinite and a negative
+    # eigenvalue certifies nothing
+    op = weighted(Exp(Poly((0, 1))), AFFINE_HALF)
     for M in (8, 12, 15):
         assert gram_blocks(op, hardy(), 4, M).tail_bound == np.inf
         ev = hyponormality_probe(op, hardy(), 4, M)
-        assert ev.min_eig < -0.4 and not ev.certificate
+        assert ev.min_eig < -2.9 and not ev.certificate
         assert "tail-bound-unavailable" in defect_report(op, hardy(), 4, M).flags
     assert hyponormality_probe(op, hardy(), 4, 16).certificate
+
+
+def test_stein_pairs_certify_at_any_working_order():
+    # the composition's pair on H^2 is two Stein solves: no block, so no
+    # tail to judge, and the same bits at every M
+    op = composition(AFFINE_HALF)
+    ref = hyponormality_probe(op, hardy(), 4, 16)
+    for M in (8, 12, 15, 4096):
+        ev = hyponormality_probe(op, hardy(), 4, M)
+        assert ev.certificate and ev.min_eig < -0.4
+        assert 0.0 <= ev.tail_bound < 1e-30
+        assert (ev.min_eig, ev.norm, ev.tail_bound, ev.M) == (ref.min_eig, ref.norm, ref.tail_bound, M)
+    for M in (8, 12, 15):
+        assert "tail-bound-unavailable" not in defect_report(op, hardy(), 4, M).flags
 
 
 def test_quasinormality_defect_order_policy():
@@ -295,8 +311,8 @@ def test_s7_sweeps_each_letter_block_once(monkeypatch):
     # every block S7 builds: two order-N blocks for the adjoint check, then
     # C_tau and T_eta once for the Douglas witness (C_tau's rows 0..24 of
     # 160, T_eta at order 24) and once for the contraction norms, whose word
-    # compresses exactly at order 32, and last the hyponormality probe's tall
-    # and wide blocks
+    # compresses exactly at order 32; the hyponormality probe, two Stein
+    # solves on H^2, builds none
     build = opmat.build_block
     calls = []
 
@@ -317,8 +333,6 @@ def test_s7_sweeps_each_letter_block_once(monkeypatch):
         (None, 24, 24),
         (TAU, 32, 32),
         (None, 32, 32),
-        (SADRAOUI.symbol, 160, 16),
-        (SADRAOUI.symbol, 16, 160),
     ]
 
 
@@ -353,8 +367,10 @@ def test_defect_sweep_checks_the_working_order():
         defect_sweep(composition(HALF_SHIFT), hardy(), [(8, 160), (20, 30)])
 
 
-def test_s11_builds_one_tall_and_one_wide_block_per_operator(monkeypatch):
-    # 3 spaces x 2 translation numbers, one working order: 12 blocks (90 before)
+def test_s11_builds_a_corner_per_operator_and_a_tall_block_off_hardy(monkeypatch):
+    # 3 spaces x 2 translation numbers, one working order: each operator's
+    # order-24 corner for the self-adjoint defects, and on A^2_alpha the tall
+    # block for A*A; every AA*, and A*A on H^2, is a Stein solve
     columns = opmat._columns
     shapes = []
 
@@ -365,7 +381,7 @@ def test_s11_builds_one_tall_and_one_wide_block_per_operator(monkeypatch):
     monkeypatch.setattr(probes, "_columns", counting_columns)
     rep = scenarios.run_scenario("S11-parabolic-kernel-weight")
     assert rep.verdict == "REPORT"
-    assert shapes == [(320, 24), (24, 320)] * 6
+    assert shapes == [(24, 24)] * 2 + [(320, 24), (24, 24)] * 4
 
 
 def test_kernel_probe_zero_for_unitary_and_negative_for_bad_map():

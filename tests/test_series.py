@@ -559,18 +559,38 @@ def test_high_integer_powers_expand_truncated():
 
 def test_a_power_stops_squaring_once_it_underflows(monkeypatch):
     # (0.5 + 0.25z)^(2^j) is all zero through z^160 after a dozen squarings;
-    # the remaining ~990 bits of the exponent multiply nothing (the
-    # denominator 1 takes its ~1000 one-row products)
+    # the remaining ~990 bits of the exponent multiply nothing, and the
+    # denominator 1 is one scalar power (it took ~1000 one-row products)
     from wcolab import series
 
     calls = []
     mul = series._poly_mul
-    monkeypatch.setattr(series, "_poly_mul", lambda a, *r: calls.append(len(a) > 1) or mul(a, *r))
+    monkeypatch.setattr(series, "_poly_mul", lambda a, *r: calls.append(len(a)) or mul(a, *r))
     coeffs = taylor(Power(Poly((0.5, 0.25)), 1e300), 160).coeffs
     assert coeffs.shape == (161,) and not np.any(coeffs)
-    assert sum(calls) < 40
+    assert len(calls) < 16
     zero = np.zeros((3, 1), dtype=complex)
     assert not np.any(_poly_pow(zero, 5, 8)) and np.array_equal(_poly_pow(zero, 0), [[1]])
+
+
+def test_a_constant_power_is_one_scalar_power(monkeypatch):
+    # above k = 3 a one-row base takes no product; a real base a real power,
+    # so the sign of (-1)^k is exact at any k
+    from wcolab import series
+
+    monkeypatch.setattr(series, "_poly_mul", None)
+    got = _poly_pow(np.array([[2.0, -1.0, 0.5, -1.0]], dtype=complex), 10)
+    assert np.array_equal(got, [[1024.0, 1.0, 0.5 ** 10, 1.0]])
+    for k, sign in ((1001, -1.0), (int(1e300), 1.0)):
+        assert np.array_equal(_poly_pow(np.array([[-1.0 + 0j]]), k), [[sign]])
+    np.testing.assert_allclose(_poly_pow(np.array([[1j, 0.5 + 0.5j]]), 4), [[1.0, -0.25]], atol=1e-15)
+    monkeypatch.undo()
+    # (-1 / (1 - z/2))^k: its numerator -1 is the scalar power, and its
+    # coefficients are (-1)^k binom(n + k - 1, n) / 2^n
+    for k in (4, 5, 9):
+        got = taylor(Power(Rational(Poly((-1,)), Poly((1, -0.5))), k), 12).coeffs
+        ref = [(-1) ** k * math.comb(n + k - 1, n) / 2.0 ** n for n in range(13)]
+        assert_series_close(got, np.array(ref, dtype=complex), 1e-14)
 
 
 def test_a_fold_that_overflows_stays_a_node():
