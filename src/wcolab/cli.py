@@ -323,7 +323,7 @@ def cmd_probe(args) -> int:
     print(f"quasinormal defect:            {fmt(rep.quasinormal_defect)}")
     print(f"selfadjoint defect:            {fmt(rep.selfadjoint_defect)}")
     print(f"unitary defect:                {fmt(rep.unitary_defect)}")
-    print(f"tail bound on G1:              {fmt(ev.tail_bound)}")
+    print(f"selfcomm tail bound:           {fmt(ev.tail_bound)}")
     for flag in rep.flags:
         print(f"flag: {flag}")
     verdictline = "negative certificate (not hyponormal)" if ev.certificate else "no certificate"

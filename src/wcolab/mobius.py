@@ -25,7 +25,6 @@ import numpy as np
 from .errors import (
     DegenerateMapError,
     InputError,
-    NotParabolicError,
     NotSelfMapError,
 )
 
@@ -250,14 +249,6 @@ class MoebiusMap:
         data = tuple(FixedPoint(p, 1, m.derivative_at(p)) for p in pts)
         return FixedPointData(data, borderline=abs(disc) <= 10.0 * tol)
 
-    def denjoy_wolff(self, tol: float = DEFAULT_TOL) -> "DWPoint":
-        """Attracting fixed point in the closed disk, with its derivative, as
-        `classify` finds it; the identity and elliptic automorphisms have none."""
-        dw = classify(self, tol).dw
-        if dw is None:
-            raise InputError("no attracting fixed point: identity or elliptic automorphism")
-        return dw
-
     # -- normal forms ------------------------------------------------------
 
     def krein_adjoint(self) -> "MoebiusMap":
@@ -325,7 +316,9 @@ class Classification:
     borderline: bool
     notes: tuple[str, ...]
     fixed_points: FixedPointData | None
-    dw: DWPoint | None
+    dw: DWPoint | None  # None for the identity and elliptic automorphisms
+    # a parabolic map's t: it acts as w -> w + t in the half-plane chart at
+    # its Denjoy-Wolff point (see parabolic_from); Re t = 0 for automorphisms
     translation: complex | None
 
 
@@ -339,15 +332,6 @@ def rotation(lam: complex) -> MoebiusMap:
     if abs(lam) == 0.0:
         raise InputError("rotation factor must be nonzero")
     return MoebiusMap(lam, 0.0, 0.0, 1.0)
-
-
-def disk_automorphism(point: complex, lam: complex = 1.0) -> MoebiusMap:
-    """The automorphism z -> lam * (point - z)/(1 - conj(point) z), |point| < 1."""
-    point = complex(point)
-    if abs(point) >= 1.0:
-        raise InputError("automorphism parameter must lie in the open disk")
-    lam = complex(lam)
-    return MoebiusMap(-lam, lam * point, -point.conjugate(), 1.0)
 
 
 def projective_distance(m1: MoebiusMap, m2: MoebiusMap) -> float:
@@ -386,21 +370,6 @@ def parabolic_from(zeta: complex, t: complex) -> MoebiusMap:
     if t.real < 0.0:
         t = complex(0.0, t.imag)
     return MoebiusMap(2.0 - t, t * zeta, -t * zeta.conjugate(), 2.0 + t)
-
-
-def translation_number(m: MoebiusMap, tol: float = DEFAULT_TOL) -> complex:
-    """Translation number t of a parabolic self-map, as `classify` finds it.
-
-    In the half-plane chart at the double fixed point zeta the map acts as
-    w -> w + t; concretely t = tau(m(0)) - 1 with tau as in parabolic_from.
-    Re t >= 0 always; Re t == 0 exactly for automorphisms.
-    """
-    c = classify(m, tol)
-    if c.map_class is MapClass.IDENTITY:
-        raise InputError("every point is fixed: the map is the identity")
-    if c.translation is None:
-        raise NotParabolicError(f"a {c.map_class.value} map has no translation number")
-    return c.translation
 
 
 def _attracting(fps: FixedPointData, tol: float) -> DWPoint:

@@ -24,7 +24,12 @@ Stein equations in the Toeplitz matrix of the symbol's series, and on the
 Hardy space A*A is one Stein equation in the recurrence of F's rows, each
 solved by Smith doubling with a bound on its exact remainder (`_stein`).
 Any other half reads a block of working order M, A*A the tall block and
-AA* the wide one, with an extrapolated tail bound.
+AA* the wide one, with an extrapolated tail bound.  On the Hardy space the
+same row recurrence, for two operators at once, gives the cross-Gram
+P_N Q*P P_N as one Sylvester-Stein equation (`_cross_gram`), and Cowen's
+adjoint formula turns the quasinormality commutator of a rational weight
+into two of them (`_stein_commutator`); `_reads_blocks` and `_reads_square`
+decide which inputs are solved.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ from .series import (
     Poly,
     Power,
     _quotient,
+    _substitute_poly,
     column_tail_bound,
     constant,
     eliminate_precompose,
@@ -369,7 +375,7 @@ def gram_blocks(
     any other half reads a block: A*A the tall block (rows <= M), AA* the
     wide block (columns <= M)."""
     M = working_order(N, [op], M)
-    return _gram(op, space, N, M)
+    return _gram(op, space, N, M, _stein_weight(op, space))
 
 
 def _stein_weight(op: OperatorSpec, space: SpaceSpec) -> tuple | None:
@@ -386,20 +392,27 @@ def _reads_blocks(leaf: tuple | None, space: SpaceSpec) -> tuple[bool, bool]:
     return leaf is None or space.kind != HARDY, leaf is None
 
 
+def _reads_square(leaf: tuple | None, space: SpaceSpec) -> bool:
+    """Whether the quasinormality commutator of an operator whose
+    `_stein_weight` is leaf reads the square block; else it is solved
+    (`_stein_commutator`), on the Hardy space alone, as A*A is."""
+    return leaf is None or space.kind != HARDY
+
+
 def _gram(
     op: OperatorSpec,
     space: SpaceSpec,
     N: int,
     M: int,
+    leaf: tuple | None,
     tall: np.ndarray | None = None,
     wide: np.ndarray | None = None,
 ) -> GramPair:
-    """The Gram pair of `gram_blocks` at a validated working order M.  A
-    caller that holds the tall block (rows <= M, columns <= N) or the wide
-    one (rows <= N, columns <= M) passes it; a half that needs a block it
-    was not given builds it.  Both G1 and G2 are symmetrized, so exactly
-    Hermitian."""
-    leaf = _stein_weight(op, space)
+    """The Gram pair of `gram_blocks` at a validated working order M, for
+    the operator's `_stein_weight` leaf.  A caller that holds the tall block
+    (rows <= M, columns <= N) or the wide one (rows <= N, columns <= M)
+    passes it; a half that needs a block it was not given builds it.  Both
+    G1 and G2 are symmetrized, so exactly Hermitian."""
     reads_tall, reads_wide = _reads_blocks(leaf, space)
     phi = identity() if op.symbol is None else op.symbol
     if reads_tall:
@@ -439,22 +452,27 @@ def _stein_g2(num, den, phi: MoebiusMap, space: SpaceSpec, N: int) -> tuple[np.n
 
 def _stein_g1(num, den, phi: MoebiusMap, N: int) -> tuple[np.ndarray, float]:
     """P_N A*A P_N on the Hardy space and the bound on its remainder, for
-    the weight psi = num/den.
+    the weight num/den: the cross-Gram X(A, A)."""
+    rows = _row_state(num, den, phi, N, len(num))
+    return _cross_gram(rows, rows, N)
+
+
+def _row_state(num, den, phi: MoebiusMap, N: int, n0: int) -> tuple:
+    """Rows 0..n0-1 of F (before the basis scaling) on the Hardy space, for
+    the weight psi = num/den; the state s at row n0; and the step matrix S
+    with s_n = s_(n-1) S past it.  Needs n0 >= len(num).
 
     Row n of F, r_n = F[n, 0..N], holds the coefficients of
     sum_j F[n, j] u^j = [z^n] psi / (1 - u phi), and with h = psi (d + cz),
     e = 1/(d - bu) and phi~(u) = (au - c)/(d - bu) that is
     r_n = r_(n-1) Phi + h_n e, Phi the upper-triangular Toeplitz matrix of
-    phi~ (a row times Phi is a product of series in u).  Past the degree n0
-    of h's numerator, h_n follows den's recurrence, so the row and den's
-    last h values form a state s_n = s_(n-1) A, and the rows past n0 add
-    the Stein solution in A* with Q = s_(n0)* s_(n0) to the head rows' Gram.
-    A's spectrum is -c/d (|c/d| < 1 for a self-map) and the reciprocal
-    roots of den, none on or outside the unit circle for a bounded weight."""
+    phi~ (a row times Phi is a product of series in u).  Past len(num), the
+    degree of h's numerator, h_n follows den's recurrence, so the row and
+    den's last h values form the state.  S's spectrum is -c/d (|c/d| < 1
+    for a self-map) and the reciprocal roots of den, none on or outside the
+    unit circle for a bounded weight."""
     a, b, c, d = phi.a, phi.b, phi.c, phi.d
-    hnum = np.convolve(num, (d, c))
-    n0 = len(hnum) - 1
-    h = rational_series("quotient", hnum, den, n0)
+    h = rational_series("quotient", np.convolve(num, (d, c)), den, n0)
     e = _linear_fractional_series(1.0, 0.0, d, -b, N)
     big_phi = _toeplitz(_linear_fractional_series(-c, a, d, -b, N)).T
     rows = np.zeros((n0 + 1, N + 1), dtype=np.complex128)
@@ -471,9 +489,55 @@ def _stein_g1(num, den, phi: MoebiusMap, N: int) -> tuple[np.ndarray, float]:
         step[N + 1 :, : N + 1] = np.outer(ck, e)
         step[N + 1 :, N + 1] = ck
         step[N + 1 + np.arange(q - 1), N + 2 + np.arange(q - 1)] = 1.0
-    y, bound = _stein(step.conj().T, np.outer(s.conj(), s), 1)
-    head = rows[:n0]
-    return head.conj().T @ head + y[: N + 1, : N + 1], bound
+    return rows[:n0], s, step
+
+
+def _cross_gram(p: tuple, q: tuple, N: int) -> tuple[np.ndarray, float]:
+    """X(P, Q)[m, j] = <Q e_j, P e_m> for m, j <= N on the Hardy space, and
+    the bound on its remainder, from the `_row_state`s of P and Q at one
+    row: F_P* F_Q is the head rows' products plus the solution of one
+    Stein equation Y = S_P* Y S_Q + s_P* s_Q in the two states, a
+    Sylvester-Stein equation unless P is Q."""
+    (head_p, s_p, step_p), (head_q, s_q, step_q) = p, q
+    right = None if q is p else step_q.conj().T
+    y, bound = _stein(step_p.conj().T, np.outer(s_p.conj(), s_q), 1, right)
+    return head_p.conj().T @ head_q + y[: N + 1, : N + 1], bound
+
+
+def _stein_commutator(num, den, phi: MoebiusMap, N: int) -> tuple[np.ndarray, float]:
+    """D = P_N (A A*A - A*A A) P_N on the Hardy space for A = T_psi C_phi,
+    psi = num/den, and the bound ||U|| e1 + e2 on its remainder, with ||U||
+    taken in the Frobenius norm.
+
+    Cowen's adjoint C_phi* = T_g C_sigma T_h* (Integral Equations Operator
+    Theory 11, 1988), g = 1/(conj(d) - conj(b) z), h = d + cz and sigma the
+    Krein adjoint map, gives A* = B T_(psi h)*, B = T_g C_sigma, and so
+    A* P_N = B P_N U with U = (P_N T_(psi h) P_N)*, upper triangular.  Then
+    D[m, j] = <A*A e_j, A* e_m> - <A A e_j, A e_m> = (U* X(AB, A) -
+    X(A, A^2))[m, j], where AB = T_(psi (g o phi)) C_(sigma o phi) and
+    A^2 = T_(psi (psi o phi)) C_(phi o phi) are again rational weights on
+    linear fractional symbols; e1 and e2 are the remainder bounds of the two
+    cross-Grams (`_cross_gram`)."""
+    b, c, d = phi.b, phi.c, phi.d
+    g_num, g_den = _precompose(np.ones(1), np.array((d.conjugate(), -b.conjugate())), phi)
+    psi_num, psi_den = _precompose(num, den, phi)
+    ops = (
+        (np.convolve(num, g_num), np.convolve(den, g_den), phi.krein_adjoint().compose(phi)),
+        (num, den, phi),
+        (np.convolve(num, psi_num), np.convolve(den, psi_den), phi.compose(phi)),
+    )
+    n0 = max(len(op[0]) for op in ops)
+    ab, a, aa = (_row_state(*op, N, n0) for op in ops)
+    x1, e1 = _cross_gram(ab, a, N)
+    x2, e2 = _cross_gram(a, aa, N)
+    t = _toeplitz(rational_series("quotient", np.convolve(num, (d, c)), den, N))
+    return t @ x1 - x2, float(np.linalg.norm(t)) * e1 + e2
+
+
+def _precompose(num, den, phi: MoebiusMap) -> tuple[np.ndarray, np.ndarray]:
+    """Numerator and denominator of (num/den) o phi."""
+    D = max(len(num), len(den)) - 1
+    return _substitute_poly(num, phi, D), _substitute_poly(den, phi, D)
 
 
 def _linear_fractional_series(p0, p1, q0, q1, n: int) -> np.ndarray:
@@ -494,33 +558,40 @@ def _toeplitz(t: np.ndarray) -> np.ndarray:
     return np.where(k >= 0, t[np.maximum(k, 0)], 0.0)
 
 
-def _stein(a: np.ndarray, q: np.ndarray, steps: int) -> tuple[np.ndarray, float]:
-    """X = sum_m c_m A^m Q A*^m with c_m = binom(m + steps - 1, m), the last
-    of `steps` chained Stein equations X_1 = A X_1 A* + Q and
-    X_(i+1) = A X_(i+1) A* + X_i, by Smith doubling (X += P X P*, P <- P^2;
-    Zhou, Doyle & Glover, Robust and Optimal Control, 1996, ch. 21), and a
-    bound on the spectral norm of what it leaves out.
+def _stein(
+    a: np.ndarray, q: np.ndarray, steps: int, b: np.ndarray | None = None
+) -> tuple[np.ndarray, float]:
+    """X = sum_m c_m A^m Q B*^m with c_m = binom(m + steps - 1, m) and B = A
+    unless given, the last of `steps` chained Stein equations
+    X_1 = A X_1 B* + Q and X_(i+1) = A X_(i+1) B* + X_i, by Smith doubling
+    (X += P X R*, P <- P^2, R <- R^2; Zhou, Doyle & Glover, Robust and
+    Optimal Control, 1996, ch. 21), and a bound on the spectral norm of what
+    it leaves out.
 
-    Every solve doubles with the same powers A^(2^k), k < K, so each keeps
-    its terms m < L = 2^K.  Any term left out has m >= L, and since
-    c_(m+L) <= c_m c_L, the PSD remainder is at most c_L A^L X A^L*, with
-    X the true solution: so ||X - X_K|| <= rho ||X_K|| / (1 - rho) for
-    rho = c_L ||A^L||^2, bounded here by Frobenius norms.  K is the least
-    count with rho <= STEIN_TOL, at most STEIN_MAX_DOUBLINGS; a remainder
-    factor that is not below one then, or that grows past 1/STEIN_TOL
-    first, leaves an infinite bound."""
-    powers, p = [], a
+    Every solve doubles with the same powers A^(2^k) and B^(2^k), k < K, so
+    each keeps its terms m < L = 2^K.  For one equation what it leaves out
+    is exactly A^L X B^L*, X the true solution.  For a chain, with B = A and
+    a PSD Q, any term left out has m >= L, and since c_(m+L) <= c_m c_L the
+    PSD remainder is at most c_L A^L X A^L*; a right factor is for one
+    equation only.  So ||X - X_K|| <= rho ||X_K|| / (1 - rho) for
+    rho = c_L ||A^L|| ||B^L||, bounded here by Frobenius norms.  K is the
+    least count with rho <= STEIN_TOL, at most STEIN_MAX_DOUBLINGS; a
+    remainder factor that is not below one then, or that grows past
+    1/STEIN_TOL first, leaves an infinite bound."""
+    powers, p, r = [], a, b
     for k in range(STEIN_MAX_DOUBLINGS + 1):
         L = 2.0 ** k
-        rho = math.prod((L + i) / i for i in range(1, steps)) * float(np.vdot(p, p).real)
+        norms = float(np.vdot(p, p).real) if b is None else np.linalg.norm(p) * np.linalg.norm(r)
+        rho = math.prod((L + i) / i for i in range(1, steps)) * norms
         if not STEIN_TOL < rho < 1.0 / STEIN_TOL or k == STEIN_MAX_DOUBLINGS:
             break
-        powers.append(p)
+        powers.append((p, p if b is None else r))
         p = p @ p
+        r = None if b is None else r @ r
     x = q
     for _ in range(steps):
-        for p in powers:
-            x = x + p @ x @ p.conj().T
+        for p, r in powers:
+            x = x + p @ x @ r.conj().T
     bound = rho * float(np.linalg.norm(x)) / (1.0 - rho) if rho < 1.0 else math.inf
     return x, bound
 

@@ -57,12 +57,12 @@ from .opmat import (
 )
 from .probes import (
     certified_min_chi,
-    defect_report,
     defect_sweep,
     douglas_witness,
     hyponormality_probe,
     kernel_condition_probe,
     quasinormality_defect,
+    quasinormality_evidence,
     unitary_defect,
 )
 from .series import (
@@ -267,6 +267,12 @@ def _above_floor(name, value, key, **details) -> CheckResult:
     return _ge(name, value, floor, "oracle", key=key, **details)
 
 
+def _quasinormal_floor(name, ev, key) -> CheckResult:
+    """`_above_floor` for a quasinormality defect, with the bound on its
+    error where it was solved (None where it read a block)."""
+    return _above_floor(name, ev.defect, key, remainder_bound=ev.remainder_bound)
+
+
 def _below_ceiling(name, value, key, **details) -> CheckResult:
     """Oracle check: value <= the ceiling pinned under key."""
     ceiling = _pinned("mineig_ceilings", "ceiling", key)
@@ -414,9 +420,9 @@ def _s4(ov: Overrides) -> tuple[list[CheckResult], dict]:
         for psi_label, weight in s4_weights(space):
             op = weighted(weight, AFFINE_HALF)
             checks.append(
-                _above_floor(
+                _quasinormal_floor(
                     f"quasinormal-defect.{space.label()}.{psi_label}",
-                    _once(quasinormality_defect, op, space, N, M),
+                    _once(quasinormality_evidence, op, space, N, M),
                     f"S4.{space.label()}.{psi_label}",
                 )
             )
@@ -430,18 +436,26 @@ def _s5(ov: Overrides) -> tuple[list[CheckResult], dict]:
     lams = (("i", 1j), ("half", 0.5 + 0j), ("irrational", np.exp(1j * np.pi * np.sqrt(2.0))))
     for space in THREE_SPACES:
         for lam_label, lam in lams:
-            rep = defect_report(composition(rotation(lam)), space, N, M)
+            op = composition(rotation(lam))
+            # M may be below the commutator's least order 2N + 16; where the
+            # commutator reads a block, it is then of that order
+            ev = quasinormality_evidence(op, space, N, max(M, 2 * N + 16))
             tag = f"{space.label()}.lam-{lam_label}"
             checks.append(
-                _le(f"quasinormal-defect.{tag}", rep.quasinormal_defect, 1e-12, "analytic")
+                _le(
+                    f"quasinormal-defect.{tag}",
+                    ev.defect,
+                    1e-12,
+                    "analytic",
+                    remainder_bound=ev.remainder_bound,
+                )
             )
-            checks.append(
-                _le(f"selfcommutator-norm.{tag}", rep.hyponormality.norm, 1e-12, "analytic")
-            )
+            norm = hyponormality_probe(op, space, N, M).norm
+            checks.append(_le(f"selfcommutator-norm.{tag}", norm, 1e-12, "analytic"))
         checks.append(
-            _above_floor(
+            _quasinormal_floor(
                 f"quasinormal-defect.{space.label()}.half-shift",
-                quasinormality_defect(composition(HALF_SHIFT), space, Nq, Mq),
+                quasinormality_evidence(composition(HALF_SHIFT), space, Nq, Mq),
                 f"S5.{space.label()}.half-shift",
             )
         )
@@ -544,8 +558,8 @@ def _s8(ov: Overrides) -> tuple[list[CheckResult], dict]:
                 tail_bound=_finite_or_none(ev.tail_bound),
             )
         )
-        v = quasinormality_defect(op, sp, N, Mq)
-        checks.append(_above_floor(f"quasinormal-defect.{label}", v, f"S8.hardy.{label}"))
+        quasi = quasinormality_evidence(op, sp, N, Mq)
+        checks.append(_quasinormal_floor(f"quasinormal-defect.{label}", quasi, f"S8.hardy.{label}"))
 
         contraction = (
             plain(toeplitz(ETA)),

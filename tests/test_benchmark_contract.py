@@ -33,6 +33,17 @@ def test_order_study_steps_check_out():
     assert all(op.ok for op in ops), ops
 
 
+def test_order_study_quasinormal_step_holds_its_reference_at_every_order():
+    # the solved defect reads no block, so one value serves every M
+    from wcolab.probes import quasinormality_defect
+
+    study = workloads.OrderStudy(1, ms=())
+    for M in (48, 1280):
+        v = quasinormality_defect(study.affine, study.hardy, workloads.QUASINORMAL_N, M)
+        assert abs(v - workloads.QUASINORMAL_REF) <= 1e-12 * workloads.QUASINORMAL_REF
+    assert all(study._quasinormal(M) for M in (320, 640, 1280))
+
+
 def test_first_cli_requests_check_out(tmp_path):
     wl = workloads.CliRequests(1, str(tmp_path))
     wl.requests = wl.requests[:32]

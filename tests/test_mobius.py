@@ -13,7 +13,6 @@ from wcolab import cli
 from wcolab.errors import (
     DegenerateMapError,
     InputError,
-    NotParabolicError,
     NotSelfMapError,
 )
 from wcolab.mobius import (
@@ -21,13 +20,11 @@ from wcolab.mobius import (
     MapClass,
     MoebiusMap,
     classify,
-    disk_automorphism,
     identity,
     is_infinity,
     parabolic_from,
     projective_distance,
     rotation,
-    translation_number,
 )
 
 HALF_SHIFT = MoebiusMap(1, 0, -1, 2)  # z/(2-z)
@@ -155,6 +152,12 @@ def test_image_circle_against_samples():
         assert np.max(np.abs(dist - radius)) < 1e-9 * max(1.0, radius)
 
 
+def disk_automorphism(point: complex, lam: complex = 1.0) -> MoebiusMap:
+    """The automorphism z -> lam * (point - z)/(1 - conj(point) z), |point| < 1."""
+    point, lam = complex(point), complex(lam)
+    return MoebiusMap(-lam, lam * point, -point.conjugate(), 1.0)
+
+
 def test_is_self_map_cases():
     assert HALF_SHIFT.is_self_map()
     assert AFFINE_HALF.is_self_map()  # touches the boundary at 1
@@ -199,25 +202,25 @@ def test_fixed_points_parabolic_double():
 
 
 def test_denjoy_wolff_cases():
-    dw = HALF_SHIFT.denjoy_wolff()
+    dw = classify(HALF_SHIFT).dw
     assert abs(dw.location) < 1e-10 and not dw.boundary
 
-    dw = AFFINE_HALF.denjoy_wolff()
+    dw = classify(AFFINE_HALF).dw
     assert abs(dw.location - 1.0) < 1e-10 and dw.boundary
     assert abs(dw.derivative - 0.5) < 1e-10
 
-    dw = parabolic_from(1.0, 1.0).denjoy_wolff()
+    dw = classify(parabolic_from(1.0, 1.0)).dw
     assert abs(dw.location - 1.0) < 1e-10 and dw.boundary
     assert abs(dw.derivative - 1.0) < 1e-10
 
-    # elliptic automorphisms have no attracting fixed point
-    with pytest.raises(InputError):
-        rotation(1j).denjoy_wolff()
+    # elliptic automorphisms and the identity have no attracting fixed point
+    assert classify(rotation(1j)).dw is None
+    assert classify(identity()).dw is None
 
 
 def test_denjoy_wolff_requires_self_map():
     with pytest.raises(NotSelfMapError):
-        MoebiusMap(2, 0, 0, 1).denjoy_wolff()
+        classify(MoebiusMap(2, 0, 0, 1))
 
 
 def classify_class(m):
@@ -371,18 +374,13 @@ def test_classification_is_one_pass_and_invariant(m, k, turn):
         assert abs(after.translation - before.translation) <= 1e-12
     if before.dw is None:
         assert before.map_class is MapClass.ELLIPTIC_AUTOMORPHISM
-        with pytest.raises(InputError):
-            moved.denjoy_wolff()
+        assert after.dw is None
     else:
         assert abs(after.dw.location - rho * before.dw.location) <= 1e-12
         assert abs(after.dw.derivative - before.dw.derivative) <= 1e-12
         assert after.dw.boundary is before.dw.boundary
-        assert moved.denjoy_wolff() == after.dw
-    if after.translation is None:
-        with pytest.raises(NotParabolicError):
-            translation_number(moved)
-    else:
-        assert translation_number(moved) == after.translation
+    parabolic = (MapClass.PARABOLIC_AUTOMORPHISM, MapClass.PARABOLIC_NON_AUTOMORPHISM)
+    assert (after.translation is not None) is (after.map_class in parabolic)
 
 
 def test_parabolic_from_translation_roundtrip():
@@ -392,17 +390,14 @@ def test_parabolic_from_translation_roundtrip():
         for t in ts:
             m = parabolic_from(zeta, t)
             assert m.is_self_map()
-            got = translation_number(m)
-            assert abs(got - t) < 1e-8 * max(1.0, abs(t))
-            dw = m.denjoy_wolff()
-            assert abs(dw.location - zeta) < 1e-8
+            c = classify(m)
+            assert abs(c.translation - t) < 1e-8 * max(1.0, abs(t))
+            assert abs(c.dw.location - zeta) < 1e-8
 
 
 def test_translation_number_requires_parabolic():
-    with pytest.raises(NotParabolicError):
-        translation_number(HALF_SHIFT)
-    with pytest.raises(NotParabolicError):
-        translation_number(rotation(1j))
+    for m in (HALF_SHIFT, rotation(1j), identity()):
+        assert classify(m).translation is None
 
 
 def test_parabolic_iterates_form_semigroup():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wcolab import opmat
+from wcolab import opmat, probes
 from wcolab.errors import (
     InputError,
     NotSelfMapError,
@@ -720,6 +720,100 @@ def test_stein_pairs_match_the_block_pairs(symbol, weight, N, sp):
     # no symbol is the analytic Toeplitz operator, solved with phi(z) = z
     op = toeplitz(weight) if symbol is None else weighted(weight, symbol)
     _assert_stein_pair_is_the_block_pair(op, sp, N, 1024, 1e-12)
+
+
+def test_sylvester_stein_solves_weigh_both_sides_and_bound_what_they_leave():
+    # with a right factor B the sum is sum_m A^m Q B*^m: on diagonal A and B
+    # its entries are q_ij / (1 - a_i conj(b_j)); the bound covers the
+    # remainder, and a side whose powers do not decay leaves it infinite
+    a = np.array([0.999999, 0.5j, 0.0])
+    b = np.array([-0.9, 0.3 + 0.4j])
+    q = np.arange(1.0, 7.0).reshape(3, 2).astype(complex)
+    x, bound = opmat._stein(np.diag(a), q, 1, np.diag(b))
+    want = q / (1.0 - np.outer(a, b.conj()))
+    np.testing.assert_allclose(x, want, rtol=1e-9)
+    assert 0.0 <= bound <= 1e-25 * np.abs(want).max()
+    assert opmat._stein(np.eye(3, dtype=complex), q, 1, np.eye(2, dtype=complex))[1] == np.inf
+
+
+def _block_commutator(op, sp, N, M):
+    """||P_N (S S*S - S*S S) P_N|| of the order-M square block S."""
+    return probes._quasinormal_commutator_norm(_columns(op, sp, M, M), N)
+
+
+def _assert_solved_commutator_is_the_block_one(op, N, M, rtol):
+    """The solved defect on H^2 against the order-M square block: within
+    rtol of the block's value (of 1 where the commutator vanishes), its
+    remainder bound covering the gap up to that rounding."""
+    ev = probes.quasinormality_evidence(op, hardy(), N, M)
+    assert ev.remainder_bound is not None and ev.remainder_bound >= 0.0
+    want = _block_commutator(op, hardy(), N, M)
+    scale = max(want, 1.0)
+    assert abs(ev.defect - want) <= rtol * scale
+    assert abs(ev.defect - want) <= ev.remainder_bound + rtol * scale
+    assert ev.defect == quasinormality_defect(op, hardy(), N, M)
+
+
+def test_solved_commutators_match_the_square_blocks_of_the_scenario_operators():
+    # S4's psi-one, S5's half-shift and its rotations, S7's and S8's
+    # f-linear operators and an analytic Toeplitz operator, against the
+    # M = 2048 blocks, whose tails are below rounding for these operators
+    from wcolab import scenarios as sc
+
+    ops = [composition(AFFINE_HALF), composition(HALF_SHIFT), sc.SADRAOUI, toeplitz(PSI_HALF)]
+    ops += [composition(rotation(lam)) for lam in (1j, 0.5, np.exp(1j * np.pi * np.sqrt(2.0)))]
+    ops += [sc.s8_operator(sc.S8_CASES[0][1])]
+    for op in ops:
+        _assert_solved_commutator_is_the_block_one(op, 16, 2048, 1e-12)
+
+
+@st.composite
+def commutator_maps(draw):
+    """A `stein_maps` map, or one whose image touches the unit circle: a
+    tangent map (|c0| + r = 1) or an automorphism (c0 = 0, r = 1), again
+    with |c/d| = |p| <= 0.8."""
+    kind = draw(st.sampled_from(("interior", "tangent", "automorphism")))
+    if kind == "interior":
+        return draw(stein_maps())
+    r = 1.0 if kind == "automorphism" else draw(st.floats(0.05, 0.95))
+    p = cmath.rect(draw(st.floats(0.0, 0.8)), draw(st.floats(0.0, 2 * math.pi)))
+    lam = cmath.rect(1.0, draw(st.floats(0.0, 2 * math.pi)))
+    c0 = cmath.rect(1.0 - r, draw(st.floats(0.0, 2 * math.pi)))
+    pc = p.conjugate()
+    return MoebiusMap(r * lam - c0 * pc, c0 - r * lam * p, -pc, 1.0)
+
+
+@settings(max_examples=16, deadline=None)
+@given(
+    symbol=commutator_maps() | st.none(),
+    weight=rational_weights(least=1.5),
+    N=st.integers(0, 16),
+)
+def test_solved_commutators_match_the_square_blocks(symbol, weight, N):
+    op = toeplitz(weight) if symbol is None else weighted(weight, symbol)
+    _assert_solved_commutator_is_the_block_one(op, N, 1024, 1e-12)
+
+
+def test_block_commutators_stay_where_nothing_is_solved(monkeypatch):
+    # an Exp weight, a Power left a node and any A^2_alpha read the square
+    # block, bit for bit, with no remainder bound; so does a solve whose
+    # bound is not finite
+    cases = [
+        (weighted(Exp(Poly((0, 0.5))), AFFINE_HALF), hardy()),
+        (weighted(Power(Poly((1, 0.5)), 0.5), HALF_SHIFT), hardy()),
+        (weighted(PSI_HALF, HALF_SHIFT), bergman(0.0)),
+        (composition(AFFINE_HALF), bergman(1.0)),
+        (composition(AFFINE_HALF), bergman(0.5)),
+    ]
+    for op, sp in cases:
+        ev = probes.quasinormality_evidence(op, sp, 8, 160)
+        assert ev == probes.QuasinormalityEvidence(_block_commutator(op, sp, 8, 160), None)
+        assert defect_report(op, sp, 8, 160).quasinormal_defect == ev.defect
+    op = weighted(PSI_HALF, HALF_SHIFT)
+    monkeypatch.setattr(probes, "_stein_commutator", lambda *args: (np.zeros((9, 9)), math.inf))
+    ev = probes.quasinormality_evidence(op, hardy(), 8, 160)
+    assert ev == probes.QuasinormalityEvidence(_block_commutator(op, hardy(), 8, 160), None)
+    assert defect_report(op, hardy(), 8, 160).quasinormal_defect == ev.defect
 
 
 def test_boundary_touching_and_order_policy():

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wcolab.errors import OrderPolicyError
-from wcolab.mobius import MoebiusMap, disk_automorphism, rotation
+from wcolab.mobius import MoebiusMap, rotation
 from wcolab import cli, opmat, probes, scenarios
 from wcolab.opmat import (
     adjoint_block,
@@ -384,6 +384,30 @@ def test_s11_builds_a_corner_per_operator_and_a_tall_block_off_hardy(monkeypatch
     assert shapes == [(24, 24)] * 2 + [(320, 24), (24, 24)] * 4
 
 
+def test_defect_report_on_hardy_builds_only_the_corner_for_a_rational_weight(monkeypatch):
+    # every defect of a rational weight on H^2 is solved but the self-adjoint
+    # one, which reads the order-N corner; an Exp weight, and any weight on
+    # A^2_alpha, read one square block of order max(M, 2N + 16)
+    columns = opmat._columns
+    shapes = []
+
+    def counting_columns(op, space, rows, cols):
+        shapes.append((rows, cols))
+        return columns(op, space, rows, cols)
+
+    monkeypatch.setattr(probes, "_columns", counting_columns)
+    monkeypatch.setattr(opmat, "_columns", counting_columns)
+    for op in (composition(AFFINE_HALF), SADRAOUI, toeplitz(PSI_HALF), s8_operator(S8_CASES[0][1])):
+        for N, M in ((8, None), (16, 40), (24, 1280)):
+            shapes.clear()
+            defect_report(op, hardy(), N, M)
+            assert shapes == [(N, N)]
+    for op, sp in ((s8_operator(S8_CASES[1][1]), hardy()), (SADRAOUI, bergman(1.0))):
+        shapes.clear()
+        defect_report(op, sp, 16, 40)
+        assert shapes == [(48, 48)]
+
+
 def test_kernel_probe_zero_for_unitary_and_negative_for_bad_map():
     pts = kernel_condition_probe(weighted(s6_weight(hardy()), HYPERBOLIC_AUTO), hardy())
     assert max(abs(p.chi) for p in pts) < 1e-8
@@ -407,7 +431,8 @@ def test_unitary_weighted_automorphisms_have_zero_chi(a, turn, sp, ws):
     # (1 - |a|^2)^(gamma/2) K_a C_phi is unitary for phi = lam (a - z)/(1 - conj(a) z);
     # S6's operator is the case a = -1/2, lam = -1
     weight = Product((constant((1.0 - abs(a) ** 2) ** (sp.gamma / 2.0)), kernel_expr(sp, a)))
-    op = weighted(weight, disk_automorphism(a, cmath.rect(1.0, turn)))
+    lam = cmath.rect(1.0, turn)
+    op = weighted(weight, MoebiusMap(-lam, lam * a, -a.conjugate(), 1.0))
     assert unitary_defect(op, sp, 12, 160) <= 1e-10
     pts = kernel_condition_probe(op, sp, ws)
     assert not any(p.slow_decay for p in pts)

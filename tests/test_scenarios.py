@@ -131,6 +131,20 @@ def test_an_infinite_tail_bound_is_reported_as_null(tmp_path):
     assert all(0.0 <= b < 1e-12 for b in bounds.values())
 
 
+def test_solved_quasinormal_defects_report_their_remainder_bound(suite, tmp_path):
+    # every quasinormal-defect check carries `remainder_bound`: finite where
+    # the commutator is solved (H^2, rational weight), null where it read a
+    # block (A^2_alpha, and S8's Exp weight)
+    bounds = {}
+    for sid in ("S4", "S5", "S8"):
+        for c in written(suite.reports[sid], tmp_path)["checks"]:
+            if c["name"].startswith("quasinormal-defect."):
+                bounds[f"{sid}.{c['name']}"] = c["details"]["remainder_bound"]
+    solved = {k for k, b in bounds.items() if b is not None}
+    assert solved == {k for k in bounds if ".hardy." in k or k == "S8.quasinormal-defect.f-linear"}
+    assert len(solved) == 7 and all(0.0 <= bounds[k] < 1e-30 for k in solved)
+
+
 def test_kernel_witness_counts_only_points_not_slow_at_the_cap(tmp_path):
     slow = KernelProbePoint(0.9 + 0j, -1.0, KERNEL_PROBE_MAX_ORDER, True)
     fast = KernelProbePoint(0.1 + 0j, -1e-3, 512, False)
@@ -186,7 +200,7 @@ def test_scenarios_reference_existing_threshold_keys(suite):
 
 # -- one computation per distinct operator in a run ----------------------------
 
-MEMOIZED = ("kernel_condition_probe", "hyponormality_probe", "quasinormality_defect")
+MEMOIZED = ("kernel_condition_probe", "hyponormality_probe", "quasinormality_evidence")
 
 
 def _count_memoized_calls(monkeypatch) -> dict[str, int]:
@@ -215,13 +229,14 @@ def test_scenarios_run_alone_report_what_run_all_reports(suite):
 
 def test_run_all_computes_each_distinct_operator_once(suite, monkeypatch):
     # S10's psi-one and psi-kernel cases are S9's affine-half operator in each
-    # space, and S4's two weights are one operator
+    # space, and S4's two weights are one operator; S5's nine rotations are
+    # distinct operators, each probed once for both defects
     counts = _count_memoized_calls(monkeypatch)
     reports = scenarios.run_all()
     assert counts == {
         "kernel_condition_probe": 9,
-        "hyponormality_probe": 12,
-        "quasinormality_defect": 8,
+        "hyponormality_probe": 12 + 9,
+        "quasinormality_evidence": 8 + 9,
     }
     assert [_without_runtime(r) for r in reports] == [
         _without_runtime(r) for r in suite.reports.values()
