@@ -237,7 +237,11 @@ def _kernel_witness(name, pts) -> CheckResult:
     """chi <= -1e-8 at some kernel point not slow at the order cap; with no
     such point the check fails and its value is None."""
     chi = certified_min_chi(pts)
-    details = {"grid_points": len(pts), "slow_at_cap": sum(p.slow_decay for p in pts)}
+    details = {
+        "grid_points": len(pts),
+        "exact_points": sum(p.exact for p in pts),
+        "slow_at_cap": sum(p.slow_decay for p in pts),
+    }
     if chi is None:
         return CheckResult(name, None, f"<= {-1e-8:.12g}", False, "analytic", details)
     return _le(name, chi, -1e-8, "analytic", **details)

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wcolab.errors import OrderPolicyError
@@ -44,6 +44,7 @@ from wcolab.series import (
     Product,
     Scale,
     constant,
+    eliminate_precompose,
     evaluate,
     tail_diagnostics,
     taylor,
@@ -55,6 +56,7 @@ from wcolab.scenarios import (
     HYPERBOLIC_AUTO,
     PSI_HALF,
     S8_CASES,
+    S9_SYMBOLS,
     SADRAOUI,
     TAU,
     THREE_POINT,
@@ -62,6 +64,7 @@ from wcolab.scenarios import (
     Overrides,
     s6_weight,
     s8_operator,
+    s10_weights,
     s11_operator,
     s11_orders,
 )
@@ -445,12 +448,14 @@ def test_kernel_probe_on_an_empty_grid_has_no_points():
 
 
 def test_kernel_probe_below_the_tail_order_doubles_until_judged():
-    # a series of order below 16 is too short to judge: it counts as slow
-    op, grid = composition(AFFINE_HALF), default_kernel_grid()[::9]
-    judged = kernel_condition_probe(op, hardy(), grid, order=16)
+    # a series of order below 16 is too short to judge: it counts as slow;
+    # a non-integer kernel exponent keeps the composition on the series path
+    op, grid, sp = composition(AFFINE_HALF), default_kernel_grid()[::9], bergman(0.5)
+    judged = kernel_condition_probe(op, sp, grid, order=16)
+    assert not any(p.exact for p in judged)
     for start in (0, 1, 4):  # doubling from 1, 1 or 4 reaches 16 itself
-        assert kernel_condition_probe(op, hardy(), grid, order=start) == judged
-    assert all(p.order >= 30 for p in kernel_condition_probe(op, hardy(), grid, order=15))
+        assert kernel_condition_probe(op, sp, grid, order=start) == judged
+    assert all(p.order >= 30 for p in kernel_condition_probe(op, sp, grid, order=15))
 
 
 def test_kernel_grid_stays_inside_disk():
@@ -460,9 +465,19 @@ def test_kernel_grid_stays_inside_disk():
 
 
 def test_kernel_probe_points_carry_orders():
-    pts = kernel_condition_probe(composition(HALF_SHIFT), hardy())
+    pts = kernel_condition_probe(composition(HALF_SHIFT), bergman(0.5))
+    assert not any(p.exact for p in pts)
     assert all(p.order >= 512 for p in pts)
     assert all(np.isfinite(p.chi) for p in pts)
+
+
+def test_exact_kernel_points_carry_the_requested_order_and_are_never_slow():
+    # the benchmark's tracer reads log2(order / start) of every point
+    op, grid = composition(HALF_SHIFT), default_kernel_grid()[::9]
+    for order, carried in ((512, 512), (15, 15), (0, 1), (1, 1)):
+        pts = kernel_condition_probe(op, hardy(), grid, order=order)
+        assert all(p.exact and not p.slow_decay and p.order == carried for p in pts)
+        assert all(np.isfinite(p.chi) for p in pts)
 
 
 def _unitary_kernel_operator(a: float):
@@ -512,15 +527,23 @@ def _assert_batched_matches_per_point(op, space, grid, order):
 
 
 def test_batched_kernel_probe_matches_per_point_path_s9_s10():
+    # on the scenario spaces S9's and S10's operators are summed in closed
+    # form, so their series path is held where the kernel exponent is no integer
     grid = default_kernel_grid()[::9]
-    for sp in ALL_SPACES:
+    for sp in (bergman(0.5), bergman(1.5)):
         ops = [composition(AFFINE_HALF), composition(THREE_POINT)]
         for weight in (constant(1.0), Poly((1, -1)), kernel_expr(sp, 0.0)):
             ops.append(weighted(weight, AFFINE_HALF))
         # a weight whose series has full length
         ops.append(s8_operator(next(f for label, f, _, _ in S8_CASES if label == "f-exp")))
         for op in ops:
-            _assert_batched_matches_per_point(op, sp, grid, KERNEL_PROBE_ORDER)
+            pts = _assert_batched_matches_per_point(op, sp, grid, KERNEL_PROBE_ORDER)
+            assert not any(p.exact for p in pts)
+    # and on the scenario spaces, weights that are no polynomial
+    for sp in ALL_SPACES:
+        for op in (SADRAOUI, weighted(PSI_HALF, AFFINE_HALF)):
+            pts = _assert_batched_matches_per_point(op, sp, grid, KERNEL_PROBE_ORDER)
+            assert not any(p.exact for p in pts)
 
 
 def test_kernel_probe_reads_the_weight_through_its_normal_form():
@@ -528,6 +551,89 @@ def test_kernel_probe_reads_the_weight_through_its_normal_form():
     for sp in ALL_SPACES:
         kernel = kernel_condition_probe(weighted(kernel_expr(sp, 0.0), AFFINE_HALF), sp)
         assert kernel == kernel_condition_probe(composition(AFFINE_HALF), sp)
+
+
+def test_exact_kernel_probe_meets_rational_oracles_on_hardy():
+    # chi(0) = ||1||^2 - ||K_(1/2)||^2 = 1 - 4/3 for C_(AFFINE_HALF); for
+    # C_(THREE_POINT) at w = -1/2, K_w o phi = 2(z + 3)/(4z + 7) has squared
+    # norm 1288/1617 and phi(-1/2) = 0, so chi = 1288/1617 - 1 = -47/231
+    cases = ((composition(AFFINE_HALF), 0.0, -1 / 3), (composition(THREE_POINT), -0.5, -47 / 231))
+    for op, w, chi in cases:
+        (pt,) = kernel_condition_probe(op, hardy(), [w])
+        assert pt.exact and not pt.slow_decay
+        assert abs(pt.chi - chi) <= 1e-15 * abs(chi)
+
+
+def test_exact_kernel_norms_bound_nothing_where_u_leaves_the_disk():
+    # a map within the self-map tolerance can have the pole of K_w o phi in
+    # the closed disk, |u| >= 1, at a w near the circle whose image phi(w)
+    # is still inside it: the closed form has no bound there
+    s, w = 1.0 + 4e-10, -(1.0 - 2e-10)
+    phi = MoebiusMap(s, 0.8 * s, 0.8, 1.0)  # s (z + 0.8)/(1 + 0.8 z)
+    assert abs(phi.apply(np.array([w]))[0]) < 1.0
+    for sp in (hardy(), bergman(0.0)):
+        _, bound = probes._exact_kernel_norms(Poly((1.0,)), phi, sp, np.array([0.5, w]))
+        assert np.isfinite(bound[0]) and bound[1] == np.inf
+        assert not kernel_condition_probe(composition(phi), sp, [w])[0].exact
+
+
+def _assert_exact_matches_series(op, space, grid):
+    """The closed-form points of the probe against the series path started
+    at the cap, point by point, to 1e-12 of max(|chi|, ||A K_w||^2)."""
+    ws = np.array(grid, dtype=complex)
+    pts = kernel_condition_probe(op, space, grid)
+    weight = eliminate_precompose(op.weight)
+    phi = op.symbol
+    lhs, _, slow = probes._series_kernel_norms(weight, phi, space, ws, KERNEL_PROBE_MAX_ORDER)
+    rhs = np.abs(evaluate(weight, ws)) ** 2 * kernel_norm_sq(space, phi.apply(ws))
+    for p, ref, s, r in zip(pts, lhs - rhs, slow, lhs):
+        if p.exact and not s:
+            assert abs(p.chi - ref) <= 1e-12 * max(abs(ref), r), (p, ref)
+    return pts, slow
+
+
+def test_exact_kernel_probe_matches_the_series_at_the_cap_s9_s10():
+    grid = default_kernel_grid()
+    for sp in THREE_SPACES:
+        ops = [composition(m) for _, m in S9_SYMBOLS]
+        ops += [weighted(w, AFFINE_HALF) for _, w in s10_weights(sp)]
+        for op in ops:
+            pts, slow = _assert_exact_matches_series(op, sp, grid)
+            assert all(p.exact for p in pts) and not slow.any()
+
+
+@st.composite
+def self_maps(draw):
+    """lam s (z - p)/(1 - conj(p) z) + q with s + |q| < 1, so |c/d| = |p| <= 0.8."""
+    p = draw(disk_point(0.8))
+    s = draw(st.floats(0.05, 0.95))
+    q = draw(disk_point(0.95 * (1.0 - s)))
+    lam = cmath.rect(1.0, draw(st.floats(0.0, 2 * math.pi)))
+    return MoebiusMap(lam * s - q * p.conjugate(), q - lam * s * p, -p.conjugate(), 1.0)
+
+
+complex_coeff = st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@example(  # c = conj(w) a at w = conj(c / a) = -0.56, and gamma = 3
+    phi=MoebiusMap(0.9, -0.45, -0.5, 1.0), psi=[1, -1], sp=bergman(1.0), ws=[0.5, -0.3j, 0.7]
+)
+@given(
+    phi=self_maps(),
+    psi=st.lists(complex_coeff, min_size=1, max_size=4),
+    sp=st.sampled_from((hardy(), bergman(0.0), bergman(1.0), bergman(2.0))),
+    ws=st.lists(disk_point(0.9), min_size=3, max_size=3),
+)
+def test_exact_kernel_probe_matches_the_series_for_polynomial_weights(phi, psi, sp, ws):
+    # gamma = 1, 2, 3, 4; w = 0, and the point where u = 0 (c = conj(w) a)
+    # when it lies in the disk, are always on the grid
+    u_zero = abs(phi.c) < 0.9 * abs(phi.a)
+    grid = [0.0] + ws + ([(phi.c / phi.a).conjugate()] if u_zero else [])
+    pts, _ = _assert_exact_matches_series(weighted(Poly(tuple(psi)), phi), sp, grid)
+    if any(psi):
+        assert pts[0].exact
+        assert pts[-1].exact or not u_zero
 
 
 def test_batched_kernel_probe_matches_per_point_path_with_doublings():

@@ -150,11 +150,29 @@ def test_kernel_witness_counts_only_points_not_slow_at_the_cap(tmp_path):
     fast = KernelProbePoint(0.1 + 0j, -1e-3, 512, False)
     check = _kernel_witness("kernel-witness-min-chi.x", [slow, fast])
     assert check.passed is True and check.value == -1e-3
-    assert check.details == {"grid_points": 2, "slow_at_cap": 1}
+    assert check.details == {"grid_points": 2, "exact_points": 0, "slow_at_cap": 1}
+    exact = KernelProbePoint(0.2 + 0j, -2e-3, 512, False, True)
+    check = _kernel_witness("kernel-witness-min-chi.x", [slow, fast, exact])
+    assert check.value == -2e-3
+    assert check.details == {"grid_points": 3, "exact_points": 1, "slow_at_cap": 1}
     # nothing certified: the check fails and the report stays strict JSON
     check = _kernel_witness("kernel-witness-min-chi.x", [slow, slow])
     assert check.passed is False and check.value is None
     assert written(check, tmp_path)["value"] is None
+
+
+def test_s9_s10_kernel_witnesses_are_summed_in_closed_form(suite):
+    # every S9 and S10 weight is a polynomial and every scenario space has an
+    # integer kernel exponent, so no point of their grids reads a series
+    witnesses = [
+        c
+        for sid in ("S9", "S10")
+        for c in suite.reports[sid].checks
+        if c.name.startswith("kernel-witness-min-chi.")
+    ]
+    assert len(witnesses) == 15
+    for c in witnesses:
+        assert c.details == {"grid_points": 128, "exact_points": 128, "slow_at_cap": 0}, c.name
 
 
 def test_an_unpinned_oracle_key_fails_and_keeps_its_value(tmp_path):
